@@ -103,7 +103,9 @@ def _resolve_threads(value) -> int:
     env = os.environ.get("LANDSCAPER_THREADS")
     if env:
         return max(1, int(env))
-    return os.cpu_count() or 1
+    # Serial unless asked: the chains' small numpy steps serialise on the GIL,
+    # and a thread pool over chains measured slower than one thread.
+    return 1
 
 
 def _build_model(spec: dict):
@@ -233,10 +235,7 @@ def cmd_fit(args, argv) -> int:
     cfg = FitConfig.from_json({**cfg.to_json(), **cfg_doc})
 
     collection = _load_fit_collection(args)
-    import warnings as _warnings
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("ignore")
-        posterior = fit(collection, cfg)
+    posterior = fit(collection, cfg)
 
     post_path = out / "posterior.json"
     dump_json(posterior.to_json(), post_path)
@@ -448,7 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", required=True, help="coverage or tpr-grid")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_experiment)
 

@@ -12,8 +12,10 @@ error exceeds ENERGY_ERROR_LIMIT, or that produce non-finite values, count as
 divergent and keep the previous draw.
 
 Chains own independent generator streams spawned from the seed by chain
-index, so results do not depend on scheduling; `threads` only controls how
-many chains run concurrently.
+index, so results do not depend on scheduling. `threads` > 1 runs up to that
+many chains on a thread pool; with the small numpy steps of this sampler the
+chains contend for the interpreter lock, and the pool ran slower than the
+serial default (threads=1) on every fit measured.
 """
 
 from __future__ import annotations

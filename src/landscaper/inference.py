@@ -23,7 +23,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg.lapack import dpotrf, dtrtri, dtrtrs
 
 from . import hmc
 from .diagnostics import ess, rhat
@@ -59,9 +59,12 @@ HYPER_NAMES = (
 # Prior (shape, scale) per hyper, in vector order; amplitudes sigma carry the
 # Inverse-Gamma(2,2), length scales the Inverse-Gamma(5,5).
 HYPER_PRIORS = (VAR_PRIOR, LEN_PRIOR, VAR_PRIOR, VAR_PRIOR, VAR_PRIOR, LEN_PRIOR)
-# Amplitude entries enter the kernel squared (variance = exp(2 eta)).
-HYPER_IS_AMPLITUDE = (True, False, True, True, True, False)
 N_HYPERS = len(HYPER_NAMES)
+PRIOR_SHAPE = np.array([shape for shape, _ in HYPER_PRIORS])
+PRIOR_SCALE = np.array([scale for _, scale in HYPER_PRIORS])
+# Sum of the Inverse-Gamma log normalisers, shape log(scale) - lgamma(shape).
+PRIOR_LOG_NORM = sum(shape * math.log(scale) - math.lgamma(shape) for shape, scale in HYPER_PRIORS)
+LOG_2PI = math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -165,14 +168,29 @@ class TargetContext:
         ):
             raise PreconditionError("anchors must cover the observed state range")
         self.center = float(center)
-        self.m = self.anchors.size
+        self.m = m = self.anchors.size
         s = self.anchors
         self.d2_ss = (s[:, None] - s[None, :]) ** 2
         self.d2_xs = (self.x[:, None] - s[None, :]) ** 2
         self.ls = s - self.center
         self.lx = self.x - self.center
+        self.ls_outer = np.outer(self.ls, self.ls)
         self.mean_ls2 = float(np.mean(self.ls**2))
-        self.dim = 2 * self.m + N_HYPERS
+        self.dim = 2 * m + N_HYPERS
+        # E @ (ls_pows * w[:, None]) gives E @ w, E @ (ls w) and E @ (ls^2 w) in one
+        # product, and since (x - s)^2 = lx^2 - 2 lx ls + ls^2, the row sums of
+        # d2_coef times that product are (E * d2_xs) @ w. The expansion uses the
+        # centred coordinates: with raw x it cancels badly far from the origin.
+        self.ls_pows = np.column_stack([np.ones(m), self.ls, self.ls**2])
+        self.d2_coef = np.column_stack([self.lx**2, -2.0 * self.lx, np.ones_like(self.lx)])
+        # phi() of the Cholesky adjoint: the lower triangle, diagonal halved.
+        self.half_tril = np.tril(np.ones((m, m)), -1) + 0.5 * np.eye(m)
+        # The state-independent part of the log density: Gaussian normalisers of
+        # the increments and of the whitened latents, and the Inverse-Gamma ones.
+        self.log_norm = (
+            -0.5 * self.x.size * LOG_2PI - 0.5 * float(np.sum(np.log(self.dt)))
+            - m * LOG_2PI + PRIOR_LOG_NORM
+        )
 
     @classmethod
     def from_transitions(cls, t: TransitionSet, anchors, center: float | None = None):
@@ -187,6 +205,23 @@ class TargetContext:
                   math.log(2.0), math.log(1.25)]
         return np.concatenate([np.zeros(2 * self.m), hypers])
 
+    def _factors(self, eta):
+        """(exp(eta), e_ss, g_ss, chol_f, chol_g): constrained hypers, anchor
+        correlation blocks and the Cholesky factors of both anchor covariances;
+        LinAlgError when one is not numerically positive definite."""
+        sig = np.exp(eta)
+        s_qf, l_f, s_b, s_l, s_qg, l_g = sig
+        v_qf, v_b, v_l, v_qg = s_qf**2, s_b**2, s_l**2, s_qg**2
+        diag = slice(None, None, self.m + 1)
+        e_ss = _eq(self.d2_ss, l_f)
+        k_f = v_qf * e_ss + v_b + v_l * self.ls_outer
+        k_f.flat[diag] += JITTER_REL * (v_qf + v_b + v_l * self.mean_ls2)
+        g_ss = _eq(self.d2_ss, l_g)
+        k_g = v_qg * g_ss
+        k_g.flat[diag] += JITTER_REL * v_qg
+        chol_f = _lapack(dpotrf(k_f, lower=1))
+        return sig, e_ss, g_ss, chol_f, _lapack(dpotrf(k_g, lower=1))
+
     # -- forward + gradient ------------------------------------------------
 
     def log_posterior_and_grad(self, theta):
@@ -197,105 +232,66 @@ class TargetContext:
         eta = theta[2 * m :]
         if np.any(np.abs(eta) > HYPER_BOUND):
             return -np.inf, np.zeros_like(theta)
-        s_qf, l_f, s_b, s_l, s_qg, l_g = np.exp(eta)
-        v_qf, v_b, v_l, v_qg = s_qf**2, s_b**2, s_l**2, s_qg**2
 
         try:
             with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-                # Drift kernel blocks (anchor-anchor and data-anchor).
-                e_ss = np.exp(-self.d2_ss / (2.0 * l_f * l_f))
-                k_ss = v_qf * e_ss + v_b + v_l * np.outer(self.ls, self.ls)
-                delta_f = JITTER_REL * (v_qf + v_b + v_l * self.mean_ls2)
-                a_f = k_ss + delta_f * np.eye(m)
-                l_chol_f = cholesky(a_f, lower=True, check_finite=False)
+                sig, e_ss, g_ss, chol_f, chol_g = self._factors(eta)
+                s_qf, l_f, s_b, s_l, s_qg, l_g = sig
+                v_qf, v_b, v_l, v_qg = s_qf**2, s_b**2, s_l**2, s_qg**2
+                w_f = _lapack(dtrtrs(chol_f, z_f, lower=1, trans=1))
+                w_g = _lapack(dtrtrs(chol_g, z_g, lower=1, trans=1))
 
-                g_ss = np.exp(-self.d2_ss / (2.0 * l_g * l_g))
-                delta_g = JITTER_REL * v_qg
-                a_g = v_qg * g_ss + delta_g * np.eye(m)
-                l_chol_g = cholesky(a_g, lower=True, check_finite=False)
+                # The two data-anchor blocks are the only n x m arrays per call.
+                e_xs = _eq(self.d2_xs, l_f)
+                g_xs = _eq(self.d2_xs, l_g)
+                pf = e_xs @ (self.ls_pows * w_f[:, None])
+                pg = g_xs @ (self.ls_pows * w_g[:, None])
+                sum_wf = float(np.sum(w_f))
+                ls_wf = float(self.ls @ w_f)
+                f_x = v_qf * pf[:, 0] + v_b * sum_wf + (v_l * ls_wf) * self.lx
+                ghat_x = v_qg * pg[:, 0]
 
-                e_xs = np.exp(-self.d2_xs / (2.0 * l_f * l_f))
-                b_f = v_qf * e_xs + v_b + v_l * np.outer(self.lx, self.ls)
-                g_xs = np.exp(-self.d2_xs / (2.0 * l_g * l_g))
-                b_g = v_qg * g_xs
-
-                w_f = solve_triangular(l_chol_f, z_f, lower=True, trans="T", check_finite=False)
-                w_g = solve_triangular(l_chol_g, z_g, lower=True, trans="T", check_finite=False)
-                f_x = b_f @ w_f
-                ghat_x = b_g @ w_g
-
-                var = np.exp(ghat_x) * self.dt
+                # Increment variance is exp(ghat) dt.
                 resid = self.dx - f_x * self.dt
-                loglik = float(
-                    -0.5 * self.x.size * math.log(2.0 * math.pi)
-                    - 0.5 * np.sum(np.log(var))
-                    - np.sum(resid * resid / (2.0 * var))
+                a_vec = resid * np.exp(-ghat_x)      # resid dt / var
+                r2_var = resid * a_vec / self.dt     # resid^2 / var
+                exp_neg = np.exp(-eta)
+                logp = float(
+                    self.log_norm
+                    - 0.5 * np.sum(ghat_x) - 0.5 * np.sum(r2_var)
+                    - 0.5 * (z_f @ z_f) - 0.5 * (z_g @ z_g)
+                    - PRIOR_SHAPE @ eta - PRIOR_SCALE @ exp_neg
                 )
-
-                logprior = (
-                    -0.5 * float(z_f @ z_f) - 0.5 * float(z_g @ z_g)
-                    - m * math.log(2.0 * math.pi)
-                )
-                for value, (shape, scale) in zip(eta, HYPER_PRIORS):
-                    logprior += (
-                        shape * math.log(scale) - math.lgamma(shape)
-                        - shape * value - scale * math.exp(-value)
-                    )
-                logp = loglik + logprior
                 if not math.isfinite(logp):
                     return -np.inf, np.zeros_like(theta)
 
                 # Adjoints of the likelihood wrt f(x_n) and ghat(x_n).
-                a_vec = resid * self.dt / var
-                b_vec = -0.5 + resid * resid / (2.0 * var)
+                b_vec = 0.5 * r2_var - 0.5
+                sum_a = float(np.sum(a_vec))
+                lx_a = float(self.lx @ a_vec)
 
-                grad = np.empty_like(theta)
-                p_f = solve_triangular(l_chol_f, b_f.T @ a_vec, lower=True, check_finite=False)
-                p_g = solve_triangular(l_chol_g, b_g.T @ b_vec, lower=True, check_finite=False)
-                grad[:m] = p_f - z_f
-                grad[m : 2 * m] = p_g - z_g
-
-                s_f = _chol_adjoint(l_chol_f, w_f, p_f)
-                s_g = _chol_adjoint(l_chol_g, w_g, p_g)
-
-                # Drift hypers; amplitude entries are log sigma, so the kernel
-                # variance contributes d(sigma^2)/d(eta) = 2 sigma^2.
+                r_f = v_qf * (e_xs.T @ a_vec) + v_b * sum_a + (v_l * lx_a) * self.ls
+                p_f = _lapack(dtrtrs(chol_f, r_f, lower=1))
+                p_g = _lapack(dtrtrs(chol_g, v_qg * (g_xs.T @ b_vec), lower=1))
+                s_f = _chol_adjoint(chol_f, self.half_tril, z_f, p_f)
+                s_g = _chol_adjoint(chol_g, self.half_tril, z_g, p_g)
                 tr_sf = float(np.trace(s_f))
-                g_sqf = 2.0 * v_qf * (
-                    float(a_vec @ (e_xs @ w_f))
-                    - float(np.sum(e_ss * s_f))
-                    - JITTER_REL * tr_sf
-                )
-                g_lf = (v_qf / (l_f * l_f)) * (
-                    float(a_vec @ ((e_xs * self.d2_xs) @ w_f))
-                    - float(np.sum(e_ss * self.d2_ss * s_f))
-                )
-                g_sb = 2.0 * v_b * (
-                    float(np.sum(a_vec)) * float(np.sum(w_f))
-                    - float(np.sum(s_f))
-                    - JITTER_REL * tr_sf
-                )
-                g_sl = 2.0 * v_l * (
-                    float(a_vec @ self.lx) * float(self.ls @ w_f)
-                    - float(self.ls @ s_f @ self.ls)
-                    - JITTER_REL * self.mean_ls2 * tr_sf
-                )
-                # Diffusion hypers.
                 tr_sg = float(np.trace(s_g))
-                g_sqg = 2.0 * v_qg * (
-                    float(b_vec @ (g_xs @ w_g))
-                    - float(np.sum(g_ss * s_g))
-                    - JITTER_REL * tr_sg
-                )
-                g_lg = (v_qg / (l_g * l_g)) * (
-                    float(b_vec @ ((g_xs * self.d2_xs) @ w_g))
-                    - float(np.sum(g_ss * self.d2_ss * s_g))
-                )
-
-                hyper_grads = np.array([g_sqf, g_lf, g_sb, g_sl, g_sqg, g_lg])
-                for j, (shape, scale) in enumerate(HYPER_PRIORS):
-                    hyper_grads[j] += -shape + scale * math.exp(-eta[j])
-                grad[2 * m :] = hyper_grads
+                # Amplitude entries are log sigma, so the kernel variance
+                # contributes d(sigma^2)/d(eta) = 2 sigma^2.
+                hyper_grads = np.array([
+                    2.0 * v_qf * (a_vec @ pf[:, 0] - np.sum(e_ss * s_f) - JITTER_REL * tr_sf),
+                    (v_qf / (l_f * l_f)) * (np.vdot(self.d2_coef * a_vec[:, None], pf)
+                                            - np.sum(e_ss * self.d2_ss * s_f)),
+                    2.0 * v_b * (sum_a * sum_wf - np.sum(s_f) - JITTER_REL * tr_sf),
+                    2.0 * v_l * (lx_a * ls_wf - self.ls @ s_f @ self.ls
+                                 - JITTER_REL * self.mean_ls2 * tr_sf),
+                    2.0 * v_qg * (b_vec @ pg[:, 0] - np.sum(g_ss * s_g) - JITTER_REL * tr_sg),
+                    (v_qg / (l_g * l_g)) * (np.vdot(self.d2_coef * b_vec[:, None], pg)
+                                            - np.sum(g_ss * self.d2_ss * s_g)),
+                ])
+                hyper_grads += PRIOR_SCALE * exp_neg - PRIOR_SHAPE
+                grad = np.concatenate([p_f - z_f, p_g - z_g, hyper_grads])
 
                 if not np.all(np.isfinite(grad)):
                     return -np.inf, np.zeros_like(theta)
@@ -307,40 +303,39 @@ class TargetContext:
         """Drift and diffusion curves implied by one state vector on a grid."""
         grid = np.asarray(grid, dtype=float)
         m = self.m
-        z_f = theta[:m]
-        z_g = theta[m : 2 * m]
-        s_qf, l_f, s_b, s_l, s_qg, l_g = np.exp(theta[2 * m :])
-        v_qf, v_b, v_l, v_qg = s_qf**2, s_b**2, s_l**2, s_qg**2
-        s = self.anchors
-        d2_gs = (grid[:, None] - s[None, :]) ** 2
-
-        e_ss = np.exp(-self.d2_ss / (2.0 * l_f * l_f))
-        k_f = v_qf * e_ss + v_b + v_l * np.outer(self.ls, self.ls)
-        delta_f = JITTER_REL * (v_qf + v_b + v_l * self.mean_ls2)
-        l_chol_f = cholesky(k_f + delta_f * np.eye(m), lower=True, check_finite=False)
-        b_fg = v_qf * np.exp(-d2_gs / (2.0 * l_f * l_f)) + v_b + v_l * np.outer(
-            grid - self.center, self.ls
-        )
-        f_grid = b_fg @ solve_triangular(l_chol_f, z_f, lower=True, trans="T",
-                                         check_finite=False)
-
-        g_ss = np.exp(-self.d2_ss / (2.0 * l_g * l_g))
-        delta_g = JITTER_REL * v_qg
-        l_chol_g = cholesky(v_qg * g_ss + delta_g * np.eye(m), lower=True, check_finite=False)
-        b_gg = v_qg * np.exp(-d2_gs / (2.0 * l_g * l_g))
-        ghat_grid = b_gg @ solve_triangular(l_chol_g, z_g, lower=True, trans="T",
-                                            check_finite=False)
+        sig, _, _, chol_f, chol_g = self._factors(theta[2 * m :])
+        s_qf, l_f, s_b, s_l, s_qg, l_g = sig
+        w_f = _lapack(dtrtrs(chol_f, theta[:m], lower=1, trans=1))
+        w_g = _lapack(dtrtrs(chol_g, theta[m : 2 * m], lower=1, trans=1))
+        d2_gs = (grid[:, None] - self.anchors[None, :]) ** 2
+        f_grid = (s_qf**2 * (_eq(d2_gs, l_f) @ w_f) + s_b**2 * float(np.sum(w_f))
+                  + s_l**2 * float(self.ls @ w_f) * (grid - self.center))
+        ghat_grid = s_qg**2 * (_eq(d2_gs, l_g) @ w_g)
         return f_grid, np.exp(ghat_grid)
 
 
-def _chol_adjoint(l_chol, w, p):
-    """S = L^-T phi(L^T w p^T) L^-1, the K-space adjoint of d(L^-T z)."""
-    g_mat = l_chol.T @ np.outer(w, p)
-    h = np.tril(g_mat)
-    idx = np.arange(h.shape[0])
-    h[idx, idx] *= 0.5
-    x = solve_triangular(l_chol, h, lower=True, trans="T", check_finite=False)
-    return solve_triangular(l_chol, x.T, lower=True, trans="T", check_finite=False).T
+def _eq(d2, length):
+    """exp(-d2 / (2 length^2)), the EQ correlation, built in one new array."""
+    out = d2 * (-0.5 / (length * length))
+    return np.exp(out, out=out)
+
+
+def _lapack(result):
+    """The array of a LAPACK (array, info) pair; LinAlgError on nonzero info."""
+    out, info = result
+    if info:
+        raise np.linalg.LinAlgError(f"LAPACK info {info}")
+    return out
+
+
+def _chol_adjoint(l_chol, half_tril, z, p):
+    """S = L^-T phi(L^T w p^T) L^-1, the K-space adjoint of d(L^-T z).
+
+    L^T w is z itself, and phi keeps the lower triangle with its diagonal
+    halved, which is the elementwise product with `half_tril`.
+    """
+    l_inv = _lapack(dtrtri(l_chol, lower=1))
+    return l_inv.T @ (half_tril * np.outer(z, p)) @ l_inv
 
 
 def log_posterior(state: ModelState, transitions: TransitionSet, anchors,

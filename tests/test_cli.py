@@ -6,6 +6,7 @@ import pytest
 
 from landscaper import cli
 from landscaper.derived import CurvePair
+from landscaper.errors import ConvergenceWarning
 from landscaper.inference import FitConfig, HYPER_NAMES, Posterior
 from landscaper.tsdata import dump_json, load_json
 
@@ -159,6 +160,14 @@ class TestFit:
                     "--allow-nonconverged", "--out", out])
         assert code == 0
 
+    def test_fit_warnings_are_not_silenced(self, tmp_path, dataset):
+        cfg = tmp_path / "cfg.json"
+        dump_json({"n_chains": 2, "n_iterations": 100, "max_leapfrog": 4}, cfg)
+        with pytest.warns(ConvergenceWarning):
+            code = run(["fit", "--data", dataset / "dataset.csv", "--config", cfg,
+                        "--seed", 3, "--allow-nonconverged", "--out", tmp_path / "w"])
+        assert code == 0
+
 
 class TestWideCsvAndClr:
     def make_wide(self, path):
@@ -278,6 +287,11 @@ class TestReplayAndThreads:
             outs.append(out)
         assert read_bytes(outs[0] / "posterior.json") == read_bytes(outs[1] / "posterior.json")
         assert read_bytes(outs[0] / "summary.csv") == read_bytes(outs[1] / "summary.csv")
+
+    def test_chains_run_serially_by_default(self, monkeypatch):
+        monkeypatch.delenv("LANDSCAPER_THREADS", raising=False)
+        assert cli._resolve_threads(None) == 1
+        assert cli._resolve_threads(3) == 3
 
     def test_env_var_threads(self, tmp_path, dataset, monkeypatch):
         monkeypatch.setenv("LANDSCAPER_THREADS", "2")

@@ -19,6 +19,8 @@ from landscaper.errors import DegenerateDataError, PreconditionError
 from landscaper.numerics import nearest_rank_low
 from landscaper.sim import CuspParams, cusp_stationary_density
 
+from oracles import first_passage_times
+
 
 @dataclass
 class FakePosterior:
@@ -290,6 +292,27 @@ class TestExitTime:
             lhs = f[i] * (T[i + 1] - T[i - 1]) / (2 * h) \
                 + g[i] / 2 * (T[i + 1] - 2 * T[i] + T[i - 1]) / h**2
             assert lhs + 1.0 == pytest.approx(0.0, abs=1e-8)
+
+    def test_matches_monte_carlo_first_passage(self):
+        g = 0.5
+        grid = np.linspace(-2.0, 2.0, 801)
+        sol = exit_time(CurvePair(grid, grid - grid**3, np.full_like(grid, g)), 0.0)
+        k = sol.tipping_index
+        slope = (sol.times[k + 1] - sol.times[k]) / (grid[1] - grid[0])
+        dt = 0.002
+        # Euler walkers are checked for a crossing only at step ends, so they
+        # miss some excursions past the barrier and exit late: in effect the
+        # barrier sits 0.5826 sqrt(g dt) further out (Broadie, Glasserman and
+        # Kou 1997), which adds about slope * shift to the mean time. The Monte
+        # Carlo mean may therefore exceed the BVP value by that bias, plus
+        # four standard errors either way.
+        bias = slope * 0.5826 * math.sqrt(g * dt)
+        for x0 in (-1.0, 1.0):
+            t = first_passage_times(lambda x: x - x**3, lambda x: np.full_like(x, g),
+                                    x0, 0.0, dt, 4000, seed=5)
+            se = t.std(ddof=1) / math.sqrt(t.size)
+            expected = sol.times[int(np.argmin(np.abs(grid - x0)))]
+            assert expected - 4 * se <= t.mean() <= expected + bias + 4 * se
 
     def test_tipping_outside_grid_rejected(self):
         with pytest.raises(PreconditionError):

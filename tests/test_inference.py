@@ -22,12 +22,12 @@ from landscaper.tsdata import TimeSeries, TimeSeriesCollection, TransitionSet, t
 from oracles import increments_loglik, whitened_values_direct
 
 
-def synthetic_context(rng, n=40, m=10):
-    x = rng.uniform(-2, 2, n)
+def synthetic_context(rng, n=40, m=10, offset=0.0):
+    x = rng.uniform(-2, 2, n) + offset
     dx = rng.normal(0, 0.3, n)
     dt = rng.uniform(0.05, 0.5, n)
-    anchors = np.linspace(-2.4, 2.4, m)
-    return TargetContext(x, dx, dt, anchors, center=0.0)
+    anchors = np.linspace(-2.4, 2.4, m) + offset
+    return TargetContext(x, dx, dt, anchors, center=offset)
 
 
 def random_state(rng, m):
@@ -52,18 +52,31 @@ def fd4_gradient(fun, theta, steps=(3e-3, 1e-3, 3e-4)):
 
 class TestLogPosterior:
     def test_gradient_matches_finite_differences(self, rng):
+        # The offset context puts the states far from the origin, at the
+        # shift test_shift_equivariance uses.
+        for offset in (0.0, 100.0):
+            ctx = synthetic_context(rng, offset=offset)
+            fun = lambda t: ctx.log_posterior_and_grad(t)[0]
+            for _ in range(20):
+                theta = random_state(rng, ctx.m)
+                lp, grad = ctx.log_posterior_and_grad(theta)
+                assert math.isfinite(lp)
+                fd = fd4_gradient(fun, theta)
+                # norm-aware denominator keeps near-zero components (cancellation
+                # of large contributions) from dominating the relative error
+                floor = 1e-6 * max(1.0, float(np.abs(grad).max()))
+                rel = np.abs(grad - fd) / (np.abs(grad) + np.abs(fd) + floor)
+                assert rel.max() < 1e-5
+
+    def test_nonfinite_state_gives_minus_inf(self, rng):
         ctx = synthetic_context(rng)
-        fun = lambda t: ctx.log_posterior_and_grad(t)[0]
-        for _ in range(20):
+        # a latent of each function, an amplitude and a length scale
+        for index in (0, ctx.m, 2 * ctx.m, 2 * ctx.m + 1):
             theta = random_state(rng, ctx.m)
+            theta[index] = np.nan
             lp, grad = ctx.log_posterior_and_grad(theta)
-            assert math.isfinite(lp)
-            fd = fd4_gradient(fun, theta)
-            # norm-aware denominator keeps near-zero components (cancellation
-            # of large contributions) from dominating the relative error
-            floor = 1e-6 * max(1.0, float(np.abs(grad).max()))
-            rel = np.abs(grad - fd) / (np.abs(grad) + np.abs(fd) + floor)
-            assert rel.max() < 1e-5
+            assert lp == -np.inf
+            np.testing.assert_array_equal(grad, np.zeros_like(theta))
 
     def test_prior_only_when_no_data(self, rng):
         anchors = np.linspace(-1, 1, 8)

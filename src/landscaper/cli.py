@@ -102,7 +102,10 @@ def _resolve_threads(value) -> int:
         return max(1, int(value))
     env = os.environ.get("LANDSCAPER_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise IngestError(f"LANDSCAPER_THREADS must be an integer, got {env!r}") from None
     # Serial unless asked: the chains' small numpy steps serialise on the GIL,
     # and a thread pool over chains measured slower than one thread.
     return 1

@@ -11,11 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import solve_banded
 
 from .errors import DegenerateDataError, PreconditionError
-from .numerics import density_from_drift_diffusion, nearest_rank_low
+from .numerics import cumulative_trapezoid, density_from_drift_diffusion, nearest_rank_low
 
 __all__ = [
     "CurvePair",
@@ -146,7 +145,7 @@ def effective_potential(sd: StationaryDensity) -> np.ndarray:
 
 def potential(cp: CurvePair) -> np.ndarray:
     """Stability landscape U = -int f, anchored at U(grid start) = 0."""
-    return -cumulative_trapezoid(cp.drift, cp.grid, initial=0.0)
+    return -cumulative_trapezoid(cp.drift, cp.grid)
 
 
 def classify_roots(cp: CurvePair) -> StabilityStructure:

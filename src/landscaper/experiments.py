@@ -14,6 +14,7 @@ from .numerics import density_from_drift_diffusion
 from .sim import (
     INTERNAL_DT,
     SdeModel,
+    _stationary_start,
     estimate_timescale,
     euler_maruyama,
     generate_short_series,
@@ -117,7 +118,7 @@ def coverage_experiment(
         ds = generate_short_series(model, n_short, points_per_short, internal_dt,
                                    short_seed, internal_dt=internal_dt)
         short_values = np.concatenate([s.values for s in ds.collection.series])
-        x0 = _stationary_start(model, long_seed, internal_dt)
+        x0 = _stationary_start(model, np.random.default_rng(long_seed), internal_dt)
         long_values = euler_maruyama(model, x0, internal_dt, steps_long,
                                      long_seed.spawn(1)[0]).values
 
@@ -150,18 +151,6 @@ def _histogram_kl(values, edges, width, ref) -> float:
         counts, _ = np.histogram(values, bins=edges)
         hist = counts / (values.size * width)
     return kl_divergence(hist, ref, width)
-
-
-def _stationary_start(model: SdeModel, seed, internal_dt: float) -> float:
-    rng = np.random.default_rng(seed)
-    if model.stationary_icdf is not None:
-        while True:
-            u = float(rng.uniform())
-            if 0.0 < u < 1.0:
-                return float(model.stationary_icdf(u))
-    probe = np.linspace(model.state_range[0], model.state_range[1], 2001)
-    mode = float(probe[np.argmax(np.asarray(model.diffusion(probe), dtype=float))])
-    return float(euler_maruyama(model, mode, internal_dt, 10_000, rng).values[-1])
 
 
 def tpr_grid(

@@ -1,11 +1,25 @@
-"""Small shared numerical routines."""
+"""Small shared numerical routines.
+
+`cumulative_trapezoid` is scipy's formula written out in numpy, so importing
+the package (and every CLI start) does not load `scipy.integrate`.
+"""
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
-__all__ = ["density_from_drift_diffusion", "nearest_rank_low"]
+__all__ = ["cumulative_trapezoid", "density_from_drift_diffusion", "nearest_rank_low"]
+
+
+def cumulative_trapezoid(y, x) -> np.ndarray:
+    """Running trapezoid integral of y over x, starting at 0 (len(x) values).
+
+    The same arithmetic, in the same order, as
+    ``scipy.integrate.cumulative_trapezoid(y, x, initial=0.0)`` on 1-D input.
+    """
+    y = np.asarray(y, dtype=float)
+    x = np.asarray(x, dtype=float)
+    return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
 
 
 def density_from_drift_diffusion(grid, f, g) -> np.ndarray:
@@ -19,7 +33,7 @@ def density_from_drift_diffusion(grid, f, g) -> np.ndarray:
     grid = np.asarray(grid, dtype=float)
     f = np.asarray(f, dtype=float)
     g = np.asarray(g, dtype=float)
-    exponent = cumulative_trapezoid(2.0 * f / g, grid, initial=0.0)
+    exponent = cumulative_trapezoid(2.0 * f / g, grid)
     exponent -= exponent.max()
     unnorm = np.exp(exponent) / g
     norm = np.trapezoid(unnorm, grid)

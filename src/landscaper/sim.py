@@ -3,9 +3,13 @@
 Provides the cusp catastrophe family (polynomial drift, constant noise) and a
 bimodal-but-unistable model with state-dependent noise, plus Euler-Maruyama
 integration and generation of labeled collections of short series for model
-validation. Every trajectory is driven by a seeded generator stream derived
-from (seed, series index), so parallel generation is reproducible regardless
-of scheduling.
+validation. Single-walker paths (euler_maruyama, and the burn-in and
+reference run of estimate_timescale) use a scalar loop on Python floats;
+collections of series use a vectorized loop over the batch of walkers. Both do
+the same arithmetic in the same order, so a path does not depend on which loop
+made it. Every trajectory is driven by a seeded generator stream derived from
+(seed, series index), so parallel generation is reproducible regardless of
+scheduling.
 """
 
 from __future__ import annotations
@@ -176,18 +180,28 @@ def euler_maruyama(m: SdeModel, x0: float, dt: float, n_steps: int, seed) -> Tra
     if dt <= 0:
         raise PreconditionError("dt must be positive")
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal(n_steps)
+    values = _simulate_path(m, x0, dt, rng.standard_normal(n_steps))
+    return Trajectory(times=np.arange(n_steps + 1) * dt, values=values)
+
+
+def _simulate_path(m: SdeModel, x0: float, dt: float, z: np.ndarray) -> np.ndarray:
+    """Euler-Maruyama for one walker on Python floats; returns len(z)+1 values.
+
+    The same arithmetic, in the same order, as one row of _simulate_batch,
+    without the per-step array overhead that dominates a batch of one.
+    """
     sqrt_dt = math.sqrt(dt)
-    values = np.empty(n_steps + 1)
+    drift, diffusion = m.drift, m.diffusion
+    values = np.empty(len(z) + 1)
     x = float(x0)
     values[0] = x
-    for n in range(n_steps):
-        g = float(m.diffusion(x))
-        x = x + float(m.drift(x)) * dt + math.sqrt(g) * sqrt_dt * z[n]
+    for n, zn in enumerate(z.tolist()):
+        g = float(diffusion(x))
+        x = x + float(drift(x)) * dt + math.sqrt(g) * sqrt_dt * zn
         if not math.isfinite(x) or abs(x) > DIVERGENCE_LIMIT:
             raise SimulationDiverged(n + 1, x)
         values[n + 1] = x
-    return Trajectory(times=np.arange(n_steps + 1) * dt, values=values)
+    return values
 
 
 def _simulate_batch(m: SdeModel, x0: np.ndarray, dt: float, z: np.ndarray) -> np.ndarray:
@@ -321,15 +335,19 @@ def estimate_timescale(m: SdeModel, seed=0, total_time: float = 1000.0,
     """Characteristic time scale of a model, measured on one long reference run."""
     n_steps = int(round(total_time / internal_dt))
     rng = np.random.default_rng(_as_seedseq(seed).spawn(1)[0])
-    if m.stationary_icdf is not None:
-        x0 = m.stationary_icdf(_open_uniform(rng))
-    else:
-        burn = _simulate_batch(m, np.array([_diffusion_mode(m)]), internal_dt,
-                               rng.standard_normal((1, 10_000)))
-        x0 = float(burn[0, -1])
-    path = _simulate_batch(m, np.array([x0]), internal_dt, rng.standard_normal((1, n_steps)))
-    ts = TimeSeries("reference", np.arange(n_steps + 1) * internal_dt, path[0])
+    x0 = _stationary_start(m, rng, internal_dt)
+    path = _simulate_path(m, x0, internal_dt, rng.standard_normal(n_steps))
+    ts = TimeSeries("reference", np.arange(n_steps + 1) * internal_dt, path)
     return characteristic_timescale(TimeSeriesCollection((ts,)))
+
+
+def _stationary_start(m: SdeModel, rng, internal_dt: float) -> float:
+    """One stationary initial state: inverse transform when the model has an
+    analytic density, otherwise 10,000 burn-in steps from the diffusion's mode."""
+    if m.stationary_icdf is not None:
+        return float(m.stationary_icdf(_open_uniform(rng)))
+    burn = _simulate_path(m, _diffusion_mode(m), internal_dt, rng.standard_normal(10_000))
+    return float(burn[-1])
 
 
 def _open_uniform(rng) -> float:

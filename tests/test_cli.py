@@ -293,6 +293,13 @@ class TestReplayAndThreads:
         assert cli._resolve_threads(None) == 1
         assert cli._resolve_threads(3) == 3
 
+    def test_malformed_env_var_threads_exits_parse(self, tmp_path, dataset, monkeypatch,
+                                                   capsys):
+        monkeypatch.setenv("LANDSCAPER_THREADS", "abc")
+        assert run(["fit", "--data", dataset / "dataset.csv", "--seed", 2,
+                    "--out", tmp_path / "bad"]) == cli.EXIT_PARSE
+        assert "LANDSCAPER_THREADS" in capsys.readouterr().err
+
     def test_env_var_threads(self, tmp_path, dataset, monkeypatch):
         monkeypatch.setenv("LANDSCAPER_THREADS", "2")
         cfg = tmp_path / "cfg.json"

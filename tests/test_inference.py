@@ -68,6 +68,19 @@ class TestLogPosterior:
                 rel = np.abs(grad - fd) / (np.abs(grad) + np.abs(fd) + floor)
                 assert rel.max() < 1e-5
 
+    def test_gradient_is_shift_invariant_far_from_origin(self, rng):
+        # Shifting states, anchors and center together leaves the density
+        # unchanged. At 1e4 the length-scale terms cancel catastrophically
+        # unless (x - s)^2 is expanded in centred coordinates.
+        ctx = synthetic_context(rng)
+        shift = 1e4
+        far = TargetContext(ctx.x + shift, ctx.dx, ctx.dt, ctx.anchors + shift, center=shift)
+        for _ in range(20):
+            theta = random_state(rng, ctx.m)
+            grad = ctx.log_posterior_and_grad(theta)[1]
+            grad_far = far.log_posterior_and_grad(theta)[1]
+            assert np.abs(grad_far - grad).max() < 1e-7 * np.abs(grad).max()
+
     def test_nonfinite_state_gives_minus_inf(self, rng):
         ctx = synthetic_context(rng)
         # a latent of each function, an amplitude and a length scale

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from landscaper import sim
 from landscaper.errors import PreconditionError, SimulationDiverged
 from landscaper.sim import (
     CuspParams,
@@ -12,10 +13,16 @@ from landscaper.sim import (
     cusp_stationary_cdf_inverse,
     cusp_stationary_density,
     custom_bimodal_unistable,
+    estimate_timescale,
     euler_maruyama,
     generate_short_series,
 )
-from landscaper.tsdata import to_transitions
+from landscaper.tsdata import (
+    TimeSeries,
+    TimeSeriesCollection,
+    characteristic_timescale,
+    to_transitions,
+)
 
 from oracles import sign_scan_roots
 
@@ -108,6 +115,21 @@ class TestEulerMaruyama:
         with pytest.raises(SimulationDiverged) as err:
             euler_maruyama(m, 5.0, 1.0, 100, seed=0)
         assert err.value.step > 0
+
+    def test_matches_batch_of_one(self):
+        # State-dependent noise: the scalar loop must reproduce the vectorized
+        # one bit for bit, divergence step included.
+        m = custom_bimodal_unistable()
+        traj = euler_maruyama(m, 0.3, 0.01, 5000, seed=4)
+        z = np.random.default_rng(4).standard_normal((1, 5000))
+        np.testing.assert_array_equal(traj.values, sim._simulate_batch(m, [0.3], 0.01, z)[0])
+
+        blowup = SdeModel(drift=lambda x: x * x, diffusion=lambda x: 0.0 * x, name="blowup")
+        with pytest.raises(SimulationDiverged) as scalar:
+            euler_maruyama(blowup, 5.0, 1.0, 100, seed=0)
+        with pytest.raises(SimulationDiverged) as batch:
+            sim._simulate_batch(blowup, [5.0], 1.0, np.zeros((1, 100)))
+        assert scalar.value.step == batch.value.step
 
     def test_long_run_histogram_matches_analytic_density(self, bistable_cusp):
         # Invariant: EM at dt=0.01 converges to the quadrature stationary density.
@@ -205,3 +227,33 @@ class TestGenerateShortSeries:
         values = ds.collection.all_values()
         # stationary support of the custom model is roughly [-1, 1.2]
         assert values.min() > -2.0 and values.max() < 2.0
+
+
+def batch_of_one_timescale(m, seed, total_time, internal_dt=0.01):
+    """estimate_timescale's reference run on the vectorized integrator."""
+    n_steps = int(round(total_time / internal_dt))
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    if m.stationary_icdf is not None:
+        x0 = m.stationary_icdf(sim._open_uniform(rng))
+    else:
+        burn = sim._simulate_batch(m, np.array([sim._diffusion_mode(m)]), internal_dt,
+                                   rng.standard_normal((1, 10_000)))
+        x0 = float(burn[0, -1])
+    path = sim._simulate_batch(m, np.array([x0]), internal_dt,
+                               rng.standard_normal((1, n_steps)))
+    ts = TimeSeries("reference", np.arange(n_steps + 1) * internal_dt, path[0])
+    return characteristic_timescale(TimeSeriesCollection((ts,)))
+
+
+class TestEstimateTimescale:
+    def test_cusp_matches_batch_of_one(self, bistable_cusp):
+        # stationary_icdf start
+        for seed in (0, 5):
+            expected = batch_of_one_timescale(bistable_cusp, seed, total_time=200.0)
+            assert estimate_timescale(bistable_cusp, seed=seed, total_time=200.0) == expected
+
+    def test_burn_in_model_matches_batch_of_one(self):
+        # burn-in start from the diffusion's mode
+        m = custom_bimodal_unistable()
+        expected = batch_of_one_timescale(m, 3, total_time=50.0)
+        assert estimate_timescale(m, seed=3, total_time=50.0) == expected

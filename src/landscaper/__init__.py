@@ -1,13 +1,12 @@
 """Drift/diffusion reconstruction from collections of short time series."""
 
-from . import derived, diagnostics, experiments, gp, hmc, inference, sim, tsdata
+from . import derived, diagnostics, experiments, hmc, inference, sim, tsdata
 
 __version__ = "0.1.0"
 
 __all__ = [
     "tsdata",
     "sim",
-    "gp",
     "hmc",
     "diagnostics",
     "inference",

@@ -23,7 +23,6 @@ import numpy as np
 from . import __version__, derived
 from .errors import (
     DegenerateDataError,
-    FactorizationError,
     IngestError,
     LandscaperError,
     PreconditionError,
@@ -474,7 +473,7 @@ def main(argv=None) -> int:
     except (PreconditionError, DegenerateDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (SamplerError, FactorizationError, SimulationDiverged) as exc:
+    except (SamplerError, SimulationDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SAMPLER
     except OSError as exc:

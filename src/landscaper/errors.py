@@ -17,10 +17,6 @@ class PreconditionError(LandscaperError):
     """An operation's documented precondition was violated."""
 
 
-class FactorizationError(LandscaperError):
-    """Covariance factorization failed even at the maximum jitter level."""
-
-
 class SamplerError(LandscaperError):
     """Sampler could not be initialized or produced unusable output."""
 

@@ -10,7 +10,7 @@ import numpy as np
 from .derived import multistability_posterior
 from .errors import LandscaperError, PreconditionError
 from .inference import FitConfig, fit
-from .numerics import density_from_drift_diffusion
+from .numerics import cumulative_trapezoid, density_from_drift_diffusion
 from .sim import (
     INTERNAL_DT,
     SdeModel,
@@ -74,7 +74,7 @@ def _reference_density(m: SdeModel, n_grid: int = 2001):
     f = np.asarray(m.drift(grid), dtype=float)
     g = np.maximum(np.asarray(m.diffusion(grid), dtype=float), 1e-30)
     pdf = density_from_drift_diffusion(grid, f, g)
-    cdf = np.concatenate(([0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(grid))))
+    cdf = cumulative_trapezoid(pdf, grid)
     cdf /= cdf[-1]
     return grid, pdf, cdf
 

@@ -35,7 +35,6 @@ __all__ = [
     "FitConfig",
     "Posterior",
     "log_posterior",
-    "hmc_sample",
     "rhat",
     "ess",
     "fit",
@@ -353,20 +352,6 @@ def log_posterior(state: ModelState, transitions: TransitionSet, anchors,
     return lp, grad
 
 
-def hmc_sample(target, init, cfg: FitConfig) -> hmc.Chains:
-    """Sample `target` (returning (logp, grad)) under the FitConfig settings."""
-    return hmc.sample(
-        target,
-        init,
-        n_chains=cfg.n_chains,
-        n_iterations=cfg.n_iterations,
-        seed=cfg.seed,
-        target_accept=cfg.target_accept,
-        max_leapfrog=cfg.max_leapfrog,
-        threads=cfg.threads,
-    )
-
-
 @dataclass(frozen=True)
 class Posterior:
     """Posterior draws evaluated as curves on a fixed grid, plus diagnostics."""
@@ -478,7 +463,16 @@ def fit(c: TimeSeriesCollection, cfg: FitConfig = FitConfig()) -> Posterior:
     center = 0.5 * (lo + hi)
 
     ctx = TargetContext(x, dx, dt, anchors, center)
-    chains = hmc_sample(ctx.log_posterior_and_grad, ctx.initial_vector(), cfg)
+    chains = hmc.sample(
+        ctx.log_posterior_and_grad,
+        ctx.initial_vector(),
+        n_chains=cfg.n_chains,
+        n_iterations=cfg.n_iterations,
+        seed=cfg.seed,
+        target_accept=cfg.target_accept,
+        max_leapfrog=cfg.max_leapfrog,
+        threads=cfg.threads,
+    )
 
     flat = chains.flat()
     n_draws = flat.shape[0]

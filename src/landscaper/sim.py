@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import PreconditionError, SimulationDiverged
-from .numerics import density_from_drift_diffusion
+from .numerics import cumulative_trapezoid, density_from_drift_diffusion
 from .tsdata import TimeSeries, TimeSeriesCollection, characteristic_timescale
 
 __all__ = [
@@ -240,7 +240,7 @@ def cusp_stationary_density(p: CuspParams, grid=None) -> tuple[np.ndarray, np.nd
 
 
 def _build_icdf(grid: np.ndarray, pdf: np.ndarray) -> Callable:
-    cdf = np.concatenate(([0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(grid))))
+    cdf = cumulative_trapezoid(pdf, grid)
     cdf /= cdf[-1]
 
     def icdf(u):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +19,6 @@ from .errors import DegenerateDataError, IngestError, PreconditionError
 __all__ = [
     "TimeSeries",
     "TimeSeriesCollection",
-    "Transition",
     "TransitionSet",
     "TimescaleSummary",
     "to_transitions",
@@ -93,39 +91,34 @@ class TimeSeriesCollection:
 
 
 @dataclass(frozen=True)
-class Transition:
-    """One consecutive pair within a series: state x, increment dx over dt > 0."""
+class TransitionSet:
+    """Flattened (x, dx, dt) triples; the likelihood's sufficient data.
 
-    x: float
-    dx: float
-    dt: float
+    Three read-only float arrays of one length, in series-then-time order:
+    the state x, its increment dx over dt. Every entry is finite and every dt
+    positive (a dx can overflow to inf even when both values are finite).
+    """
+
+    x: np.ndarray
+    dx: np.ndarray
+    dt: np.ndarray
 
     def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.dx) and math.isfinite(self.dt)):
+        for name in ("x", "dx", "dt"):
+            object.__setattr__(self, name, _as_readonly(getattr(self, name)))
+        if not (self.x.ndim == 1 and self.x.shape == self.dx.shape == self.dt.shape):
+            raise PreconditionError("transition x, dx and dt must be 1-D of one length")
+        if not np.all(np.isfinite(self.x) & np.isfinite(self.dx) & np.isfinite(self.dt)):
             raise PreconditionError("transition fields must be finite")
-        if self.dt <= 0:
+        if np.any(self.dt <= 0):
             raise PreconditionError("transition dt must be positive")
 
-
-@dataclass(frozen=True)
-class TransitionSet:
-    """Flattened (x, dx, dt) triples; the likelihood's sufficient data."""
-
-    transitions: tuple[Transition, ...]
-    source: TimeSeriesCollection | None = None
-
     def __len__(self) -> int:
-        return len(self.transitions)
+        return len(self.x)
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return (x, dx, dt) as float arrays, in stable series-then-time order."""
-        n = len(self.transitions)
-        x = np.empty(n)
-        dx = np.empty(n)
-        dt = np.empty(n)
-        for i, t in enumerate(self.transitions):
-            x[i], dx[i], dt[i] = t.x, t.dx, t.dt
-        return x, dx, dt
+        """Return (x, dx, dt), in stable series-then-time order."""
+        return self.x, self.dx, self.dt
 
 
 @dataclass(frozen=True)
@@ -143,13 +136,11 @@ def to_transitions(c: TimeSeriesCollection) -> TransitionSet:
     One transition per consecutive pair within a series; nothing crosses a
     series boundary. Ordering is stable: series order, then time order.
     """
-    out = []
-    for s in c.series:
-        dts = np.diff(s.times)
-        dxs = np.diff(s.values)
-        for x, dx, dt in zip(s.values[:-1], dxs, dts):
-            out.append(Transition(float(x), float(dx), float(dt)))
-    return TransitionSet(tuple(out), source=c)
+    return TransitionSet(
+        np.concatenate([s.values[:-1] for s in c.series]),
+        np.concatenate([np.diff(s.values) for s in c.series]),
+        np.concatenate([np.diff(s.times) for s in c.series]),
+    )
 
 
 def characteristic_timescale(c: TimeSeriesCollection) -> TimescaleSummary:
@@ -301,10 +292,6 @@ def collection_from_json(doc: dict) -> TimeSeriesCollection:
     except (KeyError, TypeError) as exc:
         raise IngestError(f"malformed collection document: {exc}") from None
     return TimeSeriesCollection(series)
-
-
-def timescale_to_json(ts: TimescaleSummary) -> dict:
-    return {"t_c": ts.t_c, "d": ts.d, "mean_sq_rate": ts.mean_sq_rate}
 
 
 def dump_json(doc, path) -> None:

@@ -1,9 +1,10 @@
 """Independent oracle implementations used only by tests.
 
-These deliberately avoid the library's code paths: brute-force scans, direct
-matrix-inverse GP formulas, plain-python density sums, and a batch Monte
-Carlo first-passage simulator. They exist so that library results are checked
-against something that cannot share their bugs.
+These deliberately avoid the library's code paths: brute-force scans, the
+kernels written out from their formulas, direct matrix-inverse GP formulas,
+plain-python density sums, and a batch Monte Carlo first-passage simulator.
+They exist so that library results are checked against something that cannot
+share their bugs.
 """
 
 from __future__ import annotations
@@ -37,17 +38,18 @@ def sign_scan_roots(func, lo, hi, n=20001):
     return sorted(stable), sorted(tipping)
 
 
-def gp_conditional_direct(train_x, train_f, test_x, kernel, params, jitter):
-    """Textbook GP conditional via explicit matrix inverse (no Cholesky)."""
-    train_x = np.asarray(train_x, dtype=float)
-    test_x = np.asarray(test_x, dtype=float)
-    k = kernel(train_x[:, None], train_x[None, :], params) + jitter * np.eye(len(train_x))
-    k_star = kernel(train_x[:, None], test_x[None, :], params)
-    k_test = kernel(test_x[:, None], test_x[None, :], params)
-    k_inv = np.linalg.inv(k)
-    mean = k_star.T @ k_inv @ np.asarray(train_f, dtype=float)
-    cov = k_test - k_star.T @ k_inv @ k_star
-    return mean, cov
+def drift_kernel(x, x2, sigma_q, l, sigma_b, sigma_l, c):
+    """Drift prior covariance (broadcasting), the documented formula
+    s_q^2 exp(-(x - x')^2 / (2 l^2)) + s_b^2 + s_l^2 (x - c)(x' - c)."""
+    x = np.asarray(x, dtype=float)
+    x2 = np.asarray(x2, dtype=float)
+    return eq_kernel(x, x2, sigma_q, l) + sigma_b**2 + sigma_l**2 * (x - c) * (x2 - c)
+
+
+def eq_kernel(x, x2, sigma_q, l):
+    """Diffusion prior covariance (broadcasting), s_q^2 exp(-(x - x')^2 / (2 l^2))."""
+    d = np.asarray(x, dtype=float) - np.asarray(x2, dtype=float)
+    return sigma_q**2 * np.exp(-(d * d) / (2.0 * l**2))
 
 
 def increments_loglik(x, dx, dt, f_at_x, ghat_at_x):
@@ -59,15 +61,16 @@ def increments_loglik(x, dx, dt, f_at_x, ghat_at_x):
     return total
 
 
-def whitened_values_direct(anchors, x, z, kernel, params, jitter_rel):
-    """Latent values at x implied by whitened anchors, via explicit inverses."""
+def whitened_values_direct(anchors, x, z, kernel, jitter_rel):
+    """Latent values at x implied by whitened anchors, via explicit inverses;
+    `kernel(a, b)` is a broadcasting covariance function."""
     anchors = np.asarray(anchors, dtype=float)
-    k_ss = kernel(anchors[:, None], anchors[None, :], params)
+    k_ss = kernel(anchors[:, None], anchors[None, :])
     delta = jitter_rel * float(np.mean(np.diag(k_ss)))
     k_ss = k_ss + delta * np.eye(len(anchors))
     chol = np.linalg.cholesky(k_ss)
     f_anchor = chol @ np.asarray(z, dtype=float)
-    k_xs = kernel(np.asarray(x, dtype=float)[:, None], anchors[None, :], params)
+    k_xs = kernel(np.asarray(x, dtype=float)[:, None], anchors[None, :])
     return k_xs @ np.linalg.inv(k_ss) @ f_anchor
 
 

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from landscaper.errors import DegenerateDataError, PreconditionError
-from landscaper.gp import DiffusionKernelParams, DriftKernelParams, drift_kernel, eq_kernel
 from landscaper.inference import (
     HYPER_NAMES,
     JITTER_REL,
@@ -17,9 +16,9 @@ from landscaper.inference import (
     log_posterior,
 )
 from landscaper.sim import generate_short_series
-from landscaper.tsdata import TimeSeries, TimeSeriesCollection, TransitionSet, to_transitions
+from landscaper.tsdata import TimeSeries, TimeSeriesCollection, to_transitions
 
-from oracles import increments_loglik, whitened_values_direct
+from oracles import drift_kernel, eq_kernel, increments_loglik, whitened_values_direct
 
 
 def synthetic_context(rng, n=40, m=10, offset=0.0):
@@ -109,16 +108,13 @@ class TestLogPosterior:
         ctx = synthetic_context(rng, n=25, m=9)
         theta = random_state(rng, 9)
         state = ModelState.from_vector(theta, 9)
-        p_drift = DriftKernelParams(
-            sigma_q=math.exp(theta[18]), l=math.exp(theta[19]),
-            sigma_b=math.exp(theta[20]), sigma_l=math.exp(theta[21]),
-            c=0.0)
-        p_diff = DiffusionKernelParams(
-            sigma_q=math.exp(theta[22]), l=math.exp(theta[23]))
-        f_x = whitened_values_direct(ctx.anchors, ctx.x, state.z_f, drift_kernel,
-                                     p_drift, JITTER_REL)
-        g_x = whitened_values_direct(ctx.anchors, ctx.x, state.z_g, eq_kernel,
-                                     p_diff, JITTER_REL)
+        s_qf, l_f, s_b, s_l, s_qg, l_g = np.exp(theta[18:])
+        f_x = whitened_values_direct(
+            ctx.anchors, ctx.x, state.z_f,
+            lambda a, b: drift_kernel(a, b, s_qf, l_f, s_b, s_l, c=0.0), JITTER_REL)
+        g_x = whitened_values_direct(
+            ctx.anchors, ctx.x, state.z_g, lambda a, b: eq_kernel(a, b, s_qg, l_g),
+            JITTER_REL)
 
         lp1 = ctx.log_posterior_and_grad(theta)[0]
         prior = TargetContext(np.empty(0), np.empty(0), np.empty(0),
@@ -157,8 +153,8 @@ class TestLogPosterior:
         ctx = TargetContext(np.empty(0), np.empty(0), np.empty(0), anchors, 0.0)
         eta = np.array([math.log(1.3), math.log(0.9), math.log(0.6),
                         math.log(0.8), 0.0, 0.0])
-        p = DriftKernelParams(sigma_q=1.3, l=0.9, sigma_b=0.6, sigma_l=0.8, c=0.0)
-        k_true = drift_kernel(anchors[:, None], anchors[None, :], p)
+        k_true = drift_kernel(anchors[:, None], anchors[None, :],
+                              sigma_q=1.3, l=0.9, sigma_b=0.6, sigma_l=0.8, c=0.0)
         draws = np.empty((10_000, 8))
         for i in range(draws.shape[0]):
             z = rng.standard_normal(8)
@@ -168,6 +164,23 @@ class TestLogPosterior:
         sample_cov = np.cov(draws.T)
         scale = float(np.max(np.diag(k_true)))
         assert np.max(np.abs(sample_cov - k_true)) < 0.05 * scale
+
+
+class TestReferenceKernels:
+    """Pin the oracle kernels the likelihood checks rely on to hand values."""
+
+    def test_drift_kernel_at_center(self):
+        k = drift_kernel(0.3, 0.3, sigma_q=1.5, l=0.7, sigma_b=0.4, sigma_l=2.0, c=0.3)
+        assert k == pytest.approx(1.5**2 + 0.4**2)
+
+    def test_drift_kernel_far_limit(self):
+        k = drift_kernel(0.0, 1e8, sigma_q=1.0, l=0.5, sigma_b=0.8, sigma_l=1.0, c=0.0)
+        assert k == pytest.approx(0.8**2)
+
+    def test_drift_kernel_hand_value(self):
+        k = drift_kernel(0.0, 1.0, sigma_q=1.0, l=1.0, sigma_b=1.0, sigma_l=1.0, c=0.0)
+        expected = math.exp(-0.5) + 1.0  # linear term vanishes at x=0
+        assert k == pytest.approx(expected, abs=1e-12)
 
 
 class TestStateAndConfig:

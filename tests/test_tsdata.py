@@ -9,6 +9,7 @@ from landscaper.errors import DegenerateDataError, IngestError, PreconditionErro
 from landscaper.tsdata import (
     TimeSeries,
     TimeSeriesCollection,
+    TransitionSet,
     apply_pseudocount,
     characteristic_timescale,
     clr_transform,
@@ -50,20 +51,45 @@ class TestTimeSeriesValidation:
 class TestToTransitions:
     def test_direct_differencing(self):
         c = make_collection(([0, 1, 2], [0, 1, 3]))
-        trans = to_transitions(c)
-        assert [(t.x, t.dx, t.dt) for t in trans.transitions] == [(0, 1, 1), (1, 2, 1)]
+        x, dx, dt = to_transitions(c).arrays()
+        np.testing.assert_array_equal(x, [0.0, 1.0])
+        np.testing.assert_array_equal(dx, [1.0, 2.0])
+        np.testing.assert_array_equal(dt, [1.0, 1.0])
 
     def test_no_transition_crosses_series(self):
-        c = make_collection(([0, 1], [0, 1]), ([0, 1], [10, 11]))
+        c = make_collection(([0, 1], [0, 1]), ([0, 2], [10, 11]))
         trans = to_transitions(c)
         assert len(trans) == 2
-        assert {t.x for t in trans.transitions} == {0, 10}
+        x, dx, dt = trans.arrays()
+        np.testing.assert_array_equal(x, [0.0, 10.0])
+        np.testing.assert_array_equal(dx, [1.0, 1.0])
+        np.testing.assert_array_equal(dt, [1.0, 2.0])
 
     def test_zero_increment_retained(self):
         c = make_collection(([0, 1], [2.0, 2.0]))
         trans = to_transitions(c)
         assert len(trans) == 1
-        assert trans.transitions[0].dx == 0.0
+        assert trans.arrays()[1][0] == 0.0
+
+    def test_arrays_are_read_only(self):
+        for a in to_transitions(make_collection(([0, 1, 2], [0, 1, 3]))).arrays():
+            assert a.dtype == float and not a.flags.writeable
+
+    def test_overflowing_increment_rejected(self):
+        # both values are finite, but their difference overflows to inf
+        c = make_collection(([0, 1], [-1e308, 1e308]))
+        with pytest.raises(PreconditionError, match="finite"), np.errstate(over="ignore"):
+            to_transitions(c)
+
+    @pytest.mark.parametrize("x, dx, dt", [
+        ([0.0, math.nan], [1.0, 1.0], [1.0, 1.0]),
+        ([0.0, 1.0], [1.0, -math.inf], [1.0, 1.0]),
+        ([0.0, 1.0], [1.0, 1.0], [1.0, 0.0]),
+        ([0.0, 1.0], [1.0, 1.0], [1.0]),
+    ])
+    def test_invalid_transitions_rejected(self, x, dx, dt):
+        with pytest.raises(PreconditionError):
+            TransitionSet(x, dx, dt)
 
     def test_cumulative_reconstruction(self, rng):
         series = []

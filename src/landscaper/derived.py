@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import DegenerateDataError, PreconditionError
 from .numerics import cumulative_trapezoid, density_from_drift_diffusion, nearest_rank_low
@@ -257,6 +256,9 @@ def exit_time(cp: CurvePair, tipping: float) -> ExitTimeSolution:
 
 def _solve_side(f: np.ndarray, g: np.ndarray, h: float, zero_at: str) -> np.ndarray:
     """Tridiagonal solve on one basin side; the Dirichlet node is excluded."""
+    # Imported here so that importing the package does not load scipy.
+    from scipy.linalg import solve_banded
+
     n = len(f) - 1  # unknowns
     if n < 2:
         raise PreconditionError("basin side has too few grid nodes")

@@ -118,19 +118,21 @@ def _initialize(target, init, rng, jitter, attempts, jitter_first):
         else:
             q = init + rng.uniform(-jitter, jitter, size=init.shape)
         logp, grad = _eval(target, q)
-        if math.isfinite(logp) and np.all(np.isfinite(grad)):
+        if math.isfinite(logp) and np.isfinite(grad).all():
             return q, logp, grad
     raise SamplerError(f"no finite starting point after {attempts} jittered attempts")
 
 
 def _leapfrog(target, q, p, grad, eps, n_steps, inv_mass):
+    half_eps = 0.5 * eps
+    step = eps * inv_mass
     for _ in range(n_steps):
-        p = p + 0.5 * eps * grad
-        q = q + eps * inv_mass * p
+        p = p + half_eps * grad
+        q = q + step * p
         logp, grad = _eval(target, q)
-        if not (math.isfinite(logp) and np.all(np.isfinite(grad))):
+        if not (math.isfinite(logp) and np.isfinite(grad).all()):
             return q, p, -np.inf, grad
-        p = p + 0.5 * eps * grad
+        p = p + half_eps * grad
     return q, p, logp, grad
 
 
@@ -138,16 +140,16 @@ def _find_step_size(target, q, logp, grad, rng, inv_mass, sqrt_mass):
     """Crude doubling/halving search for a step size with ~50% acceptance."""
     eps = 1.0
     p = rng.standard_normal(q.shape) * sqrt_mass
-    h0 = -logp + 0.5 * np.sum(inv_mass * p * p)
+    h0 = -logp + 0.5 * (inv_mass * p * p).sum()
     q1, p1, logp1, _ = _leapfrog(target, q, p, grad, eps, 1, inv_mass)
-    log_ratio = -(-logp1 + 0.5 * np.sum(inv_mass * p1 * p1)) + h0
+    log_ratio = -(-logp1 + 0.5 * (inv_mass * p1 * p1).sum()) + h0
     direction = 1 if log_ratio > math.log(0.5) else -1
     for _ in range(60):
         eps *= 2.0**direction
         if not (1e-10 < eps < 1e10):
             break
         q1, p1, logp1, _ = _leapfrog(target, q, p, grad, eps, 1, inv_mass)
-        log_ratio = -(-logp1 + 0.5 * np.sum(inv_mass * p1 * p1)) + h0
+        log_ratio = -(-logp1 + 0.5 * (inv_mass * p1 * p1).sum()) + h0
         if direction * log_ratio <= direction * math.log(0.5):
             break
     return float(min(max(eps, 1e-10), 1e10))
@@ -211,11 +213,11 @@ def _run_chain(target, init, rng, *, n_iterations, warmup, target_accept,
         p = rng.standard_normal(dim) * sqrt_mass
         n_steps = 1 + int(rng.uniform() * max_leapfrog)
         n_steps = min(n_steps, max_leapfrog)
-        h0 = -logp + 0.5 * np.sum(inv_mass * p * p)
+        h0 = -logp + 0.5 * (inv_mass * p * p).sum()
         q1, p1, logp1, grad1 = _leapfrog(target, q, p, grad, eps, n_steps, inv_mass)
 
         if math.isfinite(logp1):
-            h1 = -logp1 + 0.5 * np.sum(inv_mass * p1 * p1)
+            h1 = -logp1 + 0.5 * (inv_mass * p1 * p1).sum()
             energy_error = h1 - h0
         else:
             energy_error = np.inf

@@ -23,7 +23,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dtrtri, dtrtrs
 
 from . import hmc
 from .diagnostics import ess, rhat
@@ -156,6 +155,11 @@ class TargetContext:
     """Precomputed data-dependent pieces of the log posterior."""
 
     def __init__(self, x, dx, dt, anchors, center: float):
+        # Imported here rather than at module level, so that importing the
+        # package (and so every CLI start) does not load scipy.
+        from scipy.linalg.lapack import dpotrf, dtrtri, dtrtrs
+
+        self._potrf, self._trtri, self._trtrs = dpotrf, dtrtri, dtrtrs
         self.x = np.asarray(x, dtype=float)
         self.dx = np.asarray(dx, dtype=float)
         self.dt = np.asarray(dt, dtype=float)
@@ -205,21 +209,43 @@ class TargetContext:
         return np.concatenate([np.zeros(2 * self.m), hypers])
 
     def _factors(self, eta):
-        """(exp(eta), e_ss, g_ss, chol_f, chol_g): constrained hypers, anchor
-        correlation blocks and the Cholesky factors of both anchor covariances;
-        LinAlgError when one is not numerically positive definite."""
-        sig = np.exp(eta)
+        """The constrained hypers and anchor factors of one state.
+
+        Returns (sig, e_ss, g_ss, chol_f, chol_g): sig is exp(eta) as a list
+        of six Python floats, in `HYPER_NAMES` order; e_ss and g_ss are the EQ
+        correlation blocks of the anchors at the drift and the diffusion
+        length scale; chol_f and chol_g are the lower Cholesky factors of the
+        two anchor covariances, Fortran-ordered with a zero upper triangle.
+        Raises LinAlgError when a covariance is not numerically positive
+        definite.
+        """
+        sig = np.exp(eta).tolist()
         s_qf, l_f, s_b, s_l, s_qg, l_g = sig
         v_qf, v_b, v_l, v_qg = s_qf**2, s_b**2, s_l**2, s_qg**2
-        diag = slice(None, None, self.m + 1)
         e_ss = _eq(self.d2_ss, l_f)
-        k_f = v_qf * e_ss + v_b + v_l * self.ls_outer
-        k_f.flat[diag] += JITTER_REL * (v_qf + v_b + v_l * self.mean_ls2)
+        k_f = e_ss * v_qf
+        k_f += v_b
+        k_f += self.ls_outer * v_l
+        k_f.reshape(-1)[:: self.m + 1] += JITTER_REL * (v_qf + v_b + v_l * self.mean_ls2)
         g_ss = _eq(self.d2_ss, l_g)
-        k_g = v_qg * g_ss
-        k_g.flat[diag] += JITTER_REL * v_qg
-        chol_f = _lapack(dpotrf(k_f, lower=1))
-        return sig, e_ss, g_ss, chol_f, _lapack(dpotrf(k_g, lower=1))
+        k_g = g_ss * v_qg
+        k_g.reshape(-1)[:: self.m + 1] += JITTER_REL * v_qg
+        # Both covariances are exactly symmetric, so each Fortran-ordered
+        # transpose is the same matrix, and LAPACK factors it in place.
+        chol_f = _lapack(self._potrf(k_f.T, lower=1, overwrite_a=1))
+        return sig, e_ss, g_ss, chol_f, _lapack(self._potrf(k_g.T, lower=1, overwrite_a=1))
+
+    def _chol_adjoint(self, l_chol, z, p):
+        """S = L^-T phi(L^T w p^T) L^-1, the K-space adjoint of d(L^-T z).
+
+        L^T w is z itself, and phi keeps the lower triangle with its diagonal
+        halved, which is the elementwise product with `half_tril`. L is
+        inverted in place, so `l_chol` is spent.
+        """
+        l_inv = _lapack(self._trtri(l_chol, lower=1, overwrite_c=1))
+        zp = z[:, None] * p
+        zp *= self.half_tril
+        return l_inv.T @ zp @ l_inv
 
     # -- forward + gradient ------------------------------------------------
 
@@ -229,7 +255,9 @@ class TargetContext:
         z_f = theta[:m]
         z_g = theta[m : 2 * m]
         eta = theta[2 * m :]
-        if np.any(np.abs(eta) > HYPER_BOUND):
+        # any() rather than max(), whose result with a NaN depends on the NaN's
+        # position; a NaN passes here and fails the finiteness checks below.
+        if any(abs(e) > HYPER_BOUND for e in eta.tolist()):
             return -np.inf, np.zeros_like(theta)
 
         try:
@@ -237,15 +265,15 @@ class TargetContext:
                 sig, e_ss, g_ss, chol_f, chol_g = self._factors(eta)
                 s_qf, l_f, s_b, s_l, s_qg, l_g = sig
                 v_qf, v_b, v_l, v_qg = s_qf**2, s_b**2, s_l**2, s_qg**2
-                w_f = _lapack(dtrtrs(chol_f, z_f, lower=1, trans=1))
-                w_g = _lapack(dtrtrs(chol_g, z_g, lower=1, trans=1))
+                w_f = _lapack(self._trtrs(chol_f, z_f, lower=1, trans=1))
+                w_g = _lapack(self._trtrs(chol_g, z_g, lower=1, trans=1))
 
                 # The two data-anchor blocks are the only n x m arrays per call.
                 e_xs = _eq(self.d2_xs, l_f)
                 g_xs = _eq(self.d2_xs, l_g)
                 pf = e_xs @ (self.ls_pows * w_f[:, None])
                 pg = g_xs @ (self.ls_pows * w_g[:, None])
-                sum_wf = float(np.sum(w_f))
+                sum_wf = float(w_f.sum())
                 ls_wf = float(self.ls @ w_f)
                 f_x = v_qf * pf[:, 0] + v_b * sum_wf + (v_l * ls_wf) * self.lx
                 ghat_x = v_qg * pg[:, 0]
@@ -257,7 +285,7 @@ class TargetContext:
                 exp_neg = np.exp(-eta)
                 logp = float(
                     self.log_norm
-                    - 0.5 * np.sum(ghat_x) - 0.5 * np.sum(r2_var)
+                    - 0.5 * ghat_x.sum() - 0.5 * r2_var.sum()
                     - 0.5 * (z_f @ z_f) - 0.5 * (z_g @ z_g)
                     - PRIOR_SHAPE @ eta - PRIOR_SCALE @ exp_neg
                 )
@@ -266,33 +294,33 @@ class TargetContext:
 
                 # Adjoints of the likelihood wrt f(x_n) and ghat(x_n).
                 b_vec = 0.5 * r2_var - 0.5
-                sum_a = float(np.sum(a_vec))
+                sum_a = float(a_vec.sum())
                 lx_a = float(self.lx @ a_vec)
 
                 r_f = v_qf * (e_xs.T @ a_vec) + v_b * sum_a + (v_l * lx_a) * self.ls
-                p_f = _lapack(dtrtrs(chol_f, r_f, lower=1))
-                p_g = _lapack(dtrtrs(chol_g, v_qg * (g_xs.T @ b_vec), lower=1))
-                s_f = _chol_adjoint(chol_f, self.half_tril, z_f, p_f)
-                s_g = _chol_adjoint(chol_g, self.half_tril, z_g, p_g)
-                tr_sf = float(np.trace(s_f))
-                tr_sg = float(np.trace(s_g))
+                p_f = _lapack(self._trtrs(chol_f, r_f, lower=1))
+                p_g = _lapack(self._trtrs(chol_g, v_qg * (g_xs.T @ b_vec), lower=1))
+                s_f = self._chol_adjoint(chol_f, z_f, p_f)
+                s_g = self._chol_adjoint(chol_g, z_g, p_g)
+                tr_sf = float(s_f.trace())
+                tr_sg = float(s_g.trace())
                 # Amplitude entries are log sigma, so the kernel variance
                 # contributes d(sigma^2)/d(eta) = 2 sigma^2.
                 hyper_grads = np.array([
-                    2.0 * v_qf * (a_vec @ pf[:, 0] - np.sum(e_ss * s_f) - JITTER_REL * tr_sf),
+                    2.0 * v_qf * (a_vec @ pf[:, 0] - (e_ss * s_f).sum() - JITTER_REL * tr_sf),
                     (v_qf / (l_f * l_f)) * (np.vdot(self.d2_coef * a_vec[:, None], pf)
-                                            - np.sum(e_ss * self.d2_ss * s_f)),
-                    2.0 * v_b * (sum_a * sum_wf - np.sum(s_f) - JITTER_REL * tr_sf),
+                                            - (e_ss * self.d2_ss * s_f).sum()),
+                    2.0 * v_b * (sum_a * sum_wf - s_f.sum() - JITTER_REL * tr_sf),
                     2.0 * v_l * (lx_a * ls_wf - self.ls @ s_f @ self.ls
                                  - JITTER_REL * self.mean_ls2 * tr_sf),
-                    2.0 * v_qg * (b_vec @ pg[:, 0] - np.sum(g_ss * s_g) - JITTER_REL * tr_sg),
+                    2.0 * v_qg * (b_vec @ pg[:, 0] - (g_ss * s_g).sum() - JITTER_REL * tr_sg),
                     (v_qg / (l_g * l_g)) * (np.vdot(self.d2_coef * b_vec[:, None], pg)
-                                            - np.sum(g_ss * self.d2_ss * s_g)),
+                                            - (g_ss * self.d2_ss * s_g).sum()),
                 ])
                 hyper_grads += PRIOR_SCALE * exp_neg - PRIOR_SHAPE
                 grad = np.concatenate([p_f - z_f, p_g - z_g, hyper_grads])
 
-                if not np.all(np.isfinite(grad)):
+                if not np.isfinite(grad).all():
                     return -np.inf, np.zeros_like(theta)
                 return logp, grad
         except np.linalg.LinAlgError:
@@ -304,10 +332,10 @@ class TargetContext:
         m = self.m
         sig, _, _, chol_f, chol_g = self._factors(theta[2 * m :])
         s_qf, l_f, s_b, s_l, s_qg, l_g = sig
-        w_f = _lapack(dtrtrs(chol_f, theta[:m], lower=1, trans=1))
-        w_g = _lapack(dtrtrs(chol_g, theta[m : 2 * m], lower=1, trans=1))
+        w_f = _lapack(self._trtrs(chol_f, theta[:m], lower=1, trans=1))
+        w_g = _lapack(self._trtrs(chol_g, theta[m : 2 * m], lower=1, trans=1))
         d2_gs = (grid[:, None] - self.anchors[None, :]) ** 2
-        f_grid = (s_qf**2 * (_eq(d2_gs, l_f) @ w_f) + s_b**2 * float(np.sum(w_f))
+        f_grid = (s_qf**2 * (_eq(d2_gs, l_f) @ w_f) + s_b**2 * float(w_f.sum())
                   + s_l**2 * float(self.ls @ w_f) * (grid - self.center))
         ghat_grid = s_qg**2 * (_eq(d2_gs, l_g) @ w_g)
         return f_grid, np.exp(ghat_grid)
@@ -325,16 +353,6 @@ def _lapack(result):
     if info:
         raise np.linalg.LinAlgError(f"LAPACK info {info}")
     return out
-
-
-def _chol_adjoint(l_chol, half_tril, z, p):
-    """S = L^-T phi(L^T w p^T) L^-1, the K-space adjoint of d(L^-T z).
-
-    L^T w is z itself, and phi keeps the lower triangle with its diagonal
-    halved, which is the elementwise product with `half_tril`.
-    """
-    l_inv = _lapack(dtrtri(l_chol, lower=1))
-    return l_inv.T @ (half_tril * np.outer(z, p)) @ l_inv
 
 
 def log_posterior(state: ModelState, transitions: TransitionSet, anchors,

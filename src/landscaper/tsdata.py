@@ -40,6 +40,16 @@ def _as_readonly(a) -> np.ndarray:
     return out
 
 
+def _arrays_equal(a, b, names) -> bool:
+    """Whether `a` and `b` hold equal arrays under each attribute name.
+
+    The array dataclasses below define `__eq__` with it, because the generated
+    one compares arrays elementwise and raises on more than one element. Their
+    generated `__hash__` still raises TypeError: arrays are unhashable.
+    """
+    return all(np.array_equal(getattr(a, n), getattr(b, n)) for n in names)
+
+
 @dataclass(frozen=True)
 class TimeSeries:
     """One sampling unit's observations: strictly increasing times, >= 2 points."""
@@ -64,6 +74,11 @@ class TimeSeries:
 
     def __len__(self) -> int:
         return len(self.times)
+
+    def __eq__(self, other):
+        if not isinstance(other, TimeSeries):
+            return NotImplemented
+        return self.unit_id == other.unit_id and _arrays_equal(self, other, ("times", "values"))
 
 
 @dataclass(frozen=True)
@@ -115,6 +130,11 @@ class TransitionSet:
 
     def __len__(self) -> int:
         return len(self.x)
+
+    def __eq__(self, other):
+        if not isinstance(other, TransitionSet):
+            return NotImplemented
+        return _arrays_equal(self, other, ("x", "dx", "dt"))
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Return (x, dx, dt), in stable series-then-time order."""

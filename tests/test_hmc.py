@@ -46,6 +46,22 @@ class TestSampler:
         threaded = hmc.sample(target, np.zeros(3), n_chains=3, n_iterations=300, seed=4, threads=3)
         np.testing.assert_array_equal(serial.draws, threaded.draws)
 
+    def test_nonfinite_gradient_ends_trajectory(self):
+        # The density stays finite for |q0| > 2 but the gradient turns NaN
+        # there: the trajectory must stop at that step and count as divergent,
+        # so the target is never evaluated at a non-finite point.
+        evaluated_nonfinite = []
+
+        def target(q):
+            evaluated_nonfinite.append(not np.isfinite(q).all())
+            grad = np.full_like(q, np.nan) if abs(q[0]) > 2.0 else -q
+            return float(-0.5 * (q @ q)), grad
+
+        chains = hmc.sample(target, np.zeros(2), n_chains=2, n_iterations=600, seed=11)
+        assert np.all(np.abs(chains.draws[..., 0]) <= 2.0)
+        assert chains.divergences > 0
+        assert not any(evaluated_nonfinite)
+
     def test_initialization_failure(self):
         def bad(q):
             return -np.inf, np.zeros_like(q)

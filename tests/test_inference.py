@@ -6,6 +6,7 @@ import pytest
 
 from landscaper.errors import DegenerateDataError, PreconditionError
 from landscaper.inference import (
+    HYPER_BOUND,
     HYPER_NAMES,
     JITTER_REL,
     FitConfig,
@@ -82,10 +83,15 @@ class TestLogPosterior:
 
     def test_nonfinite_state_gives_minus_inf(self, rng):
         ctx = synthetic_context(rng)
-        # a latent of each function, an amplitude and a length scale
-        for index in (0, ctx.m, 2 * ctx.m, 2 * ctx.m + 1):
+        amplitude, length_scale = 2 * ctx.m, 2 * ctx.m + 1
+        # NaN in a latent of each function, an amplitude and a length scale;
+        # then hypers just beyond HYPER_BOUND on either side
+        cases = [(index, np.nan) for index in (0, ctx.m, amplitude, length_scale)]
+        cases += [(index, sign * (HYPER_BOUND + 1.0))
+                  for index in (amplitude, length_scale) for sign in (1.0, -1.0)]
+        for index, value in cases:
             theta = random_state(rng, ctx.m)
-            theta[index] = np.nan
+            theta[index] = value
             lp, grad = ctx.log_posterior_and_grad(theta)
             assert lp == -np.inf
             np.testing.assert_array_equal(grad, np.zeros_like(theta))

@@ -48,6 +48,39 @@ class TestTimeSeriesValidation:
         assert c.value_range == (-2.0, 7.0)
 
 
+class TestEquality:
+    def test_series_compare_by_id_and_arrays(self):
+        a = TimeSeries("a", [0, 1, 2], [0.0, 1.0, 3.0])
+        assert (a == TimeSeries("a", [0.0, 1.0, 2.0], [0, 1, 3])) is True
+        assert (a == TimeSeries("b", [0, 1, 2], [0.0, 1.0, 3.0])) is False
+        assert (a == TimeSeries("a", [0, 1, 5], [0.0, 1.0, 3.0])) is False
+        assert (a == TimeSeries("a", [0, 1, 2], [0.0, 1.0, 4.0])) is False
+        assert (a == TimeSeries("a", [0, 1], [0.0, 1.0])) is False
+        assert a != "a"
+        with pytest.raises(TypeError):
+            hash(a)
+
+    def test_transition_sets_compare_by_arrays(self):
+        c = make_collection(([0, 1, 2], [0, 1, 3]), ([0, 2], [10, 11]))
+        t = to_transitions(c)
+        assert (t == to_transitions(c)) is True
+        assert (t == TransitionSet([0, 1, 10], [1, 2, 1], [1, 1, 2])) is True
+        assert (t == TransitionSet([0, 1, 10], [1, 2, 1], [1, 1, 3])) is False
+        assert (t == TransitionSet([0, 1, 10], [1, 5, 1], [1, 1, 2])) is False
+        assert (t == TransitionSet([0, 1], [1, 2], [1, 1])) is False
+        assert t != (t.x, t.dx, t.dt)
+        with pytest.raises(TypeError):
+            hash(t)
+
+    def test_collections_compare_series_by_series(self):
+        c = make_collection(([0, 1, 2], [0, 1, 3]), ([0, 2], [10, 11]))
+        assert (c == make_collection(([0, 1, 2], [0, 1, 3]), ([0, 2], [10, 11]))) is True
+        assert (c == make_collection(([0, 1, 2], [0, 1, 3]), ([0, 2], [10, 12]))) is False
+        assert (c == make_collection(([0, 1, 2], [0, 1, 3]))) is False
+        with pytest.raises(TypeError):
+            hash(c)
+
+
 class TestToTransitions:
     def test_direct_differencing(self):
         c = make_collection(([0, 1, 2], [0, 1, 3]))

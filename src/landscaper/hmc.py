@@ -49,10 +49,6 @@ class Chains:
     accept_rates: np.ndarray
     warmup: int
 
-    @property
-    def n_chains(self) -> int:
-        return self.draws.shape[0]
-
     def flat(self) -> np.ndarray:
         return self.draws.reshape(-1, self.draws.shape[-1])
 
@@ -211,8 +207,7 @@ def _run_chain(target, init, rng, *, n_iterations, warmup, target_accept,
     for it in range(n_iterations):
         adapting = it < warmup
         p = rng.standard_normal(dim) * sqrt_mass
-        n_steps = 1 + int(rng.uniform() * max_leapfrog)
-        n_steps = min(n_steps, max_leapfrog)
+        n_steps = min(1 + int(rng.uniform() * max_leapfrog), max_leapfrog)
         h0 = -logp + 0.5 * (inv_mass * p * p).sum()
         q1, p1, logp1, grad1 = _leapfrog(target, q, p, grad, eps, n_steps, inv_mass)
 

@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import hmc
 from .diagnostics import ess, rhat
-from .errors import ConvergenceWarning, DegenerateDataError, PreconditionError
+from .errors import ConvergenceWarning, DegenerateDataError, IngestError, PreconditionError
 from .tsdata import TimeSeriesCollection, TransitionSet, to_transitions
 
 __all__ = [
@@ -79,10 +79,8 @@ class ModelState:
     diff_hypers: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "z_f", np.asarray(self.z_f, dtype=float))
-        object.__setattr__(self, "z_g", np.asarray(self.z_g, dtype=float))
-        object.__setattr__(self, "drift_hypers", np.asarray(self.drift_hypers, dtype=float))
-        object.__setattr__(self, "diff_hypers", np.asarray(self.diff_hypers, dtype=float))
+        for name in ("z_f", "z_g", "drift_hypers", "diff_hypers"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if len(self.z_f) != len(self.z_g):
             raise PreconditionError("z_f and z_g must have matching anchor counts")
         if len(self.drift_hypers) != 4 or len(self.diff_hypers) != 2:
@@ -130,21 +128,11 @@ class FitConfig:
     def to_json(self) -> dict:
         # threads is runtime plumbing: it never changes results, so it stays
         # out of serialized configs and hashes
-        return {
-            "n_chains": self.n_chains,
-            "n_iterations": self.n_iterations,
-            "n_anchors": self.n_anchors,
-            "anchors_at_observations": self.anchors_at_observations,
-            "target_accept": self.target_accept,
-            "max_leapfrog": self.max_leapfrog,
-            "padding": self.padding,
-            "grid_size": self.grid_size,
-            "seed": self.seed,
-        }
+        return {k: v for k, v in asdict(self).items() if k != "threads"}
 
     @classmethod
     def from_json(cls, doc: dict) -> "FitConfig":
-        known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
+        known = {f.name for f in fields(cls)}
         unknown = set(doc) - known
         if unknown:
             raise PreconditionError(f"unknown FitConfig fields: {sorted(unknown)}")
@@ -372,13 +360,19 @@ def log_posterior(state: ModelState, transitions: TransitionSet, anchors,
 
 @dataclass(frozen=True)
 class Posterior:
-    """Posterior draws evaluated as curves on a fixed grid, plus diagnostics."""
+    """The sampler's latent draws, plus the grid, anchors, centre, diagnostics
+    and config of the fit that made them.
+
+    `chain_draws` (chains, draws per chain, 2m+6) holds the whitened drift and
+    diffusion latents at the m anchors, then the log hypers in `HYPER_NAMES`
+    order; it is the only copy of the draws that is saved. The curves
+    `drift_draws` and `diffusion_draws` (n_draws, len(grid)) are recomputed
+    from it when the posterior is made or loaded. A `posterior.json` without
+    `chain_draws` predates this layout and must be re-fitted.
+    """
 
     grid: np.ndarray
-    drift_draws: np.ndarray      # (n_draws, len(grid))
-    diffusion_draws: np.ndarray  # (n_draws, len(grid)), strictly positive
-    hyper_draws: np.ndarray      # (n_draws, N_HYPERS), constrained scale
-    hyper_names: tuple[str, ...]
+    chain_draws: np.ndarray
     diagnostics: dict
     divergences: int
     converged: bool
@@ -386,13 +380,27 @@ class Posterior:
     center: float
     data_range: tuple[float, float]
     config: FitConfig
-    chain_draws: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if np.any(np.diff(self.grid) <= 0):
             raise PreconditionError("posterior grid must be strictly increasing")
-        if np.any(self.diffusion_draws <= 0):
+        dim = 2 * self.anchors.size + N_HYPERS
+        draws = self.chain_draws
+        if draws.ndim != 3 or draws.shape[2] != dim or not np.isfinite(draws).all():
+            raise PreconditionError(
+                f"chain_draws must be finite, of shape (chains, draws, {dim}) for "
+                f"{self.anchors.size} anchors; got shape {draws.shape}")
+        # The curves depend on the anchors alone, so a context without data
+        # gives the same bits as the one the sampler ran on.
+        ctx = TargetContext((), (), (), self.anchors, self.center)
+        flat = draws.reshape(-1, dim)
+        drift, diffusion = np.empty((2, flat.shape[0], self.grid.size))
+        for i, theta in enumerate(flat):
+            drift[i], diffusion[i] = ctx.curves_on(self.grid, theta)
+        if np.any(diffusion <= 0):
             raise PreconditionError("diffusion draws must be strictly positive")
+        object.__setattr__(self, "drift_draws", drift)
+        object.__setattr__(self, "diffusion_draws", diffusion)
 
     @property
     def n_draws(self) -> int:
@@ -405,16 +413,15 @@ class Posterior:
         return self.diffusion_draws.mean(axis=0)
 
     def band(self, which: str, lo: float, hi: float):
+        if which not in ("drift", "diffusion"):
+            raise PreconditionError(f"band is 'drift' or 'diffusion', not {which!r}")
         draws = self.drift_draws if which == "drift" else self.diffusion_draws
         return np.quantile(draws, lo, axis=0), np.quantile(draws, hi, axis=0)
 
     def to_json(self) -> dict:
         return {
             "grid": self.grid.tolist(),
-            "drift_draws": self.drift_draws.tolist(),
-            "diffusion_draws": self.diffusion_draws.tolist(),
-            "hyper_draws": self.hyper_draws.tolist(),
-            "hyper_names": list(self.hyper_names),
+            "chain_draws": self.chain_draws.tolist(),
             "diagnostics": self.diagnostics,
             "divergences": self.divergences,
             "converged": self.converged,
@@ -426,36 +433,33 @@ class Posterior:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Posterior":
-        return cls(
-            grid=np.asarray(doc["grid"], dtype=float),
-            drift_draws=np.asarray(doc["drift_draws"], dtype=float),
-            diffusion_draws=np.asarray(doc["diffusion_draws"], dtype=float),
-            hyper_draws=np.asarray(doc["hyper_draws"], dtype=float),
-            hyper_names=tuple(doc["hyper_names"]),
-            diagnostics=doc["diagnostics"],
-            divergences=int(doc["divergences"]),
-            converged=bool(doc["converged"]),
-            anchors=np.asarray(doc["anchors"], dtype=float),
-            center=float(doc["center"]),
-            data_range=tuple(doc["data_range"]),
-            config=FitConfig.from_json(doc["config"]),
-        )
+        try:
+            return cls(
+                grid=np.asarray(doc["grid"], dtype=float),
+                chain_draws=np.asarray(doc["chain_draws"], dtype=float),
+                diagnostics=doc["diagnostics"],
+                divergences=int(doc["divergences"]),
+                converged=bool(doc["converged"]),
+                anchors=np.asarray(doc["anchors"], dtype=float),
+                center=float(doc["center"]),
+                data_range=tuple(doc["data_range"]),
+                config=FitConfig.from_json(doc["config"]),
+            )
+        except KeyError as exc:
+            problem = f"missing key {exc}"
+        except (TypeError, ValueError, PreconditionError) as exc:
+            problem = str(exc)
+        raise IngestError(f"malformed posterior document ({problem}); a posterior.json "
+                          "written before chain draws were stored must be re-fitted")
 
     def summary_rows(self):
         """Rows of (grid, drift mean/50%/95% bands, diffusion likewise) for CSV."""
-        cols = [self.grid, self.drift_mean()]
-        for lo, hi in ((0.25, 0.75), (0.025, 0.975)):
-            qlo, qhi = self.band("drift", lo, hi)
-            cols += [qlo, qhi]
-        cols.append(self.diffusion_mean())
-        for lo, hi in ((0.25, 0.75), (0.025, 0.975)):
-            qlo, qhi = self.band("diffusion", lo, hi)
-            cols += [qlo, qhi]
-        header = [
-            "grid", "drift_mean", "drift_q25", "drift_q75", "drift_q025", "drift_q975",
-            "diffusion_mean", "diffusion_q25", "diffusion_q75", "diffusion_q025",
-            "diffusion_q975",
-        ]
+        header, cols = ["grid"], [self.grid]
+        for which in ("drift", "diffusion"):
+            header += [f"{which}_{q}" for q in ("mean", "q25", "q75", "q025", "q975")]
+            cols.append(self.drift_mean() if which == "drift" else self.diffusion_mean())
+            for lo, hi in ((0.25, 0.75), (0.025, 0.975)):
+                cols += self.band(which, lo, hi)
         return header, np.column_stack(cols)
 
 
@@ -492,14 +496,7 @@ def fit(c: TimeSeriesCollection, cfg: FitConfig = FitConfig()) -> Posterior:
         threads=cfg.threads,
     )
 
-    flat = chains.flat()
-    n_draws = flat.shape[0]
-    drift_draws = np.empty((n_draws, grid.size))
-    diffusion_draws = np.empty((n_draws, grid.size))
-    for i in range(n_draws):
-        drift_draws[i], diffusion_draws[i] = ctx.curves_on(grid, flat[i])
-    hyper_draws = np.exp(flat[:, 2 * ctx.m :])
-
+    n_draws = len(chains.flat())
     diagnostics = _diagnostics(chains, ctx.m)
     worst = max(v for v in diagnostics["rhat"].values())
     converged = bool(np.isfinite(worst) and worst <= 1.05)
@@ -514,10 +511,7 @@ def fit(c: TimeSeriesCollection, cfg: FitConfig = FitConfig()) -> Posterior:
 
     return Posterior(
         grid=grid,
-        drift_draws=drift_draws,
-        diffusion_draws=diffusion_draws,
-        hyper_draws=hyper_draws,
-        hyper_names=HYPER_NAMES,
+        chain_draws=chains.draws,
         diagnostics=diagnostics,
         divergences=chains.divergences,
         converged=converged,
@@ -525,7 +519,6 @@ def fit(c: TimeSeriesCollection, cfg: FitConfig = FitConfig()) -> Posterior:
         center=center,
         data_range=(float(lo), float(hi)),
         config=cfg,
-        chain_draws=chains.draws,
     )
 
 

@@ -41,6 +41,8 @@ __all__ = [
 INTERNAL_DT = 0.01
 DIVERGENCE_LIMIT = 1e6
 QUADRATURE_POINTS = 4001
+# Normals drawn per burn-in chunk across all walkers (8 MB of float64).
+BURN_IN_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -204,8 +206,11 @@ def _simulate_path(m: SdeModel, x0: float, dt: float, z: np.ndarray) -> np.ndarr
     return values
 
 
-def _simulate_batch(m: SdeModel, x0: np.ndarray, dt: float, z: np.ndarray) -> np.ndarray:
-    """Vectorized Euler-Maruyama over a batch of walkers; returns (k, n_steps+1)."""
+def _simulate_batch(m: SdeModel, x0: np.ndarray, dt: float, z: np.ndarray,
+                    first_step: int = 0) -> np.ndarray:
+    """Vectorized Euler-Maruyama over a batch of walkers; returns (k, n_steps+1).
+
+    A divergence is reported at its step plus `first_step`, the steps before x0."""
     k, n_steps = z.shape
     sqrt_dt = math.sqrt(dt)
     out = np.empty((k, n_steps + 1))
@@ -216,7 +221,7 @@ def _simulate_batch(m: SdeModel, x0: np.ndarray, dt: float, z: np.ndarray) -> np
         x = x + np.asarray(m.drift(x), dtype=float) * dt + np.sqrt(g) * sqrt_dt * z[:, n]
         bad = ~np.isfinite(x) | (np.abs(x) > DIVERGENCE_LIMIT)
         if np.any(bad):
-            raise SimulationDiverged(n + 1, float(x[np.argmax(bad)]))
+            raise SimulationDiverged(first_step + n + 1, float(x[np.argmax(bad)]))
         out[:, n + 1] = x
     return out
 
@@ -297,16 +302,19 @@ def generate_short_series(
 
     if m.stationary_icdf is not None:
         x0 = np.array([m.stationary_icdf(_open_uniform(r)) for r in rngs])
-        n_steps = n_obs_steps
-        keep_from = 0
+        burn_in_steps = 0
     else:
+        # Burn in over chunks of steps, keeping only each walker's current
+        # state. Every generator still draws its normals in the same order.
         x0 = np.full(n_series, _diffusion_mode(m))
-        n_steps = burn_in_steps + n_obs_steps
-        keep_from = burn_in_steps
+        chunk = max(1, BURN_IN_BLOCK // n_series)
+        for start in range(0, burn_in_steps, chunk):
+            z = np.stack([r.standard_normal(min(chunk, burn_in_steps - start)) for r in rngs])
+            x0 = _simulate_batch(m, x0, internal_dt, z, start)[:, -1]
 
-    z = np.stack([r.standard_normal(n_steps) for r in rngs]) if n_steps else np.empty((n_series, 0))
-    paths = _simulate_batch(m, x0, internal_dt, z)
-    obs = paths[:, keep_from::stride][:, :pts_per_series]
+    z = np.stack([r.standard_normal(n_obs_steps) for r in rngs])
+    paths = _simulate_batch(m, x0, internal_dt, z, burn_in_steps)
+    obs = paths[:, ::stride][:, :pts_per_series]
     times = np.arange(pts_per_series) * (stride * internal_dt)
 
     width = len(str(max(n_series - 1, 1)))

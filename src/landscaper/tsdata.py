@@ -323,4 +323,7 @@ def dump_json(doc, path) -> None:
 
 def load_json(path):
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise IngestError(f"{path}: not a JSON document: {exc}") from None

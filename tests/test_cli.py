@@ -7,7 +7,7 @@ import pytest
 from landscaper import cli
 from landscaper.derived import CurvePair
 from landscaper.errors import ConvergenceWarning
-from landscaper.inference import FitConfig, HYPER_NAMES, Posterior
+from landscaper.inference import FitConfig, HYPER_NAMES, Posterior, TargetContext
 from landscaper.tsdata import dump_json, load_json
 
 
@@ -33,25 +33,27 @@ def dataset(tmp_path_factory):
 
 
 def synthetic_posterior(bistable: bool, n_draws=40) -> Posterior:
-    grid = np.linspace(-2.4, 2.4, 200)
+    """Latent draws whose curves follow a cusp-like (or linear) drift and a
+    near-constant diffusion: each latent is z = L^-1 (target values at the
+    anchors), with L the anchor Cholesky factor at fixed hyperparameters."""
+    anchors = np.linspace(-2.4, 2.4, 30)
     rng = np.random.default_rng(8)
-    if bistable:
-        base = grid - grid**3
-    else:
-        base = -grid
-    drift = base + 0.02 * rng.standard_normal((n_draws, grid.size))
-    diffusion = 0.5 + 0.05 * rng.random((n_draws, grid.size))
+    base = anchors - anchors**3 if bistable else -anchors
+    drift = base + 0.02 * rng.standard_normal((n_draws, anchors.size))
+    ghat = np.log(0.5 + 0.05 * rng.random((n_draws, anchors.size)))
+    eta = np.log([2.0, 1.0, 2.0, 2.0, 2.0, 1.0])
+    _, _, _, chol_f, chol_g = TargetContext((), (), (), anchors, 0.0)._factors(eta)
+    theta = np.column_stack([np.linalg.solve(chol_f, drift.T).T,
+                             np.linalg.solve(chol_g, ghat.T).T,
+                             np.tile(eta, (n_draws, 1))])
     return Posterior(
-        grid=grid,
-        drift_draws=drift,
-        diffusion_draws=diffusion,
-        hyper_draws=np.abs(rng.standard_normal((n_draws, 6))) + 0.1,
-        hyper_names=HYPER_NAMES,
+        grid=np.linspace(-2.4, 2.4, 200),
+        chain_draws=theta.reshape(2, n_draws // 2, -1),
         diagnostics={"rhat": {n: 1.0 for n in HYPER_NAMES},
                      "ess": {n: float(n_draws) for n in HYPER_NAMES}},
         divergences=0,
         converged=True,
-        anchors=np.linspace(-2.4, 2.4, 30),
+        anchors=anchors,
         center=0.0,
         data_range=(-2.2, 2.2),
         config=FitConfig(),
@@ -231,6 +233,35 @@ class TestDerive:
             if f.name == "manifest.json":
                 continue
             assert read_bytes(f) == read_bytes(out2 / f.name), f.name
+
+
+class TestMalformedJson:
+    def test_derive_on_non_json_posterior(self, tmp_path, capsys):
+        post_path = tmp_path / "posterior.json"
+        post_path.write_text("grid,drift\n0,1\n")
+        assert run(["derive", "--posterior", post_path, "--out", tmp_path / "o"]) == cli.EXIT_PARSE
+        assert str(post_path) in capsys.readouterr().err
+
+    def test_derive_on_posterior_without_chain_draws(self, tmp_path, capsys):
+        doc = synthetic_posterior(bistable=True).to_json()
+        del doc["chain_draws"]
+        post_path = tmp_path / "posterior.json"
+        dump_json(doc, post_path)
+        assert run(["derive", "--posterior", post_path, "--out", tmp_path / "o"]) == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "chain_draws" in err and "re-fitted" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--data", "data.csv", "--config", "{bad}"],
+        ["experiment", "--name", "tpr-grid", "--config", "{bad}"],
+        ["replay", "--manifest", "{bad}"],
+    ])
+    def test_non_json_document_is_parse_error(self, tmp_path, capsys, argv):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"n_chains": 2,')
+        argv = [str(bad) if a == "{bad}" else a for a in argv]
+        assert run(argv + ["--out", tmp_path / "o"]) == cli.EXIT_PARSE
+        assert str(bad) in capsys.readouterr().err
 
 
 class TestExperimentCommand:

@@ -1,10 +1,12 @@
+import dataclasses
+import json
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from landscaper.errors import DegenerateDataError, PreconditionError
+from landscaper.errors import DegenerateDataError, IngestError, PreconditionError
 from landscaper.inference import (
     HYPER_BOUND,
     HYPER_NAMES,
@@ -13,8 +15,10 @@ from landscaper.inference import (
     ModelState,
     Posterior,
     TargetContext,
+    ess,
     fit,
     log_posterior,
+    rhat,
 )
 from landscaper.sim import generate_short_series
 from landscaper.tsdata import TimeSeries, TimeSeriesCollection, to_transitions
@@ -250,11 +254,50 @@ class TestFit:
 
     def test_posterior_json_round_trip(self, small_posterior):
         post, _ = small_posterior
-        back = Posterior.from_json(post.to_json())
-        np.testing.assert_allclose(back.drift_draws, post.drift_draws)
-        np.testing.assert_allclose(back.hyper_draws, post.hyper_draws)
+        back = Posterior.from_json(json.loads(json.dumps(post.to_json())))
+        assert np.array_equal(back.chain_draws, post.chain_draws)
+        assert np.array_equal(back.drift_draws, post.drift_draws)
+        assert np.array_equal(back.diffusion_draws, post.diffusion_draws)
         assert back.config == post.config
-        assert back.diagnostics["rhat"].keys() == post.diagnostics["rhat"].keys()
+        assert back.diagnostics == post.diagnostics
+
+    def test_loaded_posterior_rediagnoses_exactly(self, small_posterior):
+        post, _ = small_posterior
+        back = Posterior.from_json(json.loads(json.dumps(post.to_json())))
+        m = back.anchors.size
+        names = [f"z_drift[{i}]" for i in range(m)] + [f"z_diff[{i}]" for i in range(m)]
+        names += list(HYPER_NAMES)
+        assert back.chain_draws.shape == (2, 200, len(names))
+        for j, name in enumerate(names):
+            series = back.chain_draws[:, :, j]
+            if j >= 2 * m:
+                series = np.exp(series)
+            assert rhat(series) == post.diagnostics["rhat"][name], name
+            assert ess(series) == post.diagnostics["ess"][name], name
+
+    def test_malformed_posterior_document_rejected(self, small_posterior):
+        post, _ = small_posterior
+        doc = post.to_json()
+        old = {k: v for k, v in doc.items() if k != "chain_draws"}
+        old["drift_draws"] = post.drift_draws.tolist()
+        with pytest.raises(IngestError, match="re-fitted"):
+            Posterior.from_json(old)
+        short = {**doc, "chain_draws": post.chain_draws[:, :, :-1].tolist()}
+        with pytest.raises(IngestError, match="shape"):
+            Posterior.from_json(short)
+        nan = post.chain_draws.copy()
+        nan[1, 5, -1] = np.nan
+        with pytest.raises(IngestError, match="finite"):
+            Posterior.from_json(json.loads(json.dumps({**doc, "chain_draws": nan.tolist()})))
+        with pytest.raises(PreconditionError, match="shape"):
+            dataclasses.replace(post, chain_draws=post.chain_draws[0])
+
+    def test_band_rejects_unknown_curve(self, small_posterior):
+        post, _ = small_posterior
+        lo, hi = post.band("diffusion", 0.025, 0.975)
+        assert np.all(lo <= hi)
+        with pytest.raises(PreconditionError, match="drfit"):
+            post.band("drfit", 0.025, 0.975)
 
     def test_shift_equivariance(self, bistable_cusp):
         # Shifting all values must shift the curves' support and nothing else.

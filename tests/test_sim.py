@@ -228,6 +228,42 @@ class TestGenerateShortSeries:
         # stationary support of the custom model is roughly [-1, 1.2]
         assert values.min() > -2.0 and values.max() < 2.0
 
+    def test_chunked_burn_in_matches_unchunked(self, monkeypatch):
+        # 4 walkers, 300-step chunks: the 1000 burn-in steps span 4 chunks.
+        monkeypatch.setattr(sim, "BURN_IN_BLOCK", 4 * 300)
+        m = custom_bimodal_unistable()
+        ds = generate_short_series(m, 4, 3, 0.05, seed=6, burn_in_steps=1000)
+        rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(6).spawn(4)]
+        z = np.stack([r.standard_normal(1000 + 10) for r in rngs])
+        paths = sim._simulate_batch(m, np.full(4, sim._diffusion_mode(m)), 0.01, z)
+        for s, expected in zip(ds.collection.series, paths[:, 1000::5]):
+            np.testing.assert_array_equal(s.values, expected)
+
+    def test_burn_in_divergence_reports_absolute_step(self, monkeypatch):
+        # x grows by exactly 1000 per step from 0 and leaves [-1e6, 1e6] at
+        # step 1001, in the fourth 300-step chunk.
+        monkeypatch.setattr(sim, "BURN_IN_BLOCK", 300)
+        m = SdeModel(drift=lambda x: 1e5 + 0.0 * x, diffusion=lambda x: 0.0 * np.asarray(x),
+                     name="runaway", state_range=(0.0, 0.0))
+        with pytest.raises(SimulationDiverged) as err:
+            generate_short_series(m, 1, 2, 0.01, seed=0, burn_in_steps=2000)
+        assert err.value.step == 1001
+
+    def test_burn_in_memory_is_bounded(self, monkeypatch):
+        # Unchunked, 200 walkers x 5000 steps hold 8 MB of normals, twice over,
+        # plus the paths; chunked, a few 0.5 MB blocks at a time.
+        import tracemalloc
+
+        monkeypatch.setattr(sim, "BURN_IN_BLOCK", 1 << 16)
+        m = custom_bimodal_unistable()
+        tracemalloc.start()
+        try:
+            generate_short_series(m, 200, 2, 0.01, seed=1, burn_in_steps=5000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
 
 def batch_of_one_timescale(m, seed, total_time, internal_dt=0.01):
     """estimate_timescale's reference run on the vectorized integrator."""

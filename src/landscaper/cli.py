@@ -110,7 +110,28 @@ def _resolve_threads(value) -> int:
     return 1
 
 
+# The keys each experiment config and its model spec take; any other key is
+# an input error, so that a misspelt key cannot fall back to a default.
+EXPERIMENT_KEYS = {
+    "coverage": ("model", "seed", "total_time", "replicates", "points_per_short", "n_bins"),
+    "tpr-grid": ("model", "seed", "series_counts", "timesteps", "replicates", "fit"),
+}
+MODEL_KEYS = ("name", "alpha", "beta", "lam", "r", "epsilon")
+
+
+def _check_keys(doc, allowed, what: str) -> None:
+    """IngestError unless `doc` is a JSON object whose keys are all `allowed`."""
+    if not isinstance(doc, dict):
+        raise IngestError(f"{what} must be a JSON object, not {type(doc).__name__}")
+    unknown = sorted(set(doc) - set(allowed))
+    if unknown:
+        raise IngestError(f"{what}: unknown keys {unknown}; it takes {', '.join(allowed)}")
+
+
 def _build_model(spec: dict):
+    # Every model takes the cusp parameters (`simulate` passes all five), and
+    # bimodal-unistable ignores them.
+    _check_keys(spec, MODEL_KEYS, "model spec")
     name = spec.get("name")
     if name == "cusp":
         return cusp_model(CuspParams(
@@ -329,7 +350,10 @@ def cmd_experiment(args, argv) -> int:
     started = time.perf_counter()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    if args.name not in EXPERIMENT_KEYS:
+        raise IngestError(f"unknown experiment name {args.name!r}")
     doc = load_json(args.config)
+    _check_keys(doc, EXPERIMENT_KEYS[args.name], f"{args.name} config {args.config}")
     seed = args.seed if args.seed is not None else doc.get("seed", 0)
     model = _build_model(doc.get("model", {}))
     outputs: list[Path] = []
@@ -353,7 +377,7 @@ def cmd_experiment(args, argv) -> int:
         meta_path = out / "coverage.json"
         dump_json(meta, meta_path)
         outputs.append(meta_path)
-    elif args.name == "tpr-grid":
+    else:
         fit_cfg = FitConfig.from_json(doc.get("fit", {}))
         result = tpr_grid(
             model,
@@ -374,8 +398,6 @@ def cmd_experiment(args, argv) -> int:
         dump_json({"replicates": result.replicates, "t_c": result.t_c,
                    "failures": result.failures.tolist()}, meta_path)
         outputs.append(meta_path)
-    else:
-        raise IngestError(f"unknown experiment name {args.name!r}")
 
     _write_manifest(out, "experiment", argv, seed, doc, [Path(args.config)],
                     outputs, started)
@@ -384,7 +406,9 @@ def cmd_experiment(args, argv) -> int:
 
 def cmd_replay(args, argv) -> int:
     manifest = load_json(args.manifest)
-    replay_argv = list(manifest["argv"])
+    replay_argv = manifest.get("argv") if isinstance(manifest, dict) else None
+    if not (isinstance(replay_argv, list) and all(isinstance(a, str) for a in replay_argv)):
+        raise IngestError(f"{args.manifest}: manifest has no argv list of strings to replay")
     if args.out is not None:
         try:
             idx = replay_argv.index("--out")

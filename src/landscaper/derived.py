@@ -13,7 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDataError, PreconditionError
-from .numerics import cumulative_trapezoid, density_from_drift_diffusion, nearest_rank_low
+from .numerics import (
+    cumulative_trapezoid,
+    density_from_drift_diffusion,
+    nearest_rank,
+    nearest_rank_low,
+)
 
 __all__ = [
     "CurvePair",
@@ -34,6 +39,9 @@ __all__ = [
 ]
 
 DENSITY_FLOOR = 1e-300
+# Fewest draws sharing the posterior-mean tipping point that an exit-time band
+# is computed from.
+MIN_RETAINED = 10
 
 
 @dataclass(frozen=True)
@@ -262,42 +270,28 @@ def _solve_side(f: np.ndarray, g: np.ndarray, h: float, zero_at: str) -> np.ndar
     n = len(f) - 1  # unknowns
     if n < 2:
         raise PreconditionError("basin side has too few grid nodes")
-    sub = np.zeros(n - 1)   # entries below the diagonal
-    diag = np.zeros(n)
-    sup = np.zeros(n - 1)   # entries above the diagonal
-    rhs = np.full(n, -1.0)
-
-    if zero_at == "right":
-        # Unknowns are nodes 0..n-1; node n is the Dirichlet tipping node.
-        diag[0] = -1.0
-        sup[0] = 1.0
-        rhs[0] = 0.0
-        for i in range(1, n):
-            adv = f[i] / (2.0 * h)
-            dif = g[i] / (2.0 * h * h)
-            sub[i - 1] = dif - adv
-            diag[i] = -2.0 * dif
-            if i < n - 1:
-                sup[i] = dif + adv
-            # the coupling of node n-1 to the tipping node multiplies T=0
-    else:
-        # Unknowns are side nodes 1..n (local 0..n-1); side node 0 is the tipping node.
-        for j in range(n - 1):
-            i = j + 1
-            adv = f[i] / (2.0 * h)
-            dif = g[i] / (2.0 * h * h)
-            if j > 0:
-                sub[j - 1] = dif - adv
-            diag[j] = -2.0 * dif
-            sup[j] = dif + adv
-        diag[n - 1] = 1.0
-        sub[n - 2] = -1.0
-        rhs[n - 1] = 0.0
-
+    # Central-difference coefficients at side nodes 1..n-1, the interior rows.
+    adv = f[1:n] / (2.0 * h)
+    dif = g[1:n] / (2.0 * h * h)
+    # solve_banded layout: rows hold the super-, main and sub-diagonal.
     ab = np.zeros((3, n))
-    ab[0, 1:] = sup
-    ab[1, :] = diag
-    ab[2, :-1] = sub
+    rhs = np.full(n, -1.0)
+    if zero_at == "right":
+        # Unknowns are nodes 0..n-1; node n is the Dirichlet tipping node, so
+        # the coupling of node n-1 to it multiplies T=0 and is dropped. Row 0
+        # is the zero-slope row T(1) - T(0) = 0.
+        ab[1, 0], ab[0, 1], rhs[0] = -1.0, 1.0, 0.0
+        ab[0, 2:] = (dif + adv)[:-1]
+        ab[1, 1:] = -2.0 * dif
+        ab[2, :-1] = dif - adv
+    else:
+        # Unknowns are side nodes 1..n (local 0..n-1); side node 0 is the
+        # tipping node, and its coupling to local row 0 multiplies T=0. The
+        # last row is the zero-slope row T(n) - T(n-1) = 0.
+        ab[0, 1:] = dif + adv
+        ab[1, :-1] = -2.0 * dif
+        ab[2, :-2] = (dif - adv)[1:]
+        ab[1, -1], ab[2, -2], rhs[-1] = 1.0, -1.0, 0.0
     try:
         sol = solve_banded((1, 1), ab, rhs)
     except np.linalg.LinAlgError as exc:
@@ -307,15 +301,16 @@ def _solve_side(f: np.ndarray, g: np.ndarray, h: float, zero_at: str) -> np.ndar
     return sol
 
 
-def exit_time_band(p, mode: str = "pointwise", min_retained: int = 10) -> ExitTimeBand:
+def exit_time_band(p, mode: str = "pointwise") -> ExitTimeBand:
     """Exit-time posterior band from draws sharing the posterior-mean tipping point.
 
     Draws are retained when they are valid, have exactly one tipping point,
     and that point lies within one grid cell of the posterior-mean drift's
-    tipping point; each retained draw's BVP uses that shared anchor node. The
-    lower curves take the 40th and 60th nearest-rank percentiles from below,
-    either pointwise (default) or by ranking whole curves per basin side at
-    the side's stable point ("curve").
+    tipping point; each retained draw's BVP uses that shared anchor node, and
+    at least MIN_RETAINED draws must be retained. The lower curves take the
+    40th and 60th nearest-rank percentiles from below, either pointwise
+    (default) or by ranking whole curves per basin side at the side's stable
+    point ("curve").
     """
     if mode not in ("pointwise", "curve"):
         raise PreconditionError(f"unknown band mode {mode!r}")
@@ -338,10 +333,10 @@ def exit_time_band(p, mode: str = "pointwise", min_retained: int = 10) -> ExitTi
             solutions.append(exit_time(CurvePair(grid, f, g), tip).times)
         except DegenerateDataError:
             continue
-    if len(solutions) < min_retained:
+    if len(solutions) < MIN_RETAINED:
         raise DegenerateDataError(
             f"only {len(solutions)} draws share the posterior-mean tipping point; "
-            f"need >= {min_retained}"
+            f"need >= {MIN_RETAINED}"
         )
     curves = np.asarray(solutions)
     mean_curve = curves.mean(axis=0)
@@ -358,10 +353,8 @@ def exit_time_band(p, mode: str = "pointwise", min_retained: int = 10) -> ExitTi
         right_ref = int(np.argmin(np.abs(grid - stable[-1])))
         for ref, sl in ((left_ref, slice(0, k + 1)), (right_ref, slice(k, len(grid)))):
             order = np.argsort(curves[:, ref], kind="stable")
-            i40 = order[max(1, int(np.ceil(0.4 * len(order)))) - 1]
-            i60 = order[max(1, int(np.ceil(0.6 * len(order)))) - 1]
-            lower40[sl] = curves[i40, sl]
-            lower60[sl] = curves[i60, sl]
+            lower40[sl] = curves[order[nearest_rank(len(order), 0.4)], sl]
+            lower60[sl] = curves[order[nearest_rank(len(order), 0.6)], sl]
 
     return ExitTimeBand(
         grid=grid,

@@ -9,16 +9,11 @@ from .errors import PreconditionError
 __all__ = ["rhat", "ess"]
 
 
-def _extract(chains, param):
-    if hasattr(chains, "draws"):
-        chains = chains.draws
+def _extract(chains):
     x = np.asarray(chains, dtype=float)
-    if x.ndim == 3:
-        if param is None:
-            raise PreconditionError("param index required for stacked draws")
-        x = x[:, :, param]
     if x.ndim != 2:
-        raise PreconditionError("chains must be (n_chains, n_draws) or (n_chains, n_draws, dim)")
+        raise PreconditionError(f"chains must be one parameter's (n_chains, n_draws) array; "
+                                f"got {x.ndim} dimensions")
     if x.shape[0] < 2 or x.shape[1] < 4:
         raise PreconditionError("need at least 2 chains with at least 4 draws each")
     return x
@@ -29,13 +24,14 @@ def _split(x: np.ndarray) -> np.ndarray:
     return np.concatenate([x[:, :n], x[:, n : 2 * n]], axis=0)
 
 
-def rhat(chains, param: int | None = None) -> float:
-    """Split-chain potential scale reduction factor.
+def rhat(chains) -> float:
+    """Split-chain potential scale reduction factor of one parameter's
+    (n_chains, n_draws) draws.
 
     Chains that are all identical and constant give 1.0 by convention;
     distinct constant chains give +inf.
     """
-    x = _split(_extract(chains, param))
+    x = _split(_extract(chains))
     m, n = x.shape
     means = x.mean(axis=1)
     w = float(np.mean(np.var(x, axis=1, ddof=1)))
@@ -58,9 +54,10 @@ def _autocov(x: np.ndarray) -> np.ndarray:
     return acov / n
 
 
-def ess(chains, param: int | None = None) -> float:
-    """Effective sample size with Geyer's initial monotone sequence truncation."""
-    x = _split(_extract(chains, param))
+def ess(chains) -> float:
+    """Effective sample size of one parameter's (n_chains, n_draws) draws, with
+    Geyer's initial monotone sequence truncation."""
+    x = _split(_extract(chains))
     m, n = x.shape
     acov = _autocov(x)
     chain_var = acov[:, 0] * n / (n - 1)

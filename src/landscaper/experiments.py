@@ -32,6 +32,8 @@ __all__ = [
 DEFAULT_TIMESTEP_FRACTIONS = (1.0, 0.5, 0.1, 0.05, 0.01, 0.005, 0.001)
 
 DENSITY_FLOOR = 1e-12
+# Observations per short series in each tpr_grid fit.
+TPR_POINTS_PER_SERIES = 2
 
 
 @dataclass(frozen=True)
@@ -85,7 +87,6 @@ def coverage_experiment(
     replicates: int = 50,
     seed=0,
     points_per_short: int = 5,
-    internal_dt: float = INTERNAL_DT,
     n_bins: int = 50,
 ) -> CoverageResult:
     """Expanding-window agreement between data histograms and the true density.
@@ -95,6 +96,7 @@ def coverage_experiment(
     whole-unit budget the observed values so far are histogrammed and compared
     to the stationary density by KL divergence; agreement is 1 - KL/maxKL with
     maxKL taken over both conditions and all budgets within the replicate.
+    Both conditions observe every step of INTERNAL_DT.
     """
     if replicates < 1:
         raise PreconditionError("replicates must be >= 1")
@@ -106,20 +108,19 @@ def coverage_experiment(
     ref = np.diff(np.interp(edges, grid, cdf)) / width
 
     budgets = np.arange(1, int(total_time) + 1)
-    span = (points_per_short - 1) * internal_dt
+    span = (points_per_short - 1) * INTERNAL_DT
     n_short = int(np.floor(total_time / span))
-    steps_long = int(round(total_time / internal_dt))
+    steps_long = int(round(total_time / INTERNAL_DT))
 
     agree_s = np.empty((replicates, len(budgets)))
     agree_l = np.empty((replicates, len(budgets)))
     root = np.random.SeedSequence(seed)
     for r, child in enumerate(root.spawn(replicates)):
         short_seed, long_seed = child.spawn(2)
-        ds = generate_short_series(model, n_short, points_per_short, internal_dt,
-                                   short_seed, internal_dt=internal_dt)
+        ds = generate_short_series(model, n_short, points_per_short, INTERNAL_DT, short_seed)
         short_values = np.concatenate([s.values for s in ds.collection.series])
-        x0 = _stationary_start(model, np.random.default_rng(long_seed), internal_dt)
-        long_values = euler_maruyama(model, x0, internal_dt, steps_long,
+        x0 = _stationary_start(model, np.random.default_rng(long_seed))
+        long_values = euler_maruyama(model, x0, INTERNAL_DT, steps_long,
                                      long_seed.spawn(1)[0]).values
 
         kl_s = np.empty(len(budgets))
@@ -127,7 +128,7 @@ def coverage_experiment(
         for i, tau in enumerate(budgets):
             k_series = min(int(np.floor(tau / span)), n_short)
             vals_s = short_values[: k_series * points_per_short]
-            vals_l = long_values[: int(round(tau / internal_dt)) + 1]
+            vals_l = long_values[: int(round(tau / INTERNAL_DT)) + 1]
             kl_s[i] = _histogram_kl(vals_s, edges, width, ref)
             kl_l[i] = _histogram_kl(vals_l, edges, width, ref)
         max_kl = max(kl_s.max(), kl_l.max())
@@ -160,14 +161,14 @@ def tpr_grid(
     replicates: int,
     cfg: FitConfig = FitConfig(),
     seed=0,
-    internal_dt: float = INTERNAL_DT,
-    points_per_series: int = 2,
 ) -> TprGrid:
     """Fraction of replicate fits whose modal stable-state count is correct.
 
     Cells vary the number of short series and the sampling step expressed as
     a fraction of the model's characteristic time scale (measured on a long
-    reference run). Fit failures count as misses, never as positives.
+    reference run), rounded to a whole number of INTERNAL_DT steps; each
+    series has TPR_POINTS_PER_SERIES points. Fit failures count as misses,
+    never as positives.
     """
     if replicates < 1:
         raise PreconditionError("replicates must be >= 1")
@@ -184,10 +185,10 @@ def tpr_grid(
 
     strides = {}
     for frac in timesteps:
-        stride = int(round(frac * t_c / internal_dt))
+        stride = int(round(frac * t_c / INTERNAL_DT))
         if stride < 1:
             raise PreconditionError(
-                f"timestep fraction {frac} gives a step below the internal step {internal_dt}"
+                f"timestep fraction {frac} gives a step below the internal step {INTERNAL_DT}"
             )
         strides[frac] = stride
 
@@ -202,9 +203,8 @@ def tpr_grid(
                 data_child, fit_child = rep_seed.spawn(2)
                 try:
                     ds = generate_short_series(
-                        true_model, n_series, points_per_series,
-                        strides[frac] * internal_dt, data_child,
-                        internal_dt=internal_dt,
+                        true_model, n_series, TPR_POINTS_PER_SERIES,
+                        strides[frac] * INTERNAL_DT, data_child,
                     )
                     rep_cfg = replace(cfg, seed=int(fit_child.generate_state(1)[0]))
                     post = fit(ds.collection, rep_cfg)

@@ -31,6 +31,11 @@ from .errors import SamplerError
 __all__ = ["Chains", "sample"]
 
 ENERGY_ERROR_LIMIT = 1000.0
+# Every chain but the first, and every retry after a start where the target is
+# not finite, starts from `init` plus uniform noise of this half-width; a chain
+# gives up after MAX_INIT_ATTEMPTS starts.
+INIT_JITTER = 1.0
+MAX_INIT_ATTEMPTS = 100
 
 # Dual-averaging constants (standard choices).
 DA_GAMMA = 0.05
@@ -59,20 +64,19 @@ def sample(
     *,
     n_chains: int = 4,
     n_iterations: int = 2000,
-    warmup: int | None = None,
     seed=0,
     target_accept: float = 0.8,
     max_leapfrog: int = 32,
-    init_jitter: float = 1.0,
-    max_init_attempts: int = 100,
     threads: int = 1,
 ) -> Chains:
-    """Run `n_chains` HMC chains and return their post-warmup draws."""
+    """Run `n_chains` HMC chains and return their post-warmup draws.
+
+    The first `n_iterations // 2` iterations of each chain are warmup.
+    """
     init = np.asarray(init, dtype=float)
-    if warmup is None:
-        warmup = n_iterations // 2
-    if not (0 < warmup < n_iterations):
-        raise SamplerError(f"warmup must be in (0, n_iterations); got {warmup}/{n_iterations}")
+    if n_iterations < 2:
+        raise SamplerError(f"need n_iterations >= 2 for warmup and sampling; got {n_iterations}")
+    warmup = n_iterations // 2
     streams = np.random.SeedSequence(seed).spawn(n_chains)
 
     def run(idx):
@@ -81,7 +85,6 @@ def sample(
             target, init, rng,
             n_iterations=n_iterations, warmup=warmup,
             target_accept=target_accept, max_leapfrog=max_leapfrog,
-            init_jitter=init_jitter, max_init_attempts=max_init_attempts,
             jitter_first=idx > 0,
         )
 
@@ -107,16 +110,16 @@ def _eval(target, q):
     return float(logp), np.asarray(grad, dtype=float)
 
 
-def _initialize(target, init, rng, jitter, attempts, jitter_first):
-    for attempt in range(attempts):
+def _initialize(target, init, rng, jitter_first):
+    for attempt in range(MAX_INIT_ATTEMPTS):
         if attempt == 0 and not jitter_first:
             q = init.copy()
         else:
-            q = init + rng.uniform(-jitter, jitter, size=init.shape)
+            q = init + rng.uniform(-INIT_JITTER, INIT_JITTER, size=init.shape)
         logp, grad = _eval(target, q)
         if math.isfinite(logp) and np.isfinite(grad).all():
             return q, logp, grad
-    raise SamplerError(f"no finite starting point after {attempts} jittered attempts")
+    raise SamplerError(f"no finite starting point after {MAX_INIT_ATTEMPTS} jittered attempts")
 
 
 def _leapfrog(target, q, p, grad, eps, n_steps, inv_mass):
@@ -186,8 +189,8 @@ def _regularized_variance(draws: np.ndarray) -> np.ndarray:
 
 
 def _run_chain(target, init, rng, *, n_iterations, warmup, target_accept,
-               max_leapfrog, init_jitter, max_init_attempts, jitter_first):
-    q, logp, grad = _initialize(target, init, rng, init_jitter, max_init_attempts, jitter_first)
+               max_leapfrog, jitter_first):
+    q, logp, grad = _initialize(target, init, rng, jitter_first)
     dim = init.size
 
     inv_mass = np.ones(dim)

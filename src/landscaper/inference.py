@@ -183,14 +183,6 @@ class TargetContext:
             - m * LOG_2PI + PRIOR_LOG_NORM
         )
 
-    @classmethod
-    def from_transitions(cls, t: TransitionSet, anchors, center: float | None = None):
-        x, dx, dt = t.arrays()
-        anchors = np.asarray(anchors, dtype=float)
-        if center is None:
-            center = 0.5 * (anchors.min() + anchors.max())
-        return cls(x, dx, dt, anchors, center)
-
     def initial_vector(self) -> np.ndarray:
         hypers = [math.log(2.0), math.log(1.25), math.log(2.0), math.log(2.0),
                   math.log(2.0), math.log(1.25)]
@@ -343,15 +335,16 @@ def _lapack(result):
     return out
 
 
-def log_posterior(state: ModelState, transitions: TransitionSet, anchors,
-                  center: float | None = None):
+def log_posterior(state: ModelState, transitions: TransitionSet, anchors):
     """Log posterior density and its gradient at one model state.
 
-    With an empty transition set the result is the prior alone. The gradient
-    is exact for the implemented density (verified against finite
-    differences in the test suite).
+    The linear drift kernel is centred at the anchors' midpoint. With an
+    empty transition set the result is the prior alone. The gradient is
+    exact for the implemented density (verified against finite differences
+    in the test suite).
     """
-    ctx = TargetContext.from_transitions(transitions, anchors, center)
+    anchors = np.asarray(anchors, dtype=float)
+    ctx = TargetContext(*transitions.arrays(), anchors, 0.5 * (anchors.min() + anchors.max()))
     lp, grad = ctx.log_posterior_and_grad(state.to_vector())
     if not math.isfinite(lp):
         raise PreconditionError("log posterior is not finite at the supplied state")
@@ -419,10 +412,15 @@ class Posterior:
         return np.quantile(draws, lo, axis=0), np.quantile(draws, hi, axis=0)
 
     def to_json(self) -> dict:
+        """The posterior as a JSON document; a diagnostic that is not finite
+        (every one of a 1-chain fit, or an infinite Rhat) is written as null."""
         return {
             "grid": self.grid.tolist(),
             "chain_draws": self.chain_draws.tolist(),
-            "diagnostics": self.diagnostics,
+            "diagnostics": {
+                kind: {name: v if math.isfinite(v) else None for name, v in values.items()}
+                for kind, values in self.diagnostics.items()
+            },
             "divergences": self.divergences,
             "converged": self.converged,
             "anchors": self.anchors.tolist(),
@@ -437,7 +435,11 @@ class Posterior:
             return cls(
                 grid=np.asarray(doc["grid"], dtype=float),
                 chain_draws=np.asarray(doc["chain_draws"], dtype=float),
-                diagnostics=doc["diagnostics"],
+                diagnostics={
+                    kind: {name: math.nan if v is None else float(v)
+                           for name, v in values.items()}
+                    for kind, values in doc["diagnostics"].items()
+                },
                 divergences=int(doc["divergences"]),
                 converged=bool(doc["converged"]),
                 anchors=np.asarray(doc["anchors"], dtype=float),
@@ -447,7 +449,7 @@ class Posterior:
             )
         except KeyError as exc:
             problem = f"missing key {exc}"
-        except (TypeError, ValueError, PreconditionError) as exc:
+        except (AttributeError, TypeError, ValueError, PreconditionError) as exc:
             problem = str(exc)
         raise IngestError(f"malformed posterior document ({problem}); a posterior.json "
                           "written before chain draws were stored must be re-fitted")

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["cumulative_trapezoid", "density_from_drift_diffusion", "nearest_rank_low"]
+__all__ = ["cumulative_trapezoid", "density_from_drift_diffusion", "nearest_rank",
+           "nearest_rank_low"]
 
 
 def cumulative_trapezoid(y, x) -> np.ndarray:
@@ -42,11 +43,15 @@ def density_from_drift_diffusion(grid, f, g) -> np.ndarray:
     return unnorm / norm
 
 
+def nearest_rank(n: int, q: float) -> int:
+    """0-based position, in n sorted values, of the nearest-rank lower
+    q-quantile: the ceil(q*n)-th smallest, and at least the first."""
+    return max(1, int(np.ceil(q * n))) - 1
+
+
 def nearest_rank_low(values, q: float) -> float:
     """Nearest-rank lower quantile: the ceil(q*n)-th smallest value."""
     values = np.sort(np.asarray(values, dtype=float))
-    n = len(values)
-    if n == 0:
+    if len(values) == 0:
         raise ValueError("empty sample")
-    k = max(1, int(np.ceil(q * n)))
-    return float(values[k - 1])
+    return float(values[nearest_rank(len(values), q)])

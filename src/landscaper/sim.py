@@ -33,7 +33,6 @@ __all__ = [
     "custom_bimodal_unistable",
     "euler_maruyama",
     "cusp_stationary_density",
-    "cusp_stationary_cdf_inverse",
     "generate_short_series",
     "estimate_timescale",
 ]
@@ -59,10 +58,10 @@ class CuspParams:
         if self.r <= 0 or self.epsilon <= 0:
             raise PreconditionError("cusp parameters r and epsilon must be positive")
 
-    def quadrature_grid(self, n: int = QUADRATURE_POINTS) -> np.ndarray:
+    def quadrature_grid(self) -> np.ndarray:
         # Truncation half-width 5*max(1, sqrt(beta)) keeps the quartic tails negligible.
         half = 5.0 * max(1.0, math.sqrt(max(self.beta, 0.0)))
-        return np.linspace(self.lam - half, self.lam + half, n)
+        return np.linspace(self.lam - half, self.lam + half, QUADRATURE_POINTS)
 
 
 @dataclass(frozen=True)
@@ -93,10 +92,6 @@ class Trajectory:
     times: np.ndarray
     values: np.ndarray
 
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
-
 
 @dataclass(frozen=True)
 class SimulatedDataset:
@@ -124,8 +119,8 @@ def cusp_model(p: CuspParams) -> SdeModel:
     stable = tuple(float(x) for x, s in zip(real, slope) if s < 0)
     tipping = tuple(float(x) for x, s in zip(real, slope) if s > 0)
 
-    grid = p.quadrature_grid()
-    icdf = _build_icdf(grid, _cusp_density_on(p, grid))
+    grid, pdf = cusp_stationary_density(p)
+    icdf = _build_icdf(grid, pdf)
 
     return SdeModel(
         drift=drift,
@@ -232,16 +227,12 @@ def _as_seedseq(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
-def _cusp_density_on(p: CuspParams, grid: np.ndarray) -> np.ndarray:
+def cusp_stationary_density(p: CuspParams) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature of the cusp's analytic stationary density on its quadrature
+    grid; returns (grid, pdf)."""
+    grid = p.quadrature_grid()
     f = p.r * (p.alpha + p.beta * (grid - p.lam) - (grid - p.lam) ** 3)
-    g = np.full_like(grid, p.epsilon)
-    return density_from_drift_diffusion(grid, f, g)
-
-
-def cusp_stationary_density(p: CuspParams, grid=None) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature of the cusp's analytic stationary density; returns (grid, pdf)."""
-    grid = p.quadrature_grid() if grid is None else np.asarray(grid, dtype=float)
-    return grid, _cusp_density_on(p, grid)
+    return grid, density_from_drift_diffusion(grid, f, np.full_like(grid, p.epsilon))
 
 
 def _build_icdf(grid: np.ndarray, pdf: np.ndarray) -> Callable:
@@ -256,12 +247,6 @@ def _build_icdf(grid: np.ndarray, pdf: np.ndarray) -> Callable:
         return out if out.ndim else float(out)
 
     return icdf
-
-
-def cusp_stationary_cdf_inverse(p: CuspParams, u):
-    """Inverse stationary CDF of the cusp model (monotone grid interpolation)."""
-    grid, pdf = cusp_stationary_density(p)
-    return _build_icdf(grid, pdf)(u)
 
 
 def _diffusion_mode(m: SdeModel) -> float:
@@ -338,23 +323,24 @@ def generate_short_series(
     return SimulatedDataset(collection=collection, ground_truth=ground_truth)
 
 
-def estimate_timescale(m: SdeModel, seed=0, total_time: float = 1000.0,
-                       internal_dt: float = INTERNAL_DT):
-    """Characteristic time scale of a model, measured on one long reference run."""
-    n_steps = int(round(total_time / internal_dt))
+def estimate_timescale(m: SdeModel, seed=0, total_time: float = 1000.0):
+    """Characteristic time scale of a model, measured on one long reference run
+    at the internal step INTERNAL_DT."""
+    n_steps = int(round(total_time / INTERNAL_DT))
     rng = np.random.default_rng(_as_seedseq(seed).spawn(1)[0])
-    x0 = _stationary_start(m, rng, internal_dt)
-    path = _simulate_path(m, x0, internal_dt, rng.standard_normal(n_steps))
-    ts = TimeSeries("reference", np.arange(n_steps + 1) * internal_dt, path)
+    x0 = _stationary_start(m, rng)
+    path = _simulate_path(m, x0, INTERNAL_DT, rng.standard_normal(n_steps))
+    ts = TimeSeries("reference", np.arange(n_steps + 1) * INTERNAL_DT, path)
     return characteristic_timescale(TimeSeriesCollection((ts,)))
 
 
-def _stationary_start(m: SdeModel, rng, internal_dt: float) -> float:
+def _stationary_start(m: SdeModel, rng) -> float:
     """One stationary initial state: inverse transform when the model has an
-    analytic density, otherwise 10,000 burn-in steps from the diffusion's mode."""
+    analytic density, otherwise 10,000 burn-in steps of INTERNAL_DT from the
+    diffusion's mode."""
     if m.stationary_icdf is not None:
         return float(m.stationary_icdf(_open_uniform(rng)))
-    burn = _simulate_path(m, _diffusion_mode(m), internal_dt, rng.standard_normal(10_000))
+    burn = _simulate_path(m, _diffusion_mode(m), INTERNAL_DT, rng.standard_normal(10_000))
     return float(burn[-1])
 
 

@@ -28,8 +28,6 @@ __all__ = [
     "apply_pseudocount",
     "read_observations_csv",
     "write_observations_csv",
-    "collection_to_json",
-    "collection_from_json",
 ]
 
 
@@ -202,17 +200,13 @@ def filter_by_timestep(c: TimeSeriesCollection, max_dt: float) -> TimeSeriesColl
     return TimeSeriesCollection(tuple(kept))
 
 
-def apply_pseudocount(m, policy: str = "half-min") -> np.ndarray:
+def apply_pseudocount(m) -> np.ndarray:
     """Replace zeros in an abundance matrix before a log-ratio transform.
 
-    "half-min" (default) substitutes half the smallest strictly positive entry
-    of the whole matrix; "none" leaves the matrix untouched.
+    Each zero becomes half the smallest strictly positive entry of the whole
+    matrix.
     """
     m = np.asarray(m, dtype=float)
-    if policy == "none":
-        return m
-    if policy != "half-min":
-        raise PreconditionError(f"unknown pseudocount policy {policy!r}")
     if np.any(m < 0):
         raise PreconditionError("abundance matrix must be non-negative")
     positive = m[m > 0]
@@ -294,30 +288,14 @@ def write_observations_csv(c: TimeSeriesCollection, path) -> None:
                 writer.writerow([s.unit_id, repr(float(t)), repr(float(v))])
 
 
-def collection_to_json(c: TimeSeriesCollection) -> dict:
-    return {
-        "series": [
-            {"unit_id": s.unit_id, "times": s.times.tolist(), "values": s.values.tolist()}
-            for s in c.series
-        ],
-        "value_range": list(c.value_range),
-    }
-
-
-def collection_from_json(doc: dict) -> TimeSeriesCollection:
-    try:
-        series = tuple(
-            TimeSeries(str(s["unit_id"]), s["times"], s["values"]) for s in doc["series"]
-        )
-    except (KeyError, TypeError) as exc:
-        raise IngestError(f"malformed collection document: {exc}") from None
-    return TimeSeriesCollection(series)
-
-
 def dump_json(doc, path) -> None:
-    """Write a JSON document with a stable key order (byte-reproducible)."""
+    """Write a JSON document with a stable key order (byte-reproducible).
+
+    A NaN or infinite float raises ValueError rather than being written as a
+    token that is not JSON.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

@@ -32,6 +32,9 @@ def dataset(tmp_path_factory):
     return out
 
 
+CUSP_SPEC = {"name": "cusp", "alpha": 0, "beta": 1, "lam": 0, "r": 1, "epsilon": 0.5}
+
+
 def synthetic_posterior(bistable: bool, n_draws=40) -> Posterior:
     """Latent draws whose curves follow a cusp-like (or linear) drift and a
     near-constant diffusion: each latent is z = L^-1 (target values at the
@@ -267,9 +270,7 @@ class TestMalformedJson:
 class TestExperimentCommand:
     def test_coverage_csv(self, tmp_path):
         cfg = tmp_path / "exp.json"
-        dump_json({"model": {"name": "cusp", "alpha": 0, "beta": 1, "lam": 0,
-                             "r": 1, "epsilon": 0.5},
-                   "total_time": 20, "replicates": 1, "seed": 4}, cfg)
+        dump_json({"model": CUSP_SPEC, "total_time": 20, "replicates": 1, "seed": 4}, cfg)
         out = tmp_path / "cov"
         assert run(["experiment", "--name", "coverage", "--config", cfg, "--out", out]) == 0
         header = (out / "coverage.csv").read_text().splitlines()[0]
@@ -277,9 +278,7 @@ class TestExperimentCommand:
 
     def test_tpr_grid_matrix(self, tmp_path):
         cfg = tmp_path / "exp.json"
-        dump_json({"model": {"name": "cusp", "alpha": 0, "beta": 1, "lam": 0,
-                             "r": 1, "epsilon": 0.5},
-                   "series_counts": [12, 15], "timesteps": [0.1, 0.05],
+        dump_json({"model": CUSP_SPEC, "series_counts": [12, 15], "timesteps": [0.1, 0.05],
                    "replicates": 2, "seed": 4,
                    "fit": {"n_chains": 2, "n_iterations": 150, "max_leapfrog": 8}}, cfg)
         out = tmp_path / "tpr"
@@ -293,6 +292,49 @@ class TestExperimentCommand:
         dump_json({"model": {"name": "cusp"}}, cfg)
         assert run(["experiment", "--name", "nope", "--config", cfg,
                     "--out", tmp_path / "x"]) == cli.EXIT_PARSE
+
+
+class TestMalformedDocuments:
+    """Documents that parse as JSON but are not what the command reads."""
+
+    @pytest.mark.parametrize("manifest", [
+        {"command": "fit"},
+        {"command": "simulate", "argv": "simulate --out x"},
+        {"command": "simulate", "argv": ["simulate", 3]},
+        ["simulate", "--out", "x"],
+    ])
+    def test_replay_needs_argv_list_of_strings(self, tmp_path, capsys, manifest):
+        path = tmp_path / "manifest.json"
+        dump_json(manifest, path)
+        assert run(["replay", "--manifest", path, "--out", tmp_path / "o"]) == cli.EXIT_PARSE
+        assert "argv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, doc, names", [
+        # not a JSON object
+        ("tpr-grid", [1, 2], "list"),
+        # a misspelt key, which must not fall back to the default
+        ("coverage", {"model": CUSP_SPEC, "total_time": 2, "replicate": 3}, "replicate"),
+        ("tpr-grid", {"model": CUSP_SPEC, "series_counts": [12], "replicates": 1,
+                      "fit": {"n_chains": 1, "n_iterations": 100}, "seeds": 3}, "seeds"),
+        # model specs
+        ("coverage", {"model": {**CUSP_SPEC, "betta": 1}, "total_time": 2,
+                      "replicates": 1}, "betta"),
+        ("coverage", {"model": "cusp", "total_time": 2, "replicates": 1}, "str"),
+    ])
+    def test_experiment_config_keys_are_checked(self, tmp_path, capsys, name, doc, names):
+        path = tmp_path / "exp.json"
+        dump_json(doc, path)
+        assert run(["experiment", "--name", name, "--config", path,
+                    "--out", tmp_path / "o"]) == cli.EXIT_PARSE
+        assert names in capsys.readouterr().err
+
+    def test_bimodal_unistable_takes_cusp_parameters(self, tmp_path):
+        # `simulate` passes all five cusp parameters whatever the model.
+        path = tmp_path / "exp.json"
+        dump_json({"model": {**CUSP_SPEC, "name": "bimodal-unistable"},
+                   "total_time": 2, "replicates": 1}, path)
+        assert run(["experiment", "--name", "coverage", "--config", path,
+                    "--out", tmp_path / "o"]) == 0
 
 
 class TestReplayAndThreads:

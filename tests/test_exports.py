@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import landscaper
 
@@ -18,3 +20,22 @@ def test_every_exported_name_resolves():
         if not hasattr(mod, name)
     ]
     assert stale == []
+
+
+def test_demo_imports_resolve():
+    # The demos are not run by the suite, so a deleted public name would
+    # otherwise only show when someone runs them. Their `from landscaper...
+    # import ...` lines are read with ast, without running the scripts.
+    demos = Path(__file__).resolve().parent.parent / "demos"
+    scripts = sorted(demos.glob("*.py"))
+    assert scripts
+    missing = []
+    for script in scripts:
+        for node in ast.walk(ast.parse(script.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.split(".")[0] == "landscaper"):
+                continue
+            mod = importlib.import_module(node.module)
+            missing += [f"{script.name}: {node.module}.{alias.name}"
+                        for alias in node.names if not hasattr(mod, alias.name)]
+    assert missing == []

@@ -25,7 +25,7 @@ class TestSampler:
         assert draws.shape == (4000, 2)
         assert np.all(np.abs(draws.mean(axis=0)) < 0.05)
         for j in range(2):
-            assert rhat(chains.draws, j) < 1.01
+            assert rhat(chains.draws[:, :, j]) < 1.01
 
     def test_variance_recovery_1d(self):
         target = gaussian_target([0.0], [2.5])
@@ -69,6 +69,12 @@ class TestSampler:
         with pytest.raises(SamplerError, match="100"):
             hmc.sample(bad, np.zeros(2), n_chains=1, n_iterations=200, seed=0)
 
+    def test_needs_an_iteration_for_warmup_and_for_sampling(self):
+        target = gaussian_target([0.0], [1.0])
+        with pytest.raises(SamplerError):
+            hmc.sample(target, np.zeros(1), n_chains=1, n_iterations=1, seed=0)
+        assert hmc.sample(target, np.zeros(1), n_chains=1, n_iterations=2, seed=0).warmup == 1
+
     def test_correlated_scale_adaptation(self):
         # widely different scales exercise the mass-matrix adaptation
         target = gaussian_target([0.0, 0.0], [100.0, 0.01])
@@ -109,9 +115,11 @@ class TestDiagnostics:
 
     def test_param_index_on_stacked_draws(self, rng):
         draws = rng.standard_normal((4, 200, 3))
-        assert rhat(draws, 1) < 1.05
+        assert rhat(draws[:, :, 1]) < 1.05
         with pytest.raises(PreconditionError):
             rhat(draws)
+        with pytest.raises(PreconditionError):
+            ess(draws)
 
     def test_requires_enough_chains_and_draws(self):
         with pytest.raises(PreconditionError):

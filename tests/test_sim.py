@@ -10,7 +10,6 @@ from landscaper.sim import (
     CuspParams,
     SdeModel,
     cusp_model,
-    cusp_stationary_cdf_inverse,
     cusp_stationary_density,
     custom_bimodal_unistable,
     estimate_timescale,
@@ -153,24 +152,24 @@ class TestEulerMaruyama:
 class TestStationarySampling:
     def test_symmetric_median_is_zero(self):
         p = CuspParams(alpha=0, beta=1, lam=0, r=1, epsilon=0.5)
-        assert cusp_stationary_cdf_inverse(p, 0.5) == pytest.approx(0.0, abs=5e-3)
+        assert cusp_model(p).stationary_icdf(0.5) == pytest.approx(0.0, abs=5e-3)
 
     def test_monotone(self):
         p = CuspParams(alpha=0.2, beta=1, lam=0.3, r=1, epsilon=0.5)
         us = np.linspace(0.01, 0.99, 99)
-        vals = cusp_stationary_cdf_inverse(p, us)
+        vals = cusp_model(p).stationary_icdf(us)
         assert np.all(np.diff(vals) >= 0)
 
     def test_rejects_boundary_u(self):
-        p = CuspParams(alpha=0, beta=1, lam=0, r=1, epsilon=0.5)
+        icdf = cusp_model(CuspParams(alpha=0, beta=1, lam=0, r=1, epsilon=0.5)).stationary_icdf
         for u in (0.0, 1.0, -0.1, 1.1):
             with pytest.raises(PreconditionError):
-                cusp_stationary_cdf_inverse(p, u)
+                icdf(u)
 
     def test_draw_histogram_matches_quadrature(self):
         p = CuspParams(alpha=0, beta=1, lam=0, r=1, epsilon=0.5)
         rng = np.random.default_rng(3)
-        draws = cusp_stationary_cdf_inverse(p, rng.uniform(1e-12, 1 - 1e-12, 100_000))
+        draws = cusp_model(p).stationary_icdf(rng.uniform(1e-12, 1 - 1e-12, 100_000))
         grid, pdf = cusp_stationary_density(p)
         cdf = np.concatenate(([0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(grid))))
         cdf /= cdf[-1]

@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,14 +40,17 @@ from .sim import (
     generate_short_series,
 )
 from .tsdata import (
-    TimeSeries,
     TimeSeriesCollection,
-    apply_pseudocount,
-    clr_transform,
     dump_json,
     filter_by_timestep,
+    integer,
+    list_of,
     load_json,
+    number,
+    read_document,
     read_observations_csv,
+    read_wide_csv,
+    text,
     write_observations_csv,
 )
 
@@ -110,40 +114,32 @@ def _resolve_threads(value) -> int:
     return 1
 
 
-# The keys each experiment config and its model spec take; any other key is
-# an input error, so that a misspelt key cannot fall back to a default.
-EXPERIMENT_KEYS = {
-    "coverage": ("model", "seed", "total_time", "replicates", "points_per_short", "n_bins"),
-    "tpr-grid": ("model", "seed", "series_counts", "timesteps", "replicates", "fit"),
-}
-MODEL_KEYS = ("name", "alpha", "beta", "lam", "r", "epsilon")
+# The keys of a model spec and their converters. Every model takes the cusp
+# parameters (`simulate` passes those it is given), and bimodal-unistable
+# ignores them.
+CUSP_PARAMS = tuple(f.name for f in fields(CuspParams))
+MODEL_SPEC = {"name": text, **dict.fromkeys(CUSP_PARAMS, number)}
 
 
-def _check_keys(doc, allowed, what: str) -> None:
-    """IngestError unless `doc` is a JSON object whose keys are all `allowed`."""
-    if not isinstance(doc, dict):
-        raise IngestError(f"{what} must be a JSON object, not {type(doc).__name__}")
-    unknown = sorted(set(doc) - set(allowed))
-    if unknown:
-        raise IngestError(f"{what}: unknown keys {unknown}; it takes {', '.join(allowed)}")
-
-
-def _build_model(spec: dict):
-    # Every model takes the cusp parameters (`simulate` passes all five), and
-    # bimodal-unistable ignores them.
-    _check_keys(spec, MODEL_KEYS, "model spec")
-    name = spec.get("name")
+def _build_model(spec):
+    params = read_document(spec, MODEL_SPEC, "model spec")
+    name = params.pop("name", None)
     if name == "cusp":
-        return cusp_model(CuspParams(
-            alpha=float(spec.get("alpha", 0.0)),
-            beta=float(spec.get("beta", 1.0)),
-            lam=float(spec.get("lam", 0.0)),
-            r=float(spec.get("r", 1.0)),
-            epsilon=float(spec.get("epsilon", 1.0)),
-        ))
+        return cusp_model(CuspParams(**params))
     if name == "bimodal-unistable":
         return custom_bimodal_unistable()
     raise IngestError(f"unknown model name {name!r}")
+
+
+# The keys each experiment config takes and their converters; a key left out
+# takes the experiment function's default.
+EXPERIMENT_CONFIGS = {
+    "coverage": {"model": _build_model, "seed": integer, "total_time": number,
+                 "replicates": integer, "points_per_short": integer, "n_bins": integer},
+    "tpr-grid": {"model": _build_model, "seed": integer, "series_counts": list_of(integer),
+                 "timesteps": list_of(number), "replicates": integer,
+                 "fit": FitConfig.from_json},
+}
 
 
 # ---------------------------------------------------------------------------
@@ -154,10 +150,8 @@ def cmd_simulate(args, argv) -> int:
     started = time.perf_counter()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    spec = {
-        "name": args.model, "alpha": args.alpha, "beta": args.beta,
-        "lam": args.lam, "r": args.r, "epsilon": args.epsilon,
-    }
+    spec = {"name": args.model, **{k: getattr(args, k) for k in CUSP_PARAMS
+                                   if getattr(args, k) is not None}}
     model = _build_model(spec)
     root = np.random.SeedSequence(args.seed)
     tc_seed, data_seed = root.spawn(2)
@@ -188,7 +182,7 @@ def _load_fit_collection(args) -> TimeSeriesCollection:
     if args.clr and not args.column:
         raise PreconditionError("--clr requires --column to select the variable to analyze")
     if args.column:
-        collection = _read_wide_csv(Path(args.data), args.column, args.clr)
+        collection = read_wide_csv(args.data, args.column, args.clr)
     else:
         collection = read_observations_csv(args.data)
     if args.max_dt is not None:
@@ -196,66 +190,19 @@ def _load_fit_collection(args) -> TimeSeriesCollection:
     return collection
 
 
-def _read_wide_csv(path: Path, column: str, clr: bool) -> TimeSeriesCollection:
-    """Wide format: unit_id, time, then one column per variable."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError(f"{path}: empty file") from None
-        if len(header) < 3 or header[0].strip() != "unit_id" or header[1].strip() != "time":
-            raise IngestError(f"{path}: line 1: expected header unit_id,time,<variables...>")
-        names = [h.strip() for h in header[2:]]
-        if column not in names:
-            raise IngestError(f"{path}: column {column!r} not present")
-        units, times, rows = [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(header):
-                raise IngestError(f"{path}: line {lineno}: expected {len(header)} columns")
-            try:
-                times.append(float(row[1]))
-                rows.append([float(v) for v in row[2:]])
-            except ValueError as exc:
-                raise IngestError(f"{path}: line {lineno}: {exc}") from None
-            units.append(row[0].strip())
-    matrix = np.asarray(rows, dtype=float)
-    if clr:
-        matrix = clr_transform(apply_pseudocount(matrix))
-    values = matrix[:, names.index(column)]
-    groups: dict[str, list[tuple[float, float]]] = {}
-    order = []
-    for uid, t, v in zip(units, times, values):
-        if uid not in groups:
-            groups[uid] = []
-            order.append(uid)
-        groups[uid].append((t, float(v)))
-    series = []
-    for uid in order:
-        pairs = sorted(groups[uid])
-        ts = [t for t, _ in pairs]
-        if len(set(ts)) != len(ts):
-            raise IngestError(f"{path}: duplicate (unit_id, time) pair for unit {uid!r}")
-        if len(pairs) < 2:
-            continue
-        series.append(TimeSeries(uid, ts, [v for _, v in pairs]))
-    if not series:
-        raise DegenerateDataError(f"{path}: no unit has two or more usable points")
-    return TimeSeriesCollection(tuple(series))
-
-
 def cmd_fit(args, argv) -> int:
     started = time.perf_counter()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    cfg_doc = load_json(args.config) if args.config else {}
-    cfg = FitConfig.from_json(cfg_doc)
-    if args.seed is not None:
-        cfg_doc["seed"] = args.seed
-    cfg_doc["threads"] = _resolve_threads(args.threads)
-    cfg = FitConfig.from_json({**cfg.to_json(), **cfg_doc})
+    cfg = FitConfig()
+    if args.config:
+        doc = load_json(args.config)
+        try:
+            cfg = FitConfig.from_json(doc)
+        except IngestError as exc:
+            raise IngestError(f"fit config {args.config}: {exc}") from None
+    cfg = replace(cfg, threads=_resolve_threads(args.threads),
+                  seed=cfg.seed if args.seed is None else args.seed)
 
     collection = _load_fit_collection(args)
     posterior = fit(collection, cfg)
@@ -350,57 +297,43 @@ def cmd_experiment(args, argv) -> int:
     started = time.perf_counter()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if args.name not in EXPERIMENT_KEYS:
+    if args.name not in EXPERIMENT_CONFIGS:
         raise IngestError(f"unknown experiment name {args.name!r}")
     doc = load_json(args.config)
-    _check_keys(doc, EXPERIMENT_KEYS[args.name], f"{args.name} config {args.config}")
-    seed = args.seed if args.seed is not None else doc.get("seed", 0)
-    model = _build_model(doc.get("model", {}))
-    outputs: list[Path] = []
+    what = f"{args.name} config {args.config}"
+    kw = read_document(doc, EXPERIMENT_CONFIGS[args.name], what)
+    if "model" not in kw:
+        raise IngestError(f"{what}: needs a model spec")
+    model = kw.pop("model")
+    if args.seed is not None:
+        kw["seed"] = args.seed
+    # Both experiments default to seed 0; the manifest records the seed used.
+    seed = kw.setdefault("seed", 0)
 
     if args.name == "coverage":
-        result = coverage_experiment(
-            model,
-            total_time=float(doc.get("total_time", 250.0)),
-            replicates=int(doc.get("replicates", 50)),
-            seed=seed,
-            points_per_short=int(doc.get("points_per_short", 5)),
-            n_bins=int(doc.get("n_bins", 50)),
-        )
-        path = out / "coverage.csv"
-        _write_csv(path, ["budget", "agreement_short", "agreement_long"],
+        result = coverage_experiment(model, **kw)
+        table = out / "coverage.csv"
+        _write_csv(table, ["budget", "agreement_short", "agreement_long"],
                    [result.budgets, result.agreement_short, result.agreement_long])
-        outputs.append(path)
         meta = {"replicates": result.replicates,
                 "final_short": float(result.agreement_short[-1]),
                 "final_long": float(result.agreement_long[-1])}
-        meta_path = out / "coverage.json"
-        dump_json(meta, meta_path)
-        outputs.append(meta_path)
     else:
-        fit_cfg = FitConfig.from_json(doc.get("fit", {}))
-        result = tpr_grid(
-            model,
-            series_counts=doc.get("series_counts", [50]),
-            timesteps=doc.get("timesteps", [0.1]),
-            replicates=int(doc.get("replicates", 20)),
-            cfg=fit_cfg,
-            seed=seed,
-        )
-        path = out / "tpr.csv"
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+        if "fit" in kw:
+            kw["cfg"] = kw.pop("fit")
+        result = tpr_grid(model, **kw)
+        table = out / "tpr.csv"
+        with open(table, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["n_series"] + [repr(t) for t in result.timesteps])
             for i, n in enumerate(result.series_counts):
                 writer.writerow([n] + [repr(float(v)) for v in result.tpr[i]])
-        outputs.append(path)
-        meta_path = out / "tpr.json"
-        dump_json({"replicates": result.replicates, "t_c": result.t_c,
-                   "failures": result.failures.tolist()}, meta_path)
-        outputs.append(meta_path)
-
+        meta = {"replicates": result.replicates, "t_c": result.t_c,
+                "failures": result.failures.tolist()}
+    meta_path = table.with_suffix(".json")
+    dump_json(meta, meta_path)
     _write_manifest(out, "experiment", argv, seed, doc, [Path(args.config)],
-                    outputs, started)
+                    [table, meta_path], started)
     return EXIT_OK
 
 
@@ -410,11 +343,12 @@ def cmd_replay(args, argv) -> int:
     if not (isinstance(replay_argv, list) and all(isinstance(a, str) for a in replay_argv)):
         raise IngestError(f"{args.manifest}: manifest has no argv list of strings to replay")
     if args.out is not None:
-        try:
-            idx = replay_argv.index("--out")
-            replay_argv[idx + 1] = args.out
-        except ValueError:
+        if "--out" not in replay_argv:
             replay_argv += ["--out", args.out]
+        elif replay_argv[-1] == "--out":
+            raise IngestError(f"{args.manifest}: manifest argv ends in --out without a directory")
+        else:
+            replay_argv[replay_argv.index("--out") + 1] = args.out
     return main(replay_argv)
 
 
@@ -433,11 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate a labeled short-series dataset")
     p.add_argument("--model", required=True, help="cusp or bimodal-unistable")
-    p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--lam", type=float, default=0.0)
-    p.add_argument("--r", type=float, default=1.0)
-    p.add_argument("--epsilon", type=float, default=1.0)
+    for f in fields(CuspParams):
+        p.add_argument(f"--{f.name}", type=float, help=f"cusp parameter (default {f.default})")
     p.add_argument("--n-series", type=int, required=True)
     p.add_argument("--points", type=int, required=True)
     p.add_argument("--dt", type=float, default=None, help="sampling step (time units)")

@@ -13,12 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDataError, PreconditionError
-from .numerics import (
-    cumulative_trapezoid,
-    density_from_drift_diffusion,
-    nearest_rank,
-    nearest_rank_low,
-)
+from .numerics import cumulative_trapezoid, density_from_drift_diffusion, nearest_rank
 
 __all__ = [
     "CurvePair",
@@ -343,8 +338,9 @@ def exit_time_band(p, mode: str = "pointwise") -> ExitTimeBand:
     k = int(np.argmin(np.abs(grid - tip)))
 
     if mode == "pointwise":
-        lower40 = np.array([nearest_rank_low(curves[:, j], 0.4) for j in range(len(grid))])
-        lower60 = np.array([nearest_rank_low(curves[:, j], 0.6) for j in range(len(grid))])
+        ranked = np.sort(curves, axis=0)
+        lower40 = ranked[nearest_rank(len(curves), 0.4)]
+        lower60 = ranked[nearest_rank(len(curves), 0.6)]
     else:
         lower40 = np.empty(len(grid))
         lower60 = np.empty(len(grid))

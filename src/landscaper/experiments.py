@@ -26,10 +26,7 @@ __all__ = [
     "kl_divergence",
     "coverage_experiment",
     "tpr_grid",
-    "DEFAULT_TIMESTEP_FRACTIONS",
 ]
-
-DEFAULT_TIMESTEP_FRACTIONS = (1.0, 0.5, 0.1, 0.05, 0.01, 0.005, 0.001)
 
 DENSITY_FLOOR = 1e-12
 # Observations per short series in each tpr_grid fit.
@@ -156,9 +153,9 @@ def _histogram_kl(values, edges, width, ref) -> float:
 
 def tpr_grid(
     true_model: SdeModel,
-    series_counts,
-    timesteps,
-    replicates: int,
+    series_counts=(50,),
+    timesteps=(0.1,),
+    replicates: int = 20,
     cfg: FitConfig = FitConfig(),
     seed=0,
 ) -> TprGrid:

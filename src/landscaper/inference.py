@@ -27,7 +27,8 @@ import numpy as np
 from . import hmc
 from .diagnostics import ess, rhat
 from .errors import ConvergenceWarning, DegenerateDataError, IngestError, PreconditionError
-from .tsdata import TimeSeriesCollection, TransitionSet, to_transitions
+from .tsdata import (TimeSeriesCollection, TransitionSet, boolean, integer, number,
+                     read_document, to_transitions)
 
 __all__ = [
     "ModelState",
@@ -131,12 +132,12 @@ class FitConfig:
         return {k: v for k, v in asdict(self).items() if k != "threads"}
 
     @classmethod
-    def from_json(cls, doc: dict) -> "FitConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(doc) - known
-        if unknown:
-            raise PreconditionError(f"unknown FitConfig fields: {sorted(unknown)}")
-        return cls(**doc)
+    def from_json(cls, doc) -> "FitConfig":
+        """A config from a JSON object setting any of the fields, each a value
+        of the field's type; IngestError for any other key or value."""
+        by_type = {"int": integer, "float": number, "bool": boolean}
+        return cls(**read_document(doc, {f.name: by_type[f.type] for f in fields(cls)},
+                                   "FitConfig"))
 
 
 class TargetContext:
@@ -449,7 +450,7 @@ class Posterior:
             )
         except KeyError as exc:
             problem = f"missing key {exc}"
-        except (AttributeError, TypeError, ValueError, PreconditionError) as exc:
+        except (AttributeError, TypeError, ValueError, IngestError, PreconditionError) as exc:
             problem = str(exc)
         raise IngestError(f"malformed posterior document ({problem}); a posterior.json "
                           "written before chain draws were stored must be re-fitted")

@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["cumulative_trapezoid", "density_from_drift_diffusion", "nearest_rank",
-           "nearest_rank_low"]
+__all__ = ["cumulative_trapezoid", "density_from_drift_diffusion", "nearest_rank"]
 
 
 def cumulative_trapezoid(y, x) -> np.ndarray:
@@ -48,10 +47,3 @@ def nearest_rank(n: int, q: float) -> int:
     q-quantile: the ceil(q*n)-th smallest, and at least the first."""
     return max(1, int(np.ceil(q * n))) - 1
 
-
-def nearest_rank_low(values, q: float) -> float:
-    """Nearest-rank lower quantile: the ceil(q*n)-th smallest value."""
-    values = np.sort(np.asarray(values, dtype=float))
-    if len(values) == 0:
-        raise ValueError("empty sample")
-    return float(values[nearest_rank(len(values), q)])

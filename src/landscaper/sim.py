@@ -48,11 +48,11 @@ BURN_IN_BLOCK = 1 << 20
 class CuspParams:
     """Free parameters of the cusp SDE dx = r(a + b(x-lam) - (x-lam)^3)dt + sqrt(eps) dW."""
 
-    alpha: float
-    beta: float
-    lam: float
-    r: float
-    epsilon: float
+    alpha: float = 0.0
+    beta: float = 1.0
+    lam: float = 0.0
+    r: float = 1.0
+    epsilon: float = 1.0
 
     def __post_init__(self):
         if self.r <= 0 or self.epsilon <= 0:
@@ -110,7 +110,10 @@ def cusp_model(p: CuspParams) -> SdeModel:
         return r * (alpha + beta * u - u * u * u)
 
     def diffusion(x):
-        return eps * np.ones_like(np.asarray(x, dtype=float)) if np.ndim(x) else eps
+        # The scalar loop's floats skip np.ndim, which costs more than the step.
+        if isinstance(x, float) or not np.ndim(x):
+            return eps
+        return eps * np.ones_like(np.asarray(x, dtype=float))
 
     # Real roots of alpha + beta*u - u^3, classified by the drift slope.
     roots = np.roots([-1.0, 0.0, beta, alpha])

@@ -243,39 +243,76 @@ def read_observations_csv(path) -> TimeSeriesCollection:
     Rows are grouped by unit_id and sorted by time. Duplicate (unit_id, time)
     pairs and malformed rows raise IngestError with the offending line number.
     """
-    groups: dict[str, list[tuple[float, float]]] = {}
-    order: list[str] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    header, lines = _csv_lines(path)
+    if [h.strip() for h in header[:3]] != list(CSV_HEADER):
+        raise IngestError(f"{path}: line 1: expected header {','.join(CSV_HEADER)}")
+    rows = []
+    for lineno, row in lines:
+        if len(row) < 3:
+            raise IngestError(f"{path}: line {lineno}: expected 3 columns, got {len(row)}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError(f"{path}: empty file") from None
-        if [h.strip() for h in header[:3]] != list(CSV_HEADER):
-            raise IngestError(f"{path}: line 1: expected header {','.join(CSV_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) < 3:
-                raise IngestError(f"{path}: line {lineno}: expected 3 columns, got {len(row)}")
-            uid = row[0].strip()
-            try:
-                t = float(row[1])
-                v = float(row[2])
-            except ValueError as exc:
-                raise IngestError(f"{path}: line {lineno}: {exc}") from None
-            if uid not in groups:
-                groups[uid] = []
-                order.append(uid)
-            groups[uid].append((t, v))
-    series = []
-    for uid in order:
-        rows = sorted(groups[uid])
-        times = [t for t, _ in rows]
+            rows.append((row[0].strip(), float(row[1]), float(row[2])))
+        except ValueError as exc:
+            raise IngestError(f"{path}: line {lineno}: {exc}") from None
+    return TimeSeriesCollection(tuple(TimeSeries(*unit) for unit in _group_by_unit(path, rows)))
+
+
+def read_wide_csv(path, column: str, clr: bool) -> TimeSeriesCollection:
+    """Read one variable of the wide CSV format (unit_id, time, then one column
+    per variable). With `clr`, each row is first given a pseudocount and a
+    centred log-ratio transform. Units with fewer than two points are dropped."""
+    header, lines = _csv_lines(path)
+    if len(header) < 3 or header[0].strip() != "unit_id" or header[1].strip() != "time":
+        raise IngestError(f"{path}: line 1: expected header unit_id,time,<variables...>")
+    names = [h.strip() for h in header[2:]]
+    if column not in names:
+        raise IngestError(f"{path}: column {column!r} not present")
+    units, times, rows = [], [], []
+    for lineno, row in lines:
+        if len(row) != len(header):
+            raise IngestError(f"{path}: line {lineno}: expected {len(header)} columns")
+        try:
+            times.append(float(row[1]))
+            rows.append([float(v) for v in row[2:]])
+        except ValueError as exc:
+            raise IngestError(f"{path}: line {lineno}: {exc}") from None
+        units.append(row[0].strip())
+    matrix = np.asarray(rows, dtype=float)
+    if clr:
+        matrix = clr_transform(apply_pseudocount(matrix))
+    values = matrix[:, names.index(column)].tolist()
+    series = [TimeSeries(*unit) for unit in _group_by_unit(path, zip(units, times, values))
+              if len(unit[1]) >= 2]
+    if not series:
+        raise DegenerateDataError(f"{path}: no unit has two or more usable points")
+    return TimeSeriesCollection(tuple(series))
+
+
+def _csv_lines(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """The header row of a CSV file, and its other non-blank rows, each with its
+    line number; IngestError for an empty file."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        lines = list(csv.reader(fh))
+    if not lines:
+        raise IngestError(f"{path}: empty file")
+    return lines[0], [(n, row) for n, row in enumerate(lines[1:], start=2)
+                      if len(row) > 1 or (row and row[0].strip())]
+
+
+def _group_by_unit(path, rows) -> list[tuple[str, tuple, tuple]]:
+    """(unit_id, times, values) per unit, in order of first appearance and
+    sorted by time, from (unit_id, time, value) rows; IngestError for a
+    repeated (unit_id, time) pair."""
+    groups: dict[str, list[tuple[float, float]]] = {}
+    for uid, t, v in rows:
+        groups.setdefault(uid, []).append((t, v))
+    out = []
+    for uid, pairs in groups.items():
+        times, values = zip(*sorted(pairs))
         if len(set(times)) != len(times):
             raise IngestError(f"{path}: duplicate (unit_id, time) pair for unit {uid!r}")
-        series.append(TimeSeries(uid, times, [v for _, v in rows]))
-    return TimeSeriesCollection(tuple(series))
+        out.append((uid, times, values))
+    return out
 
 
 def write_observations_csv(c: TimeSeriesCollection, path) -> None:
@@ -305,3 +342,43 @@ def load_json(path):
             return json.load(fh)
         except ValueError as exc:
             raise IngestError(f"{path}: not a JSON document: {exc}") from None
+
+
+def read_document(doc, converters: dict, what: str) -> dict:
+    """The keys present in the JSON object `doc`, each value passed through its
+    converter, which raises TypeError (IngestError for a nested document) for
+    a value it refuses. That, a key without a converter or a `doc` that is not
+    an object is an IngestError naming `what`: neither a misspelt key nor a
+    wrong-typed value falls back to a default."""
+    if not isinstance(doc, dict):
+        raise IngestError(f"{what} must be a JSON object, not {type(doc).__name__}")
+    unknown = sorted(set(doc) - set(converters))
+    if unknown:
+        raise IngestError(f"{what}: unknown keys {unknown}; it takes {', '.join(converters)}")
+    out = {}
+    for key, value in doc.items():
+        try:
+            out[key] = converters[key](value)
+        except (TypeError, IngestError) as exc:
+            raise IngestError(f"{what}: {key}: {exc}") from None
+    return out
+
+
+def _converter(types, expected: str, cast=lambda v: v):
+    # JSON true/false load as bool, a subclass of int: only `boolean` takes them.
+    def convert(value):
+        if isinstance(value, types) and (types is bool or not isinstance(value, bool)):
+            return cast(value)
+        raise TypeError(f"expected {expected}, got {value!r}")
+    return convert
+
+
+integer = _converter(int, "an integer")
+number = _converter((int, float), "a number", float)
+boolean = _converter(bool, "true or false")
+text = _converter(str, "a string")
+
+
+def list_of(convert):
+    """A converter for a JSON array whose items `convert` accepts."""
+    return _converter(list, "a list", lambda items: [convert(v) for v in items])

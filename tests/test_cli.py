@@ -81,6 +81,15 @@ class TestSimulate:
         assert read_bytes(a / "dataset.csv") == read_bytes(b / "dataset.csv")
         assert read_bytes(a / "dataset_truth.json") == read_bytes(b / "dataset_truth.json")
 
+    def test_unset_cusp_parameters_take_their_defaults(self, tmp_path):
+        # alpha 0, beta 1, lam 0 and r 1 are the CuspParams defaults.
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run(simulate_args(a)) == 0
+        assert run(["simulate", "--model", "cusp", "--epsilon", 0.5, "--n-series", 30,
+                    "--points", 3, "--dt", 0.1, "--seed", 11, "--out", b]) == 0
+        assert read_bytes(a / "dataset.csv") == read_bytes(b / "dataset.csv")
+        assert read_bytes(a / "dataset_truth.json") == read_bytes(b / "dataset_truth.json")
+
     def test_unknown_model_is_parse_error(self, tmp_path, capsys):
         args = simulate_args(tmp_path / "x")
         args[2] = "wiggle"
@@ -320,13 +329,48 @@ class TestMalformedDocuments:
         ("coverage", {"model": {**CUSP_SPEC, "betta": 1}, "total_time": 2,
                       "replicates": 1}, "betta"),
         ("coverage", {"model": "cusp", "total_time": 2, "replicates": 1}, "str"),
+        # wrong-typed values
+        ("coverage", {"model": CUSP_SPEC, "total_time": 2, "replicates": "many"}, "replicates"),
+        ("coverage", {"model": {**CUSP_SPEC, "beta": "x"}, "total_time": 2,
+                      "replicates": 1}, "beta"),
+        ("coverage", {"model": {**CUSP_SPEC, "name": 3}, "total_time": 2,
+                      "replicates": 1}, "name"),
+        ("tpr-grid", {"model": CUSP_SPEC, "series_counts": ["a"], "replicates": 1},
+         "series_counts"),
+        ("tpr-grid", {"model": CUSP_SPEC, "series_counts": [12], "replicates": 1,
+                      "fit": {"n_chains": "2", "n_iterations": 100}}, "n_chains"),
+        # no model spec
+        ("coverage", {"total_time": 2, "replicates": 1}, "model"),
     ])
     def test_experiment_config_keys_are_checked(self, tmp_path, capsys, name, doc, names):
         path = tmp_path / "exp.json"
         dump_json(doc, path)
         assert run(["experiment", "--name", name, "--config", path,
                     "--out", tmp_path / "o"]) == cli.EXIT_PARSE
-        assert names in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert str(path) in err and names in err
+
+    @pytest.mark.parametrize("doc, names", [
+        ({"n_iterations": "many"}, "n_iterations"),
+        ({"seed": "x"}, "seed"),
+        ({"n_chains": 2.5}, "n_chains"),
+        ({"n_chains": True}, "n_chains"),
+        ({"n_chains": 2, "bogus": 1}, "bogus"),
+        ([2, 150], "list"),
+    ])
+    def test_fit_config_values_are_typed(self, tmp_path, capsys, dataset, doc, names):
+        path = tmp_path / "fit.json"
+        dump_json(doc, path)
+        assert run(["fit", "--data", dataset / "dataset.csv", "--config", path,
+                    "--out", tmp_path / "o"]) == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert str(path) in err and names in err
+
+    def test_replay_of_argv_ending_in_out(self, tmp_path, capsys):
+        path = tmp_path / "manifest.json"
+        dump_json({"command": "simulate", "argv": ["simulate", "--out"]}, path)
+        assert run(["replay", "--manifest", path, "--out", tmp_path / "o"]) == cli.EXIT_PARSE
+        assert "ends in --out" in capsys.readouterr().err
 
     def test_bimodal_unistable_takes_cusp_parameters(self, tmp_path):
         # `simulate` passes all five cusp parameters whatever the model.

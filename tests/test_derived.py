@@ -16,7 +16,7 @@ from landscaper.derived import (
     tipping_region,
 )
 from landscaper.errors import DegenerateDataError, PreconditionError
-from landscaper.numerics import nearest_rank_low
+from landscaper.numerics import nearest_rank
 from landscaper.sim import CuspParams, cusp_stationary_density
 
 from oracles import first_passage_times
@@ -358,8 +358,8 @@ class TestExitTimeBand:
 
     def test_nearest_rank_helper_examples(self):
         values = np.arange(1, 11)
-        assert nearest_rank_low(values, 0.4) == 4
-        assert nearest_rank_low(values, 0.6) == 6
+        assert values[nearest_rank(len(values), 0.4)] == 4
+        assert values[nearest_rank(len(values), 0.6)] == 6
 
     def test_curve_mode(self):
         post = self.band_inputs([1.0 / k for k in range(1, 11)])

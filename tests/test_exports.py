@@ -1,5 +1,7 @@
 import ast
 import importlib
+import importlib.util
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -39,3 +41,26 @@ def test_demo_imports_resolve():
             missing += [f"{script.name}: {node.module}.{alias.name}"
                         for alias in node.names if not hasattr(mod, alias.name)]
     assert missing == []
+
+
+def test_benchmark_tracer_targets_resolve():
+    # perfbench/trace.py replaces each (module, attribute) of its PATCHES by
+    # name, and perfbench/run.py calls cli._resolve_threads and reads the
+    # `threads` keyword of hmc.sample. A rename in the program would otherwise
+    # only show in the benchmark's own self-test, which is too slow for this
+    # suite. The tracer is loaded, not installed: nothing is patched.
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "trace.py"
+    spec = importlib.util.spec_from_file_location("perfbench_trace", path)
+    trace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trace)
+    assert trace.PATCHES
+    missing = [f"{module}.{attr}" for module, attr, _, _ in trace.PATCHES
+               if not hasattr(importlib.import_module(module), attr)]
+    assert missing == []
+    cli = importlib.import_module("landscaper.cli")
+    hmc = importlib.import_module("landscaper.hmc")
+    inference = importlib.import_module("landscaper.inference")
+    assert callable(cli._resolve_threads)
+    assert "threads" in inspect.signature(hmc.sample).parameters
+    assert callable(inference.TargetContext.curves_on)
+    assert "from_json" in inference.Posterior.__dict__

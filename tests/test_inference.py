@@ -211,7 +211,7 @@ class TestStateAndConfig:
     def test_config_round_trip_and_unknown_field(self):
         cfg = FitConfig(n_chains=2, n_iterations=500, seed=9)
         assert FitConfig.from_json(cfg.to_json()) == cfg
-        with pytest.raises(PreconditionError, match="unknown"):
+        with pytest.raises(IngestError, match="unknown"):
             FitConfig.from_json({"n_chains": 2, "bogus": 1})
 
     def test_config_bounds(self):

@@ -11,11 +11,17 @@ from landscaper.tsdata import (
     TimeSeriesCollection,
     TransitionSet,
     apply_pseudocount,
+    boolean,
     characteristic_timescale,
     clr_transform,
     dump_json,
     filter_by_timestep,
+    integer,
+    list_of,
+    number,
+    read_document,
     read_observations_csv,
+    text,
     to_transitions,
     write_observations_csv,
 )
@@ -280,6 +286,16 @@ class TestCsvAndJson:
         with pytest.raises(IngestError, match="line 3"):
             read_observations_csv(path)
 
+    def test_blank_rows_skipped_and_counted(self, tmp_path):
+        path = tmp_path / "obs.csv"
+        path.write_text("unit_id,time,value\nb,1.0,2.0\n\na,0.0,1.0\na,1.0,oops\n")
+        with pytest.raises(IngestError, match="line 5"):
+            read_observations_csv(path)
+        path.write_text("unit_id,time,value\nb,1.0,2.0\n\nb,0.0,1.0\na,0.0,5.0\na,1.0,6.0\n")
+        back = read_observations_csv(path)
+        assert [s.unit_id for s in back.series] == ["b", "a"]
+        np.testing.assert_array_equal(back.series[0].values, [1.0, 2.0])
+
     def test_missing_header(self, tmp_path):
         path = tmp_path / "obs.csv"
         path.write_text("a,1.0,2.0\n")
@@ -290,3 +306,40 @@ class TestCsvAndJson:
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError):
                 dump_json({"x": bad}, tmp_path / "doc.json")
+
+
+class TestReadDocument:
+    CONVERTERS = {"n": integer, "x": number, "on": boolean, "name": text,
+                  "ns": list_of(integer)}
+
+    def test_returns_present_keys_converted(self):
+        doc = read_document({"n": 3, "x": 2, "ns": [1, 2]}, self.CONVERTERS, "doc")
+        assert doc == {"n": 3, "x": 2.0, "ns": [1, 2]}
+        assert type(doc["x"]) is float
+        assert read_document({}, self.CONVERTERS, "doc") == {}
+
+    def test_rejects_a_document_that_is_not_an_object(self):
+        with pytest.raises(IngestError, match="doc must be a JSON object, not list"):
+            read_document([1, 2], self.CONVERTERS, "doc")
+
+    def test_rejects_an_unknown_key(self):
+        with pytest.raises(IngestError, match=r"doc: unknown keys \['m'\]"):
+            read_document({"n": 1, "m": 2}, self.CONVERTERS, "doc")
+
+    @pytest.mark.parametrize("key, value", [
+        ("n", 2.5), ("n", True), ("n", "3"), ("n", None),
+        ("x", "x"), ("x", False), ("x", [1.0]),
+        ("on", 1), ("on", "true"),
+        ("name", 3),
+        ("ns", ["a"]), ("ns", [1.0]), ("ns", 3), ("ns", "12"),
+    ])
+    def test_rejects_a_wrong_typed_value(self, key, value):
+        with pytest.raises(IngestError, match=f"doc: {key}: expected"):
+            read_document({key: value}, self.CONVERTERS, "doc")
+
+    def test_nested_document_errors_name_both_levels(self):
+        inner = {"n": integer}
+        outer = {"sub": lambda d: read_document(d, inner, "inner")}
+        assert read_document({"sub": {"n": 1}}, outer, "outer") == {"sub": {"n": 1}}
+        with pytest.raises(IngestError, match="outer: sub: inner: n: expected an integer"):
+            read_document({"sub": {"n": "x"}}, outer, "outer")

@@ -32,6 +32,7 @@ from .errors import (
 )
 from .experiments import coverage_experiment, tpr_grid
 from .inference import FitConfig, Posterior, fit
+from .numerics import seed_sequence
 from .sim import (
     CuspParams,
     cusp_model,
@@ -153,8 +154,7 @@ def cmd_simulate(args, argv) -> int:
     spec = {"name": args.model, **{k: getattr(args, k) for k in CUSP_PARAMS
                                    if getattr(args, k) is not None}}
     model = _build_model(spec)
-    root = np.random.SeedSequence(args.seed)
-    tc_seed, data_seed = root.spawn(2)
+    tc_seed, data_seed = seed_sequence(args.seed).spawn(2)
     if args.dt_frac is not None:
         t_c = estimate_timescale(model, seed=tc_seed).t_c
         stride = max(1, round(args.dt_frac * t_c / args.internal_dt))

@@ -87,7 +87,7 @@ class StationaryDensity:
 
 @dataclass(frozen=True)
 class ExitTimeSolution:
-    """Mean exit time T(x), zero at the tipping anchor, solved per basin side."""
+    """Mean exit time T(x), zero at the tipping anchor, on both basin sides."""
 
     grid: np.ndarray
     times: np.ndarray
@@ -232,22 +232,49 @@ def _uniform_spacing(grid: np.ndarray) -> float:
 
 
 def exit_time(cp: CurvePair, tipping: float) -> ExitTimeSolution:
-    """Solve f T' + (g/2) T'' = -1 separately on each side of the tipping point.
+    """Solve f T' + (g/2) T'' = -1 on each side of the tipping point.
 
-    Central differences on the uniform grid; T = 0 at the grid node nearest
-    the tipping location, one-sided zero-slope rows at the two outer ends.
+    Central differences on the uniform grid, one tridiagonal system over the
+    whole grid: the grid node nearest the tipping location is a Dirichlet row
+    T = 0 that no other row refers to, so the two basin sides never mix, and
+    the two outer ends are one-sided zero-slope rows.
     """
+    # Imported here so that importing the package does not load scipy.
+    from scipy.linalg import solve_banded
+
     grid, f, g = cp.grid, cp.drift, cp.diffusion
     if not (grid[0] < tipping < grid[-1]):
         raise PreconditionError("tipping point must lie strictly inside the grid")
     h = _uniform_spacing(grid)
+    n = len(grid)
     k = int(np.argmin(np.abs(grid - tipping)))
-    if k == 0 or k == len(grid) - 1:
+    if k == 0 or k == n - 1:
         raise PreconditionError("tipping point snaps to a boundary node")
+    if k == 1 or k == n - 2:
+        raise PreconditionError("basin side has too few grid nodes")
 
-    times = np.zeros_like(grid)
-    times[:k] = _solve_side(f[: k + 1], g[: k + 1], h, zero_at="right")
-    times[k + 1 :] = _solve_side(f[k:], g[k:], h, zero_at="left")
+    # solve_banded layout: ab[0, j + 1], ab[1, j] and ab[2, j - 1] are row j's
+    # super-, main and sub-diagonal entries.
+    adv = f[1:-1] / (2.0 * h)
+    dif = g[1:-1] / (2.0 * h * h)
+    ab = np.zeros((3, n))
+    ab[0, 2:] = dif + adv
+    ab[1, 1:-1] = -2.0 * dif
+    ab[2, :-2] = dif - adv
+    # Zero-slope rows T(1) - T(0) = 0 and T(n-1) - T(n-2) = 0.
+    ab[0, 1], ab[1, 0] = 1.0, -1.0
+    ab[1, -1], ab[2, -2] = 1.0, -1.0
+    # Row k is T(k) = 0, and column k is empty but for it.
+    ab[:, k] = 0.0
+    ab[1, k], ab[0, k + 1], ab[2, k - 1] = 1.0, 0.0, 0.0
+    rhs = np.full(n, -1.0)
+    rhs[[0, k, -1]] = 0.0
+    try:
+        times = solve_banded((1, 1), ab, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateDataError(f"singular exit-time system: {exc}") from None
+    if not np.all(np.isfinite(times)):
+        raise DegenerateDataError("exit-time solve produced non-finite values")
     lowest = float(times.min())
     if lowest < -1e-9 * max(1.0, float(np.abs(times).max())):
         raise DegenerateDataError(
@@ -255,45 +282,6 @@ def exit_time(cp: CurvePair, tipping: float) -> ExitTimeSolution:
         )
     np.maximum(times, 0.0, out=times)
     return ExitTimeSolution(grid=grid, times=times, tipping=float(grid[k]), tipping_index=k)
-
-
-def _solve_side(f: np.ndarray, g: np.ndarray, h: float, zero_at: str) -> np.ndarray:
-    """Tridiagonal solve on one basin side; the Dirichlet node is excluded."""
-    # Imported here so that importing the package does not load scipy.
-    from scipy.linalg import solve_banded
-
-    n = len(f) - 1  # unknowns
-    if n < 2:
-        raise PreconditionError("basin side has too few grid nodes")
-    # Central-difference coefficients at side nodes 1..n-1, the interior rows.
-    adv = f[1:n] / (2.0 * h)
-    dif = g[1:n] / (2.0 * h * h)
-    # solve_banded layout: rows hold the super-, main and sub-diagonal.
-    ab = np.zeros((3, n))
-    rhs = np.full(n, -1.0)
-    if zero_at == "right":
-        # Unknowns are nodes 0..n-1; node n is the Dirichlet tipping node, so
-        # the coupling of node n-1 to it multiplies T=0 and is dropped. Row 0
-        # is the zero-slope row T(1) - T(0) = 0.
-        ab[1, 0], ab[0, 1], rhs[0] = -1.0, 1.0, 0.0
-        ab[0, 2:] = (dif + adv)[:-1]
-        ab[1, 1:] = -2.0 * dif
-        ab[2, :-1] = dif - adv
-    else:
-        # Unknowns are side nodes 1..n (local 0..n-1); side node 0 is the
-        # tipping node, and its coupling to local row 0 multiplies T=0. The
-        # last row is the zero-slope row T(n) - T(n-1) = 0.
-        ab[0, 1:] = dif + adv
-        ab[1, :-1] = -2.0 * dif
-        ab[2, :-2] = (dif - adv)[1:]
-        ab[1, -1], ab[2, -2], rhs[-1] = 1.0, -1.0, 0.0
-    try:
-        sol = solve_banded((1, 1), ab, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateDataError(f"singular exit-time system on {zero_at} side: {exc}") from None
-    if not np.all(np.isfinite(sol)):
-        raise DegenerateDataError(f"exit-time solve produced non-finite values ({zero_at} side)")
-    return sol
 
 
 def exit_time_band(p, mode: str = "pointwise") -> ExitTimeBand:

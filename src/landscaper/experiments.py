@@ -10,7 +10,7 @@ import numpy as np
 from .derived import multistability_posterior
 from .errors import LandscaperError, PreconditionError
 from .inference import FitConfig, fit
-from .numerics import cumulative_trapezoid, density_from_drift_diffusion
+from .numerics import cumulative_trapezoid, density_from_drift_diffusion, seed_sequence
 from .sim import (
     INTERNAL_DT,
     SdeModel,
@@ -95,8 +95,10 @@ def coverage_experiment(
     maxKL taken over both conditions and all budgets within the replicate.
     Both conditions observe every step of INTERNAL_DT.
     """
-    if replicates < 1:
-        raise PreconditionError("replicates must be >= 1")
+    if replicates < 1 or n_bins < 1 or total_time < 1:
+        raise PreconditionError("replicates, n_bins and total_time must be >= 1")
+    if points_per_short < 2:
+        raise PreconditionError("points_per_short must be >= 2")
     grid, _, cdf = _reference_density(model)
     lo = float(np.interp(5e-4, cdf, grid))
     hi = float(np.interp(1.0 - 5e-4, cdf, grid))
@@ -111,8 +113,7 @@ def coverage_experiment(
 
     agree_s = np.empty((replicates, len(budgets)))
     agree_l = np.empty((replicates, len(budgets)))
-    root = np.random.SeedSequence(seed)
-    for r, child in enumerate(root.spawn(replicates)):
+    for r, child in enumerate(seed_sequence(seed).spawn(replicates)):
         short_seed, long_seed = child.spawn(2)
         ds = generate_short_series(model, n_short, points_per_short, INTERNAL_DT, short_seed)
         short_values = np.concatenate([s.values for s in ds.collection.series])
@@ -176,8 +177,7 @@ def tpr_grid(
     if any(t <= 0 for t in timesteps):
         raise PreconditionError("timestep fractions must be positive")
 
-    root = np.random.SeedSequence(seed)
-    tc_seed, data_seed = root.spawn(2)
+    tc_seed, data_seed = seed_sequence(seed).spawn(2)
     t_c = estimate_timescale(true_model, seed=tc_seed).t_c
 
     strides = {}

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SamplerError
+from .numerics import seed_sequence
 
 __all__ = ["Chains", "sample"]
 
@@ -77,7 +78,7 @@ def sample(
     if n_iterations < 2:
         raise SamplerError(f"need n_iterations >= 2 for warmup and sampling; got {n_iterations}")
     warmup = n_iterations // 2
-    streams = np.random.SeedSequence(seed).spawn(n_chains)
+    streams = seed_sequence(seed).spawn(n_chains)
 
     def run(idx):
         rng = np.random.default_rng(streams[idx])

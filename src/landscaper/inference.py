@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -42,6 +43,8 @@ __all__ = [
 
 JITTER_REL = 1e-8
 HYPER_BOUND = 30.0
+# A fit has converged when every parameter's split-chain Rhat is at most this.
+MAX_RHAT = 1.05
 
 # Inverse-Gamma prior shapes/scales: variances and length scales.
 VAR_PRIOR = (2.0, 2.0)
@@ -128,16 +131,17 @@ class FitConfig:
 
     def to_json(self) -> dict:
         # threads is runtime plumbing: it never changes results, so it stays
-        # out of serialized configs and hashes
+        # out of serialized configs and hashes, and no config document sets it
         return {k: v for k, v in asdict(self).items() if k != "threads"}
 
     @classmethod
     def from_json(cls, doc) -> "FitConfig":
-        """A config from a JSON object setting any of the fields, each a value
-        of the field's type; IngestError for any other key or value."""
+        """A config from a JSON object setting any of the fields but `threads`,
+        each a value of the field's type; IngestError for any other key or
+        value."""
         by_type = {"int": integer, "float": number, "bool": boolean}
-        return cls(**read_document(doc, {f.name: by_type[f.type] for f in fields(cls)},
-                                   "FitConfig"))
+        return cls(**read_document(doc, {f.name: by_type[f.type] for f in fields(cls)
+                                         if f.name != "threads"}, "FitConfig"))
 
 
 class TargetContext:
@@ -354,22 +358,22 @@ def log_posterior(state: ModelState, transitions: TransitionSet, anchors):
 
 @dataclass(frozen=True)
 class Posterior:
-    """The sampler's latent draws, plus the grid, anchors, centre, diagnostics
-    and config of the fit that made them.
+    """The sampler's latent draws, plus the grid, anchors, centre, divergence
+    count and config of the fit that made them.
 
     `chain_draws` (chains, draws per chain, 2m+6) holds the whitened drift and
     diffusion latents at the m anchors, then the log hypers in `HYPER_NAMES`
     order; it is the only copy of the draws that is saved. The curves
     `drift_draws` and `diffusion_draws` (n_draws, len(grid)) are recomputed
-    from it when the posterior is made or loaded. A `posterior.json` without
-    `chain_draws` predates this layout and must be re-fitted.
+    from it when the posterior is made or loaded; `diagnostics` and
+    `converged` are computed from it the first time they are read. A
+    `posterior.json` without `chain_draws` predates this layout and must be
+    re-fitted.
     """
 
     grid: np.ndarray
     chain_draws: np.ndarray
-    diagnostics: dict
     divergences: int
-    converged: bool
     anchors: np.ndarray
     center: float
     data_range: tuple[float, float]
@@ -396,6 +400,33 @@ class Posterior:
         object.__setattr__(self, "drift_draws", drift)
         object.__setattr__(self, "diffusion_draws", diffusion)
 
+    @cached_property
+    def diagnostics(self) -> dict:
+        """{"rhat": {name: value}, "ess": {name: value}} per parameter, the log
+        hypers taken on their constrained scale; NaN throughout with fewer than
+        2 chains or 4 draws per chain."""
+        m = self.anchors.size
+        names = [f"z_drift[{i}]" for i in range(m)] + [f"z_diff[{i}]" for i in range(m)]
+        names += list(HYPER_NAMES)
+        n_chains, n_draws, _ = self.chain_draws.shape
+        if n_chains < 2 or n_draws < 4:
+            return {"rhat": dict.fromkeys(names, math.nan), "ess": dict.fromkeys(names, math.nan)}
+        rhats: dict[str, float] = {}
+        esses: dict[str, float] = {}
+        for j, name in enumerate(names):
+            series = self.chain_draws[:, :, j]
+            if j >= 2 * m:
+                series = np.exp(series)
+            rhats[name] = rhat(series)
+            esses[name] = ess(series)
+        return {"rhat": rhats, "ess": esses}
+
+    @cached_property
+    def converged(self) -> bool:
+        """Whether every Rhat is finite and at most 1.05."""
+        worst = max(self.diagnostics["rhat"].values())
+        return bool(np.isfinite(worst) and worst <= MAX_RHAT)
+
     @property
     def n_draws(self) -> int:
         return self.drift_draws.shape[0]
@@ -413,17 +444,10 @@ class Posterior:
         return np.quantile(draws, lo, axis=0), np.quantile(draws, hi, axis=0)
 
     def to_json(self) -> dict:
-        """The posterior as a JSON document; a diagnostic that is not finite
-        (every one of a 1-chain fit, or an infinite Rhat) is written as null."""
         return {
             "grid": self.grid.tolist(),
             "chain_draws": self.chain_draws.tolist(),
-            "diagnostics": {
-                kind: {name: v if math.isfinite(v) else None for name, v in values.items()}
-                for kind, values in self.diagnostics.items()
-            },
             "divergences": self.divergences,
-            "converged": self.converged,
             "anchors": self.anchors.tolist(),
             "center": self.center,
             "data_range": list(self.data_range),
@@ -432,17 +456,14 @@ class Posterior:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Posterior":
+        """The posterior of a `to_json` document. Keys it does not read, such
+        as the `diagnostics` and `converged` that older files stored, are
+        ignored."""
         try:
             return cls(
                 grid=np.asarray(doc["grid"], dtype=float),
                 chain_draws=np.asarray(doc["chain_draws"], dtype=float),
-                diagnostics={
-                    kind: {name: math.nan if v is None else float(v)
-                           for name, v in values.items()}
-                    for kind, values in doc["diagnostics"].items()
-                },
                 divergences=int(doc["divergences"]),
-                converged=bool(doc["converged"]),
                 anchors=np.asarray(doc["anchors"], dtype=float),
                 center=float(doc["center"]),
                 data_range=tuple(doc["data_range"]),
@@ -499,46 +520,24 @@ def fit(c: TimeSeriesCollection, cfg: FitConfig = FitConfig()) -> Posterior:
         threads=cfg.threads,
     )
 
-    n_draws = len(chains.flat())
-    diagnostics = _diagnostics(chains, ctx.m)
-    worst = max(v for v in diagnostics["rhat"].values())
-    converged = bool(np.isfinite(worst) and worst <= 1.05)
-    if not converged:
-        warnings.warn(f"max Rhat {worst:.3f} exceeds 1.05", ConvergenceWarning, stacklevel=2)
+    posterior = Posterior(
+        grid=grid,
+        chain_draws=chains.draws,
+        divergences=chains.divergences,
+        anchors=anchors,
+        center=center,
+        data_range=(float(lo), float(hi)),
+        config=cfg,
+    )
+    if not posterior.converged:
+        worst = max(posterior.diagnostics["rhat"].values())
+        warnings.warn(f"max Rhat {worst:.3f} exceeds {MAX_RHAT}", ConvergenceWarning,
+                      stacklevel=2)
+    n_draws = posterior.n_draws
     if chains.divergences > 0.01 * n_draws:
         warnings.warn(
             f"{chains.divergences} divergent transitions ({100 * chains.divergences / n_draws:.1f}%)",
             ConvergenceWarning,
             stacklevel=2,
         )
-
-    return Posterior(
-        grid=grid,
-        chain_draws=chains.draws,
-        diagnostics=diagnostics,
-        divergences=chains.divergences,
-        converged=converged,
-        anchors=anchors,
-        center=center,
-        data_range=(float(lo), float(hi)),
-        config=cfg,
-    )
-
-
-def _diagnostics(chains: hmc.Chains, m: int) -> dict:
-    draws = chains.draws
-    names = [f"z_drift[{i}]" for i in range(m)] + [f"z_diff[{i}]" for i in range(m)]
-    names += list(HYPER_NAMES)
-    rhats: dict[str, float] = {}
-    esses: dict[str, float] = {}
-    if draws.shape[0] >= 2 and draws.shape[1] >= 4:
-        for j, name in enumerate(names):
-            series = draws[:, :, j]
-            if j >= 2 * m:
-                series = np.exp(series)
-            rhats[name] = rhat(series)
-            esses[name] = ess(series)
-    else:
-        rhats = {name: float("nan") for name in names}
-        esses = {name: float("nan") for name in names}
-    return {"rhat": rhats, "ess": esses}
+    return posterior

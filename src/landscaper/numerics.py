@@ -8,7 +8,20 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["cumulative_trapezoid", "density_from_drift_diffusion", "nearest_rank"]
+from .errors import PreconditionError
+
+__all__ = ["cumulative_trapezoid", "density_from_drift_diffusion", "nearest_rank",
+           "seed_sequence"]
+
+
+def seed_sequence(seed) -> np.random.SeedSequence:
+    """The SeedSequence of a seed, or `seed` itself if it is one; every seed a
+    user gives enters here, and a negative one is a PreconditionError."""
+    if isinstance(seed, np.random.SeedSequence):
+        return seed
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise PreconditionError(f"seed must be a non-negative integer, got {seed}")
+    return np.random.SeedSequence(seed)
 
 
 def cumulative_trapezoid(y, x) -> np.ndarray:

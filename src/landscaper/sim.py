@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import PreconditionError, SimulationDiverged
-from .numerics import cumulative_trapezoid, density_from_drift_diffusion
+from .numerics import cumulative_trapezoid, density_from_drift_diffusion, seed_sequence
 from .tsdata import TimeSeries, TimeSeriesCollection, characteristic_timescale
 
 __all__ = [
@@ -224,12 +224,6 @@ def _simulate_batch(m: SdeModel, x0: np.ndarray, dt: float, z: np.ndarray,
     return out
 
 
-def _as_seedseq(seed) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(seed)
-
-
 def cusp_stationary_density(p: CuspParams) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature of the cusp's analytic stationary density on its quadrature
     grid; returns (grid, pdf)."""
@@ -285,7 +279,7 @@ def generate_short_series(
         )
 
     n_obs_steps = (pts_per_series - 1) * stride
-    children = _as_seedseq(seed).spawn(n_series)
+    children = seed_sequence(seed).spawn(n_series)
     rngs = [np.random.default_rng(c) for c in children]
 
     if m.stationary_icdf is not None:
@@ -330,7 +324,7 @@ def estimate_timescale(m: SdeModel, seed=0, total_time: float = 1000.0):
     """Characteristic time scale of a model, measured on one long reference run
     at the internal step INTERNAL_DT."""
     n_steps = int(round(total_time / INTERNAL_DT))
-    rng = np.random.default_rng(_as_seedseq(seed).spawn(1)[0])
+    rng = np.random.default_rng(seed_sequence(seed).spawn(1)[0])
     x0 = _stationary_start(m, rng)
     path = _simulate_path(m, x0, INTERNAL_DT, rng.standard_normal(n_steps))
     ts = TimeSeries("reference", np.arange(n_steps + 1) * INTERNAL_DT, path)

@@ -1,10 +1,12 @@
+import csv
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from landscaper import cli
+from landscaper import cli, inference
 from landscaper.derived import CurvePair
 from landscaper.errors import ConvergenceWarning
 from landscaper.inference import FitConfig, HYPER_NAMES, Posterior, TargetContext
@@ -52,10 +54,7 @@ def synthetic_posterior(bistable: bool, n_draws=40) -> Posterior:
     return Posterior(
         grid=np.linspace(-2.4, 2.4, 200),
         chain_draws=theta.reshape(2, n_draws // 2, -1),
-        diagnostics={"rhat": {n: 1.0 for n in HYPER_NAMES},
-                     "ess": {n: float(n_draws) for n in HYPER_NAMES}},
         divergences=0,
-        converged=True,
         anchors=anchors,
         center=0.0,
         data_range=(-2.2, 2.2),
@@ -125,6 +124,15 @@ class TestFit:
         text = (fitted / "diagnostics.csv").read_text()
         for name in HYPER_NAMES:
             assert name in text
+
+    def test_saved_draws_give_the_diagnostics_table(self, fitted):
+        post = Posterior.from_json(load_json(fitted / "posterior.json"))
+        with open(fitted / "diagnostics.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["parameter"] for r in rows] == list(post.diagnostics["rhat"])
+        for r in rows:
+            assert r["rhat"] == repr(post.diagnostics["rhat"][r["parameter"]])
+            assert r["ess"] == repr(post.diagnostics["ess"][r["parameter"]])
 
     def test_malformed_csv_names_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -235,6 +243,30 @@ class TestDerive:
         assert not (out / "exit_time_band.csv").exists()
         assert (out / "stationary_density.csv").exists()
 
+    def test_reloaded_posterior_derives_the_same_bytes(self, tmp_path, monkeypatch):
+        post = synthetic_posterior(bistable=True)
+        post_path = tmp_path / "posterior.json"
+        dump_json(post.to_json(), post_path)
+        loaded, in_memory = tmp_path / "loaded", tmp_path / "in_memory"
+        assert run(["derive", "--posterior", post_path, "--out", loaded]) == 0
+        monkeypatch.setattr(cli, "Posterior", SimpleNamespace(from_json=lambda doc: post))
+        assert run(["derive", "--posterior", post_path, "--out", in_memory]) == 0
+        outputs = load_json(loaded / "manifest.json")["outputs"]
+        assert outputs == load_json(in_memory / "manifest.json")["outputs"]
+        assert "exit_time_band.csv" in outputs
+        for name in outputs:
+            assert read_bytes(loaded / name) == read_bytes(in_memory / name), name
+
+    def test_derive_computes_no_diagnostics(self, tmp_path, monkeypatch):
+        def refuse(series):
+            raise AssertionError("derive computed a diagnostic")
+
+        post_path = tmp_path / "posterior.json"
+        dump_json(synthetic_posterior(bistable=True).to_json(), post_path)
+        monkeypatch.setattr(inference, "rhat", refuse)
+        monkeypatch.setattr(inference, "ess", refuse)
+        assert run(["derive", "--posterior", post_path, "--out", tmp_path / "o"]) == 0
+
     def test_rerun_identical(self, tmp_path):
         post_path = tmp_path / "posterior.json"
         dump_json(synthetic_posterior(bistable=True).to_json(), post_path)
@@ -341,6 +373,9 @@ class TestMalformedDocuments:
                       "fit": {"n_chains": "2", "n_iterations": 100}}, "n_chains"),
         # no model spec
         ("coverage", {"total_time": 2, "replicates": 1}, "model"),
+        # threads is set by --threads or LANDSCAPER_THREADS only
+        ("tpr-grid", {"model": CUSP_SPEC, "series_counts": [12], "replicates": 1,
+                      "fit": {"n_chains": 2, "n_iterations": 100, "threads": 2}}, "threads"),
     ])
     def test_experiment_config_keys_are_checked(self, tmp_path, capsys, name, doc, names):
         path = tmp_path / "exp.json"
@@ -357,6 +392,7 @@ class TestMalformedDocuments:
         ({"n_chains": True}, "n_chains"),
         ({"n_chains": 2, "bogus": 1}, "bogus"),
         ([2, 150], "list"),
+        ({"n_chains": 2, "threads": 2}, "threads"),
     ])
     def test_fit_config_values_are_typed(self, tmp_path, capsys, dataset, doc, names):
         path = tmp_path / "fit.json"
@@ -365,6 +401,37 @@ class TestMalformedDocuments:
                     "--out", tmp_path / "o"]) == cli.EXIT_PARSE
         err = capsys.readouterr().err
         assert str(path) in err and names in err
+
+    @pytest.mark.parametrize("case", ["simulate", "fit", "fit config", "experiment",
+                                      "experiment config"])
+    def test_negative_seed_exits_precondition(self, tmp_path, capsys, dataset, case):
+        out = tmp_path / "o"
+        fit_cfg, exp_cfg = tmp_path / "fit.json", tmp_path / "exp.json"
+        dump_json({"seed": -1}, fit_cfg)
+        coverage = {"model": CUSP_SPEC, "total_time": 2, "replicates": 1}
+        dump_json({**coverage, "seed": -1} if case == "experiment config" else coverage,
+                  exp_cfg)
+        argv = {
+            "simulate": simulate_args(out, seed=-3),
+            "fit": ["fit", "--data", dataset / "dataset.csv", "--seed", -1, "--out", out],
+            "fit config": ["fit", "--data", dataset / "dataset.csv", "--config", fit_cfg,
+                           "--out", out],
+            "experiment": ["experiment", "--name", "coverage", "--config", exp_cfg,
+                           "--seed", -1, "--out", out],
+            "experiment config": ["experiment", "--name", "coverage", "--config", exp_cfg,
+                                  "--out", out],
+        }[case]
+        assert run(argv) == cli.EXIT_PRECONDITION
+        assert "seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("n_bins", 0), ("total_time", 0.5),
+                                            ("points_per_short", 1)])
+    def test_coverage_range_exits_precondition(self, tmp_path, capsys, key, value):
+        path = tmp_path / "exp.json"
+        dump_json({"model": CUSP_SPEC, "total_time": 2, "replicates": 1, key: value}, path)
+        assert run(["experiment", "--name", "coverage", "--config", path,
+                    "--out", tmp_path / "o"]) == cli.EXIT_PRECONDITION
+        assert key in capsys.readouterr().err
 
     def test_replay_of_argv_ending_in_out(self, tmp_path, capsys):
         path = tmp_path / "manifest.json"

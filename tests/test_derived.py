@@ -318,6 +318,12 @@ class TestExitTime:
         with pytest.raises(PreconditionError):
             exit_time(cusp_curve(), 5.0)
 
+    @pytest.mark.parametrize("node", [1, -2])
+    def test_tipping_one_node_from_an_end_rejected(self, node):
+        cp = cusp_curve()
+        with pytest.raises(PreconditionError, match="too few grid nodes"):
+            exit_time(cp, float(cp.grid[node]))
+
     def test_nonuniform_grid_rejected(self):
         grid = np.concatenate([np.linspace(-2, 0, 100), np.linspace(0.1, 2, 50)])
         cp = CurvePair(grid, grid - grid**3, np.ones_like(grid))

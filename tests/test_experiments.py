@@ -65,6 +65,12 @@ class TestCoverageExperiment:
         with pytest.raises(PreconditionError):
             coverage_experiment(bistable_cusp, replicates=0)
 
+    @pytest.mark.parametrize("kw", [{"n_bins": 0}, {"total_time": 0.5},
+                                    {"points_per_short": 1}])
+    def test_ranges_validated(self, bistable_cusp, kw):
+        with pytest.raises(PreconditionError, match=next(iter(kw))):
+            coverage_experiment(bistable_cusp, replicates=1, **kw)
+
 
 class TestTprGrid:
     def test_zero_replicates_rejected(self, bistable_cusp):
@@ -76,6 +82,10 @@ class TestTprGrid:
         unlabeled = replace(bistable_cusp, label=None)
         with pytest.raises(PreconditionError):
             tpr_grid(unlabeled, [10], [0.1], replicates=1)
+
+    def test_negative_seed_rejected(self, bistable_cusp):
+        with pytest.raises(PreconditionError, match="seed"):
+            tpr_grid(bistable_cusp, [10], [0.1], replicates=1, seed=-1)
 
     def test_too_small_timestep_rejected(self, bistable_cusp):
         with pytest.raises(PreconditionError, match="internal step"):

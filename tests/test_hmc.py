@@ -69,6 +69,10 @@ class TestSampler:
         with pytest.raises(SamplerError, match="100"):
             hmc.sample(bad, np.zeros(2), n_chains=1, n_iterations=200, seed=0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(PreconditionError, match="seed"):
+            hmc.sample(gaussian_target([0.0], [1.0]), np.zeros(1), n_iterations=100, seed=-1)
+
     def test_needs_an_iteration_for_warmup_and_for_sampling(self):
         target = gaussian_target([0.0], [1.0])
         with pytest.raises(SamplerError):

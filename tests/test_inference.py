@@ -220,6 +220,12 @@ class TestStateAndConfig:
         with pytest.raises(PreconditionError):
             FitConfig(n_iterations=50)
 
+    def test_threads_is_not_a_config_key(self):
+        # to_json never writes it, so no config document may set it.
+        assert "threads" not in FitConfig(threads=3).to_json()
+        with pytest.raises(IngestError, match="threads"):
+            FitConfig.from_json({"n_chains": 2, "threads": 2})
+
 
 @pytest.fixture(scope="module")
 def small_posterior(bistable_cusp):
@@ -282,6 +288,27 @@ class TestFit:
             assert rhat(series) == post.diagnostics["rhat"][name], name
             assert ess(series) == post.diagnostics["ess"][name], name
 
+    def test_diagnostics_are_not_stored(self, small_posterior):
+        post, _ = small_posterior
+        doc = post.to_json()
+        assert "diagnostics" not in doc and "converged" not in doc
+        back = Posterior.from_json(json.loads(json.dumps(doc)))
+        assert "diagnostics" not in vars(back) and "converged" not in vars(back)
+        assert back.diagnostics == post.diagnostics
+        assert back.converged == post.converged
+
+    def test_posterior_with_stored_diagnostics_still_loads(self, small_posterior):
+        # The layout before diagnostics were computed from the draws: Rhat and
+        # ESS stored per parameter (null where not finite), and `converged`.
+        post, _ = small_posterior
+        stored = {kind: {name: v if math.isfinite(v) else None for name, v in values.items()}
+                  for kind, values in post.diagnostics.items()}
+        doc = {**post.to_json(), "diagnostics": stored, "converged": post.converged}
+        back = Posterior.from_json(json.loads(json.dumps(doc)))
+        assert back.diagnostics == post.diagnostics
+        assert back.converged == post.converged
+        assert np.array_equal(back.drift_draws, post.drift_draws)
+
     def test_malformed_posterior_document_rejected(self, small_posterior):
         post, _ = small_posterior
         doc = post.to_json()
@@ -339,7 +366,8 @@ class TestFit:
         assert post.anchors.size == np.unique(x).size + 2
 
     def test_one_chain_posterior_is_strict_json(self, readme_dataset, tmp_path):
-        # One chain has no Rhat or ESS: the file holds null, never a bare NaN.
+        # One chain has no Rhat or ESS. Neither is stored, so the file holds
+        # no bare NaN, and both read back as NaN from the draws.
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             post = fit(readme_dataset, FitConfig(n_chains=1, n_iterations=100))
@@ -350,10 +378,11 @@ class TestFit:
             raise ValueError(f"non-JSON token {token}")
 
         doc = json.loads(path.read_text(), parse_constant=refuse)
-        assert set(doc["diagnostics"]["rhat"].values()) == {None}
+        assert "diagnostics" not in doc
         back = Posterior.from_json(doc)
         assert all(math.isnan(v) for kind in ("rhat", "ess")
                    for v in back.diagnostics[kind].values())
+        assert not back.converged
         assert np.array_equal(back.chain_draws, post.chain_draws)
 
 

@@ -13,7 +13,6 @@ import argparse
 import csv
 import hashlib
 import json
-import os
 import sys
 import time
 from dataclasses import fields, replace
@@ -102,17 +101,9 @@ def _write_csv(path: Path, header, columns) -> None:
 
 
 def _resolve_threads(value) -> int:
-    if value is not None:
-        return max(1, int(value))
-    env = os.environ.get("LANDSCAPER_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise IngestError(f"LANDSCAPER_THREADS must be an integer, got {env!r}") from None
-    # Serial unless asked: the chains' small numpy steps serialise on the GIL,
-    # and a thread pool over chains measured slower than one thread.
-    return 1
+    # Serial unless --threads asks: the chains' small numpy steps serialise on
+    # the GIL, and a thread pool over chains measured slower than one thread.
+    return 1 if value is None else max(1, value)
 
 
 # The keys of a model spec and their converters. Every model takes the cusp
@@ -132,6 +123,15 @@ def _build_model(spec):
     raise IngestError(f"unknown model name {name!r}")
 
 
+def _replicate_fit_config(doc) -> FitConfig:
+    # tpr_grid draws every replicate's fit seed from the experiment seed, so a
+    # seed here would be ignored.
+    if isinstance(doc, dict) and "seed" in doc:
+        raise IngestError("seed is not a key of a tpr-grid fit document; the "
+                          "experiment seed sets every replicate's fit seed")
+    return FitConfig.from_json(doc)
+
+
 # The keys each experiment config takes and their converters; a key left out
 # takes the experiment function's default.
 EXPERIMENT_CONFIGS = {
@@ -139,7 +139,7 @@ EXPERIMENT_CONFIGS = {
                  "replicates": integer, "points_per_short": integer, "n_bins": integer},
     "tpr-grid": {"model": _build_model, "seed": integer, "series_counts": list_of(integer),
                  "timesteps": list_of(number), "replicates": integer,
-                 "fit": FitConfig.from_json},
+                 "fit": _replicate_fit_config},
 }
 
 
@@ -156,6 +156,8 @@ def cmd_simulate(args, argv) -> int:
     model = _build_model(spec)
     tc_seed, data_seed = seed_sequence(args.seed).spawn(2)
     if args.dt_frac is not None:
+        if not args.internal_dt > 0:
+            raise PreconditionError(f"--internal-dt must be positive, got {args.internal_dt}")
         t_c = estimate_timescale(model, seed=tc_seed).t_c
         stride = max(1, round(args.dt_frac * t_c / args.internal_dt))
         dt = stride * args.internal_dt
@@ -201,11 +203,11 @@ def cmd_fit(args, argv) -> int:
             cfg = FitConfig.from_json(doc)
         except IngestError as exc:
             raise IngestError(f"fit config {args.config}: {exc}") from None
-    cfg = replace(cfg, threads=_resolve_threads(args.threads),
-                  seed=cfg.seed if args.seed is None else args.seed)
+    if args.seed is not None:
+        cfg = replace(cfg, seed=args.seed)
 
     collection = _load_fit_collection(args)
-    posterior = fit(collection, cfg)
+    posterior = fit(collection, cfg, threads=_resolve_threads(args.threads))
 
     post_path = out / "posterior.json"
     dump_json(posterior.to_json(), post_path)

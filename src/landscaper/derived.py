@@ -171,16 +171,20 @@ def classify_roots(cp: CurvePair) -> StabilityStructure:
     return StabilityStructure(tuple(stable), tuple(tipping), valid)
 
 
-def _draw_structures(p) -> list[StabilityStructure]:
-    return [
-        classify_roots(CurvePair(p.grid, f, g))
-        for f, g in zip(p.drift_draws, p.diffusion_draws)
-    ]
+def _draw_structures(p):
+    """Each posterior draw's CurvePair and its StabilityStructure."""
+    for f, g in zip(p.drift_draws, p.diffusion_draws):
+        cp = CurvePair(p.grid, f, g)
+        yield cp, classify_roots(cp)
+
+
+def _one_tipping_point(s: StabilityStructure) -> bool:
+    return s.valid and len(s.tipping_points) == 1
 
 
 def multistability_posterior(p) -> MultistabilityPosterior:
     """Histogram of stable-state counts over valid posterior draws."""
-    structures = _draw_structures(p)
+    structures = [s for _, s in _draw_structures(p)]
     if not structures:
         raise PreconditionError("posterior has no draws")
     counts: dict[int, int] = {}
@@ -206,11 +210,7 @@ def tipping_region(p) -> TippingRegion:
     Uses draws that are valid and have exactly one tipping point; requires at
     least 20 of them.
     """
-    locs = [
-        s.tipping_points[0]
-        for s in _draw_structures(p)
-        if s.valid and len(s.tipping_points) == 1
-    ]
+    locs = [s.tipping_points[0] for _, s in _draw_structures(p) if _one_tipping_point(s)]
     if len(locs) < 20:
         raise PreconditionError(f"only {len(locs)} valid bistable draws; need >= 20")
     arr = np.asarray(locs)
@@ -300,20 +300,17 @@ def exit_time_band(p, mode: str = "pointwise") -> ExitTimeBand:
     grid = p.grid
     mean_cp = CurvePair(grid, p.drift_draws.mean(axis=0), p.diffusion_draws.mean(axis=0))
     structure = classify_roots(mean_cp)
-    if not (structure.valid and len(structure.tipping_points) == 1):
+    if not _one_tipping_point(structure):
         raise DegenerateDataError("posterior-mean drift is not bistable")
     tip = structure.tipping_points[0]
     cell = _uniform_spacing(grid)
 
     solutions = []
-    for f, g in zip(p.drift_draws, p.diffusion_draws):
-        s = classify_roots(CurvePair(grid, f, g))
-        if not (s.valid and len(s.tipping_points) == 1):
-            continue
-        if abs(s.tipping_points[0] - tip) > cell:
+    for cp, s in _draw_structures(p):
+        if not _one_tipping_point(s) or abs(s.tipping_points[0] - tip) > cell:
             continue
         try:
-            solutions.append(exit_time(CurvePair(grid, f, g), tip).times)
+            solutions.append(exit_time(cp, tip).times)
         except DegenerateDataError:
             continue
     if len(solutions) < MIN_RETAINED:

@@ -174,6 +174,8 @@ def tpr_grid(
         raise PreconditionError("true_model must carry a ground-truth label")
     series_counts = tuple(int(n) for n in series_counts)
     timesteps = tuple(float(t) for t in timesteps)
+    if any(n < 1 for n in series_counts):
+        raise PreconditionError("series_counts entries must be >= 1")
     if any(t <= 0 for t in timesteps):
         raise PreconditionError("timestep fractions must be positive")
 

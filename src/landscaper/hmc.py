@@ -51,12 +51,8 @@ class Chains:
     draws: np.ndarray
     divergences: int
     step_sizes: np.ndarray
-    mass_diag: np.ndarray
     accept_rates: np.ndarray
     warmup: int
-
-    def flat(self) -> np.ndarray:
-        return self.draws.reshape(-1, self.draws.shape[-1])
 
 
 def sample(
@@ -100,8 +96,7 @@ def sample(
         draws=draws,
         divergences=int(sum(r[1] for r in results)),
         step_sizes=np.array([r[2] for r in results]),
-        mass_diag=np.stack([r[3] for r in results]),
-        accept_rates=np.array([r[4] for r in results]),
+        accept_rates=np.array([r[3] for r in results]),
         warmup=warmup,
     )
 
@@ -250,4 +245,4 @@ def _run_chain(target, init, rng, *, n_iterations, warmup, target_accept,
             accept_sum += accept_prob
 
     n_kept = n_iterations - warmup
-    return kept, divergences, eps, 1.0 / inv_mass, accept_sum / max(n_kept, 1)
+    return kept, divergences, eps, accept_sum / max(n_kept, 1)

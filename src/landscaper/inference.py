@@ -96,17 +96,6 @@ class ModelState:
     def to_vector(self) -> np.ndarray:
         return np.concatenate([self.z_f, self.z_g, self.drift_hypers, self.diff_hypers])
 
-    @classmethod
-    def from_vector(cls, theta, n_anchors: int) -> "ModelState":
-        theta = np.asarray(theta, dtype=float)
-        m = n_anchors
-        return cls(
-            z_f=theta[:m],
-            z_g=theta[m : 2 * m],
-            drift_hypers=theta[2 * m : 2 * m + 4],
-            diff_hypers=theta[2 * m + 4 : 2 * m + 6],
-        )
-
 
 @dataclass(frozen=True)
 class FitConfig:
@@ -121,7 +110,6 @@ class FitConfig:
     padding: float = 0.1
     grid_size: int = 200
     seed: int = 0
-    threads: int = 1
 
     def __post_init__(self):
         if self.n_chains < 1:
@@ -130,18 +118,15 @@ class FitConfig:
             raise PreconditionError("n_iterations must be >= 100")
 
     def to_json(self) -> dict:
-        # threads is runtime plumbing: it never changes results, so it stays
-        # out of serialized configs and hashes, and no config document sets it
-        return {k: v for k, v in asdict(self).items() if k != "threads"}
+        return asdict(self)
 
     @classmethod
     def from_json(cls, doc) -> "FitConfig":
-        """A config from a JSON object setting any of the fields but `threads`,
-        each a value of the field's type; IngestError for any other key or
-        value."""
+        """A config from a JSON object setting any of the fields, each a value
+        of the field's type; IngestError for any other key or value."""
         by_type = {"int": integer, "float": number, "bool": boolean}
-        return cls(**read_document(doc, {f.name: by_type[f.type] for f in fields(cls)
-                                         if f.name != "threads"}, "FitConfig"))
+        return cls(**read_document(doc, {f.name: by_type[f.type] for f in fields(cls)},
+                                   "FitConfig"))
 
 
 class TargetContext:
@@ -487,8 +472,13 @@ class Posterior:
         return header, np.column_stack(cols)
 
 
-def fit(c: TimeSeriesCollection, cfg: FitConfig = FitConfig()) -> Posterior:
-    """End-to-end inference: anchors, HMC over the posterior, curves on a grid."""
+def fit(c: TimeSeriesCollection, cfg: FitConfig = FitConfig(), *,
+        threads: int = 1) -> Posterior:
+    """End-to-end inference: anchors, HMC over the posterior, curves on a grid.
+
+    `threads` > 1 runs up to that many chains on a thread pool; it never
+    changes the posterior, and it is usually slower than the serial default.
+    """
     tset = to_transitions(c)
     if len(tset) < 10:
         raise PreconditionError(f"need at least 10 transitions, got {len(tset)}")
@@ -517,7 +507,7 @@ def fit(c: TimeSeriesCollection, cfg: FitConfig = FitConfig()) -> Posterior:
         seed=cfg.seed,
         target_accept=cfg.target_accept,
         max_leapfrog=cfg.max_leapfrog,
-        threads=cfg.threads,
+        threads=threads,
     )
 
     posterior = Posterior(

@@ -40,6 +40,9 @@ __all__ = [
 INTERNAL_DT = 0.01
 DIVERGENCE_LIMIT = 1e6
 QUADRATURE_POINTS = 4001
+# Internal steps from the diffusion's mode that give a model without an
+# analytic stationary density its stationary start.
+BURN_IN_STEPS = 10_000
 # Normals drawn per burn-in chunk across all walkers (8 MB of float64).
 BURN_IN_BLOCK = 1 << 20
 
@@ -258,18 +261,19 @@ def generate_short_series(
     dt_target: float,
     seed,
     internal_dt: float = INTERNAL_DT,
-    burn_in_steps: int = 10_000,
 ) -> SimulatedDataset:
     """Simulate a labeled collection of short series with stationary starts.
 
     Each series draws an independent stationary initial state (inverse
-    transform when the model has an analytic density, burn-in from the
-    diffusion's mode otherwise), evolves at the high-resolution internal step
-    and is subsampled to dt_target, which must be a whole multiple of the
-    internal step.
+    transform when the model has an analytic density, BURN_IN_STEPS of the
+    internal step from the diffusion's mode otherwise), evolves at the
+    high-resolution internal step and is subsampled to dt_target, which must
+    be a whole multiple of the internal step.
     """
     if n_series < 1 or pts_per_series < 2:
         raise PreconditionError("need n_series >= 1 and pts_per_series >= 2")
+    if not internal_dt > 0:
+        raise PreconditionError(f"internal step must be positive, got {internal_dt}")
     if dt_target < internal_dt:
         raise PreconditionError(f"dt_target must be >= internal step {internal_dt}")
     stride = round(dt_target / internal_dt)
@@ -284,18 +288,19 @@ def generate_short_series(
 
     if m.stationary_icdf is not None:
         x0 = np.array([m.stationary_icdf(_open_uniform(r)) for r in rngs])
-        burn_in_steps = 0
+        burned = 0
     else:
         # Burn in over chunks of steps, keeping only each walker's current
         # state. Every generator still draws its normals in the same order.
         x0 = np.full(n_series, _diffusion_mode(m))
+        burned = BURN_IN_STEPS
         chunk = max(1, BURN_IN_BLOCK // n_series)
-        for start in range(0, burn_in_steps, chunk):
-            z = np.stack([r.standard_normal(min(chunk, burn_in_steps - start)) for r in rngs])
+        for start in range(0, burned, chunk):
+            z = np.stack([r.standard_normal(min(chunk, burned - start)) for r in rngs])
             x0 = _simulate_batch(m, x0, internal_dt, z, start)[:, -1]
 
     z = np.stack([r.standard_normal(n_obs_steps) for r in rngs])
-    paths = _simulate_batch(m, x0, internal_dt, z, burn_in_steps)
+    paths = _simulate_batch(m, x0, internal_dt, z, burned)
     obs = paths[:, ::stride][:, :pts_per_series]
     times = np.arange(pts_per_series) * (stride * internal_dt)
 
@@ -333,11 +338,12 @@ def estimate_timescale(m: SdeModel, seed=0, total_time: float = 1000.0):
 
 def _stationary_start(m: SdeModel, rng) -> float:
     """One stationary initial state: inverse transform when the model has an
-    analytic density, otherwise 10,000 burn-in steps of INTERNAL_DT from the
+    analytic density, otherwise BURN_IN_STEPS of INTERNAL_DT from the
     diffusion's mode."""
     if m.stationary_icdf is not None:
         return float(m.stationary_icdf(_open_uniform(rng)))
-    burn = _simulate_path(m, _diffusion_mode(m), INTERNAL_DT, rng.standard_normal(10_000))
+    burn = _simulate_path(m, _diffusion_mode(m), INTERNAL_DT,
+                          rng.standard_normal(BURN_IN_STEPS))
     return float(burn[-1])
 
 

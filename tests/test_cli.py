@@ -174,7 +174,7 @@ class TestFit:
     def test_nonconverged_exit_code(self, monkeypatch, tmp_path, dataset):
         fake = synthetic_posterior(bistable=True)
         object.__setattr__(fake, "converged", False)
-        monkeypatch.setattr(cli, "fit", lambda c, cfg: fake)
+        monkeypatch.setattr(cli, "fit", lambda c, cfg, threads: fake)
         out = tmp_path / "nc"
         code = run(["fit", "--data", dataset / "dataset.csv", "--out", out])
         assert code == cli.EXIT_CONVERGENCE
@@ -373,9 +373,12 @@ class TestMalformedDocuments:
                       "fit": {"n_chains": "2", "n_iterations": 100}}, "n_chains"),
         # no model spec
         ("coverage", {"total_time": 2, "replicates": 1}, "model"),
-        # threads is set by --threads or LANDSCAPER_THREADS only
+        # threads is set by --threads only
         ("tpr-grid", {"model": CUSP_SPEC, "series_counts": [12], "replicates": 1,
                       "fit": {"n_chains": 2, "n_iterations": 100, "threads": 2}}, "threads"),
+        # the experiment seed sets every replicate's fit seed
+        ("tpr-grid", {"model": CUSP_SPEC, "series_counts": [12], "replicates": 1,
+                      "fit": {"n_chains": 2, "n_iterations": 100, "seed": 5}}, "seed"),
     ])
     def test_experiment_config_keys_are_checked(self, tmp_path, capsys, name, doc, names):
         path = tmp_path / "exp.json"
@@ -433,6 +436,27 @@ class TestMalformedDocuments:
                     "--out", tmp_path / "o"]) == cli.EXIT_PRECONDITION
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("counts", [[0], [12, -1]])
+    def test_tpr_series_count_below_one_exits_precondition(self, tmp_path, capsys, counts):
+        path = tmp_path / "exp.json"
+        dump_json({"model": CUSP_SPEC, "series_counts": counts, "replicates": 2,
+                   "fit": {"n_chains": 1, "n_iterations": 100}}, path)
+        assert run(["experiment", "--name", "tpr-grid", "--config", path,
+                    "--out", tmp_path / "o"]) == cli.EXIT_PRECONDITION
+        assert "series_counts" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "tpr.json").exists()
+
+    @pytest.mark.parametrize("step", ["--dt", "--dt-frac"])
+    @pytest.mark.parametrize("internal_dt", [0, -0.01, "nan"])
+    def test_nonpositive_internal_dt_exits_precondition(self, tmp_path, capsys, step,
+                                                        internal_dt):
+        args = simulate_args(tmp_path / "o") + ["--internal-dt", internal_dt]
+        if step == "--dt-frac":
+            i = args.index("--dt")
+            args[i : i + 2] = ["--dt-frac", "0.01"]
+        assert run(args) == cli.EXIT_PRECONDITION
+        assert "internal" in capsys.readouterr().err
+
     def test_replay_of_argv_ending_in_out(self, tmp_path, capsys):
         path = tmp_path / "manifest.json"
         dump_json({"command": "simulate", "argv": ["simulate", "--out"]}, path)
@@ -472,24 +496,7 @@ class TestReplayAndThreads:
         assert read_bytes(outs[0] / "posterior.json") == read_bytes(outs[1] / "posterior.json")
         assert read_bytes(outs[0] / "summary.csv") == read_bytes(outs[1] / "summary.csv")
 
-    def test_chains_run_serially_by_default(self, monkeypatch):
-        monkeypatch.delenv("LANDSCAPER_THREADS", raising=False)
+    def test_chains_run_serially_by_default(self):
         assert cli._resolve_threads(None) == 1
         assert cli._resolve_threads(3) == 3
-
-    def test_malformed_env_var_threads_exits_parse(self, tmp_path, dataset, monkeypatch,
-                                                   capsys):
-        monkeypatch.setenv("LANDSCAPER_THREADS", "abc")
-        assert run(["fit", "--data", dataset / "dataset.csv", "--seed", 2,
-                    "--out", tmp_path / "bad"]) == cli.EXIT_PARSE
-        assert "LANDSCAPER_THREADS" in capsys.readouterr().err
-
-    def test_env_var_threads(self, tmp_path, dataset, monkeypatch):
-        monkeypatch.setenv("LANDSCAPER_THREADS", "2")
-        cfg = tmp_path / "cfg.json"
-        dump_json({"n_chains": 2, "n_iterations": 120, "max_leapfrog": 8}, cfg)
-        out = tmp_path / "env"
-        assert run(["fit", "--data", dataset / "dataset.csv", "--config", cfg,
-                    "--seed", 2, "--allow-nonconverged", "--out", out]) == 0
-        manifest = load_json(out / "manifest.json")
-        assert manifest["config_hash"]
+        assert cli._resolve_threads(0) == 1

@@ -87,6 +87,12 @@ class TestTprGrid:
         with pytest.raises(PreconditionError, match="seed"):
             tpr_grid(bistable_cusp, [10], [0.1], replicates=1, seed=-1)
 
+    @pytest.mark.parametrize("counts", [[0], [10, -2]])
+    def test_series_count_below_one_rejected(self, bistable_cusp, counts):
+        # Refused as a config error, not scored as failed replicates.
+        with pytest.raises(PreconditionError, match="series_counts"):
+            tpr_grid(bistable_cusp, counts, [0.1], replicates=1)
+
     def test_too_small_timestep_rejected(self, bistable_cusp):
         with pytest.raises(PreconditionError, match="internal step"):
             tpr_grid(bistable_cusp, [10], [1e-6], replicates=1)

@@ -2,7 +2,9 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import json
 import pkgutil
+import warnings
 from pathlib import Path
 
 import landscaper
@@ -64,3 +66,34 @@ def test_benchmark_tracer_targets_resolve():
     assert "threads" in inspect.signature(hmc.sample).parameters
     assert callable(inference.TargetContext.curves_on)
     assert "from_json" in inference.Posterior.__dict__
+
+
+def test_fit_passes_threads_to_the_sampler_as_an_int(monkeypatch, tmp_path):
+    # perfbench/run.py takes `max` over the `threads` keyword the tracer sees
+    # on each hmc.sample call, so every way into a fit must pass it as an int
+    # keyword: the library call at its default and with `threads=`, and the
+    # CLI without `--threads`.
+    from landscaper import cli, hmc, inference, sim
+    from landscaper.tsdata import write_observations_csv
+
+    seen = []
+    sample = hmc.sample
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs.get("threads"))
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(hmc, "sample", recording)
+    data = sim.generate_short_series(sim.cusp_model(sim.CuspParams()), 10, 3, 0.1, seed=1)
+    cfg = inference.FitConfig(n_chains=1, n_iterations=100, max_leapfrog=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        inference.fit(data.collection, cfg)
+        inference.fit(data.collection, cfg, threads=2)
+        write_observations_csv(data.collection, tmp_path / "data.csv")
+        (tmp_path / "fit.json").write_text(json.dumps(cfg.to_json()))
+        assert cli.main(["fit", "--data", str(tmp_path / "data.csv"), "--config",
+                         str(tmp_path / "fit.json"), "--allow-nonconverged",
+                         "--out", str(tmp_path / "fit")]) == 0
+    assert seen == [1, 2, 1]
+    assert all(type(t) is int for t in seen)

@@ -21,7 +21,7 @@ class TestSampler:
     def test_standard_normal_2d(self):
         target = gaussian_target([0.0, 0.0], [1.0, 1.0])
         chains = hmc.sample(target, np.zeros(2), n_chains=4, n_iterations=2000, seed=5)
-        draws = chains.flat()
+        draws = chains.draws.reshape(-1, 2)
         assert draws.shape == (4000, 2)
         assert np.all(np.abs(draws.mean(axis=0)) < 0.05)
         for j in range(2):
@@ -30,7 +30,7 @@ class TestSampler:
     def test_variance_recovery_1d(self):
         target = gaussian_target([0.0], [2.5])
         chains = hmc.sample(target, np.zeros(1), n_chains=2, n_iterations=2000, seed=8)
-        var = chains.flat().var()
+        var = chains.draws.var()
         assert abs(var - 2.5) < 0.25
 
     def test_seed_determinism(self):
@@ -83,7 +83,7 @@ class TestSampler:
         # widely different scales exercise the mass-matrix adaptation
         target = gaussian_target([0.0, 0.0], [100.0, 0.01])
         chains = hmc.sample(target, np.zeros(2), n_chains=2, n_iterations=2000, seed=3)
-        var = chains.flat().var(axis=0)
+        var = chains.draws.reshape(-1, 2).var(axis=0)
         assert abs(var[0] - 100.0) < 30.0
         assert abs(var[1] - 0.01) < 0.003
 

@@ -118,13 +118,13 @@ class TestLogPosterior:
     def test_likelihood_matches_independent_reimplementation(self, rng):
         ctx = synthetic_context(rng, n=25, m=9)
         theta = random_state(rng, 9)
-        state = ModelState.from_vector(theta, 9)
+        z_f, z_g = theta[:9], theta[9:18]
         s_qf, l_f, s_b, s_l, s_qg, l_g = np.exp(theta[18:])
         f_x = whitened_values_direct(
-            ctx.anchors, ctx.x, state.z_f,
+            ctx.anchors, ctx.x, z_f,
             lambda a, b: drift_kernel(a, b, s_qf, l_f, s_b, s_l, c=0.0), JITTER_REL)
         g_x = whitened_values_direct(
-            ctx.anchors, ctx.x, state.z_g, lambda a, b: eq_kernel(a, b, s_qg, l_g),
+            ctx.anchors, ctx.x, z_g, lambda a, b: eq_kernel(a, b, s_qg, l_g),
             JITTER_REL)
 
         lp1 = ctx.log_posterior_and_grad(theta)[0]
@@ -198,9 +198,11 @@ class TestStateAndConfig:
     def test_state_vector_round_trip(self, rng):
         state = ModelState(rng.normal(size=5), rng.normal(size=5),
                            rng.normal(size=4), rng.normal(size=2))
-        back = ModelState.from_vector(state.to_vector(), 5)
-        np.testing.assert_array_equal(back.z_f, state.z_f)
-        np.testing.assert_array_equal(back.diff_hypers, state.diff_hypers)
+        # The sampler's layout: z_f, z_g, then the 4 drift and 2 diffusion hypers.
+        theta = state.to_vector()
+        back = ModelState(theta[:5], theta[5:10], theta[10:14], theta[14:])
+        for name in ("z_f", "z_g", "drift_hypers", "diff_hypers"):
+            np.testing.assert_array_equal(getattr(back, name), getattr(state, name))
 
     def test_state_validation(self):
         with pytest.raises(PreconditionError):
@@ -221,8 +223,10 @@ class TestStateAndConfig:
             FitConfig(n_iterations=50)
 
     def test_threads_is_not_a_config_key(self):
-        # to_json never writes it, so no config document may set it.
-        assert "threads" not in FitConfig(threads=3).to_json()
+        # The thread count is `fit`'s keyword: it never changes results, so
+        # no config document or serialized config carries it.
+        assert "threads" not in {f.name for f in dataclasses.fields(FitConfig)}
+        assert FitConfig().to_json() == dataclasses.asdict(FitConfig())
         with pytest.raises(IngestError, match="threads"):
             FitConfig.from_json({"n_chains": 2, "threads": 2})
 

@@ -214,6 +214,11 @@ class TestGenerateShortSeries:
         with pytest.raises(PreconditionError):
             generate_short_series(bistable_cusp, 5, 1, 0.1, seed=0)
 
+    @pytest.mark.parametrize("internal_dt", [0.0, -0.01, math.nan])
+    def test_nonpositive_internal_step_rejected(self, bistable_cusp, internal_dt):
+        with pytest.raises(PreconditionError, match="internal step"):
+            generate_short_series(bistable_cusp, 5, 2, 0.1, seed=0, internal_dt=internal_dt)
+
     def test_non_multiple_dt_rejected(self, bistable_cusp):
         with pytest.raises(PreconditionError):
             generate_short_series(bistable_cusp, 5, 2, 0.015, seed=0)
@@ -230,8 +235,9 @@ class TestGenerateShortSeries:
     def test_chunked_burn_in_matches_unchunked(self, monkeypatch):
         # 4 walkers, 300-step chunks: the 1000 burn-in steps span 4 chunks.
         monkeypatch.setattr(sim, "BURN_IN_BLOCK", 4 * 300)
+        monkeypatch.setattr(sim, "BURN_IN_STEPS", 1000)
         m = custom_bimodal_unistable()
-        ds = generate_short_series(m, 4, 3, 0.05, seed=6, burn_in_steps=1000)
+        ds = generate_short_series(m, 4, 3, 0.05, seed=6)
         rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(6).spawn(4)]
         z = np.stack([r.standard_normal(1000 + 10) for r in rngs])
         paths = sim._simulate_batch(m, np.full(4, sim._diffusion_mode(m)), 0.01, z)
@@ -242,10 +248,11 @@ class TestGenerateShortSeries:
         # x grows by exactly 1000 per step from 0 and leaves [-1e6, 1e6] at
         # step 1001, in the fourth 300-step chunk.
         monkeypatch.setattr(sim, "BURN_IN_BLOCK", 300)
+        monkeypatch.setattr(sim, "BURN_IN_STEPS", 2000)
         m = SdeModel(drift=lambda x: 1e5 + 0.0 * x, diffusion=lambda x: 0.0 * np.asarray(x),
                      name="runaway", state_range=(0.0, 0.0))
         with pytest.raises(SimulationDiverged) as err:
-            generate_short_series(m, 1, 2, 0.01, seed=0, burn_in_steps=2000)
+            generate_short_series(m, 1, 2, 0.01, seed=0)
         assert err.value.step == 1001
 
     def test_burn_in_memory_is_bounded(self, monkeypatch):
@@ -254,10 +261,11 @@ class TestGenerateShortSeries:
         import tracemalloc
 
         monkeypatch.setattr(sim, "BURN_IN_BLOCK", 1 << 16)
+        monkeypatch.setattr(sim, "BURN_IN_STEPS", 5000)
         m = custom_bimodal_unistable()
         tracemalloc.start()
         try:
-            generate_short_series(m, 200, 2, 0.01, seed=1, burn_in_steps=5000)
+            generate_short_series(m, 200, 2, 0.01, seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -272,7 +280,7 @@ def batch_of_one_timescale(m, seed, total_time, internal_dt=0.01):
         x0 = m.stationary_icdf(sim._open_uniform(rng))
     else:
         burn = sim._simulate_batch(m, np.array([sim._diffusion_mode(m)]), internal_dt,
-                                   rng.standard_normal((1, 10_000)))
+                                   rng.standard_normal((1, sim.BURN_IN_STEPS)))
         x0 = float(burn[0, -1])
     path = sim._simulate_batch(m, np.array([x0]), internal_dt,
                                rng.standard_normal((1, n_steps)))

@@ -13,6 +13,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import fields, replace
@@ -158,6 +159,8 @@ def cmd_simulate(args, argv) -> int:
     if args.dt_frac is not None:
         if not args.internal_dt > 0:
             raise PreconditionError(f"--internal-dt must be positive, got {args.internal_dt}")
+        if not 0 < args.dt_frac < math.inf:
+            raise PreconditionError(f"--dt-frac must be finite and positive, got {args.dt_frac}")
         t_c = estimate_timescale(model, seed=tc_seed).t_c
         stride = max(1, round(args.dt_frac * t_c / args.internal_dt))
         dt = stride * args.internal_dt

@@ -73,6 +73,8 @@ def sample(
     init = np.asarray(init, dtype=float)
     if n_iterations < 2:
         raise SamplerError(f"need n_iterations >= 2 for warmup and sampling; got {n_iterations}")
+    if max_leapfrog < 1:
+        raise SamplerError(f"need max_leapfrog >= 1; got {max_leapfrog}")
     warmup = n_iterations // 2
     streams = seed_sequence(seed).spawn(n_chains)
 

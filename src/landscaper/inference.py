@@ -28,8 +28,8 @@ import numpy as np
 from . import hmc
 from .diagnostics import ess, rhat
 from .errors import ConvergenceWarning, DegenerateDataError, IngestError, PreconditionError
-from .tsdata import (TimeSeriesCollection, TransitionSet, boolean, integer, number,
-                     read_document, to_transitions)
+from .tsdata import (TimeSeriesCollection, TransitionSet, integer, number, read_document,
+                     to_transitions)
 
 __all__ = [
     "ModelState",
@@ -104,7 +104,6 @@ class FitConfig:
     n_chains: int = 4
     n_iterations: int = 2000
     n_anchors: int = 30
-    anchors_at_observations: bool = False
     target_accept: float = 0.8
     max_leapfrog: int = 32
     padding: float = 0.1
@@ -112,10 +111,14 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_chains < 1:
-            raise PreconditionError("n_chains must be >= 1")
-        if self.n_iterations < 100:
-            raise PreconditionError("n_iterations must be >= 100")
+        for name, least in (("n_chains", 1), ("n_iterations", 100), ("n_anchors", 2),
+                            ("max_leapfrog", 1), ("grid_size", 3)):
+            if getattr(self, name) < least:
+                raise PreconditionError(f"{name} must be >= {least}")
+        if not 0 < self.target_accept < 1:
+            raise PreconditionError(f"target_accept must lie in (0, 1), got {self.target_accept}")
+        if not 0 <= self.padding < math.inf:
+            raise PreconditionError(f"padding must be finite and >= 0, got {self.padding}")
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -124,9 +127,21 @@ class FitConfig:
     def from_json(cls, doc) -> "FitConfig":
         """A config from a JSON object setting any of the fields, each a value
         of the field's type; IngestError for any other key or value."""
-        by_type = {"int": integer, "float": number, "bool": boolean}
+        by_type = {"int": integer, "float": number}
         return cls(**read_document(doc, {f.name: by_type[f.type] for f in fields(cls)},
                                    "FitConfig"))
+
+    def layout(self, lo: float, hi: float):
+        """(grid, anchors, center) of a fit to data on [lo, hi]: `grid_size`
+        grid points and `n_anchors` anchors evenly spaced over the range
+        widened by `padding` times its width at each end, and the midpoint."""
+        span = hi - lo
+        if not 0 < span < math.inf:
+            raise DegenerateDataError(f"data range [{lo}, {hi}] is not a finite interval "
+                                      "of positive width")
+        pad = self.padding * span
+        return (np.linspace(lo - pad, hi + pad, self.grid_size),
+                np.linspace(lo - pad, hi + pad, self.n_anchors), 0.5 * (lo + hi))
 
 
 class TargetContext:
@@ -343,54 +358,52 @@ def log_posterior(state: ModelState, transitions: TransitionSet, anchors):
 
 @dataclass(frozen=True)
 class Posterior:
-    """The sampler's latent draws, plus the grid, anchors, centre, divergence
-    count and config of the fit that made them.
+    """The sampler's latent draws, plus the divergence count, data range and
+    config of the fit that made them.
 
     `chain_draws` (chains, draws per chain, 2m+6) holds the whitened drift and
     diffusion latents at the m anchors, then the log hypers in `HYPER_NAMES`
-    order; it is the only copy of the draws that is saved. The curves
+    order; it is the only copy of the draws that is saved. The `grid`,
+    `anchors` and `center` are `config.layout(*data_range)`, and the curves
     `drift_draws` and `diffusion_draws` (n_draws, len(grid)) are recomputed
-    from it when the posterior is made or loaded; `diagnostics` and
-    `converged` are computed from it the first time they are read. A
-    `posterior.json` without `chain_draws` predates this layout and must be
-    re-fitted.
+    from the draws; all five are set when the posterior is made or loaded.
+    `diagnostics` and `converged` are computed from the draws the first time
+    they are read. A `posterior.json` without `chain_draws`, or fitted with
+    anchors at the observations, must be re-fitted.
     """
 
-    grid: np.ndarray
     chain_draws: np.ndarray
     divergences: int
-    anchors: np.ndarray
-    center: float
     data_range: tuple[float, float]
     config: FitConfig
 
     def __post_init__(self):
-        if np.any(np.diff(self.grid) <= 0):
-            raise PreconditionError("posterior grid must be strictly increasing")
-        dim = 2 * self.anchors.size + N_HYPERS
+        grid, anchors, center = self.config.layout(*self.data_range)
+        dim = 2 * anchors.size + N_HYPERS
         draws = self.chain_draws
         if draws.ndim != 3 or draws.shape[2] != dim or not np.isfinite(draws).all():
             raise PreconditionError(
                 f"chain_draws must be finite, of shape (chains, draws, {dim}) for "
-                f"{self.anchors.size} anchors; got shape {draws.shape}")
+                f"{anchors.size} anchors; got shape {draws.shape}")
         # The curves depend on the anchors alone, so a context without data
         # gives the same bits as the one the sampler ran on.
-        ctx = TargetContext((), (), (), self.anchors, self.center)
+        ctx = TargetContext((), (), (), anchors, center)
         flat = draws.reshape(-1, dim)
-        drift, diffusion = np.empty((2, flat.shape[0], self.grid.size))
+        drift, diffusion = np.empty((2, flat.shape[0], grid.size))
         for i, theta in enumerate(flat):
-            drift[i], diffusion[i] = ctx.curves_on(self.grid, theta)
+            drift[i], diffusion[i] = ctx.curves_on(grid, theta)
         if np.any(diffusion <= 0):
             raise PreconditionError("diffusion draws must be strictly positive")
-        object.__setattr__(self, "drift_draws", drift)
-        object.__setattr__(self, "diffusion_draws", diffusion)
+        for name, value in (("grid", grid), ("anchors", anchors), ("center", center),
+                            ("drift_draws", drift), ("diffusion_draws", diffusion)):
+            object.__setattr__(self, name, value)
 
     @cached_property
     def diagnostics(self) -> dict:
         """{"rhat": {name: value}, "ess": {name: value}} per parameter, the log
         hypers taken on their constrained scale; NaN throughout with fewer than
         2 chains or 4 draws per chain."""
-        m = self.anchors.size
+        m = self.config.n_anchors
         names = [f"z_drift[{i}]" for i in range(m)] + [f"z_diff[{i}]" for i in range(m)]
         names += list(HYPER_NAMES)
         n_chains, n_draws, _ = self.chain_draws.shape
@@ -430,11 +443,8 @@ class Posterior:
 
     def to_json(self) -> dict:
         return {
-            "grid": self.grid.tolist(),
             "chain_draws": self.chain_draws.tolist(),
             "divergences": self.divergences,
-            "anchors": self.anchors.tolist(),
-            "center": self.center,
             "data_range": list(self.data_range),
             "config": self.config.to_json(),
         }
@@ -442,24 +452,27 @@ class Posterior:
     @classmethod
     def from_json(cls, doc: dict) -> "Posterior":
         """The posterior of a `to_json` document. Keys it does not read, such
-        as the `diagnostics` and `converged` that older files stored, are
-        ignored."""
+        as the `diagnostics`, `converged`, `grid`, `anchors` and `center` that
+        older files stored, are ignored; so is an older config's
+        `anchors_at_observations: false`."""
         try:
+            config = doc["config"]
+            if isinstance(config, dict) and config.get("anchors_at_observations") is False:
+                config = {k: v for k, v in config.items() if k != "anchors_at_observations"}
             return cls(
-                grid=np.asarray(doc["grid"], dtype=float),
                 chain_draws=np.asarray(doc["chain_draws"], dtype=float),
                 divergences=int(doc["divergences"]),
-                anchors=np.asarray(doc["anchors"], dtype=float),
-                center=float(doc["center"]),
                 data_range=tuple(doc["data_range"]),
-                config=FitConfig.from_json(doc["config"]),
+                config=FitConfig.from_json(config),
             )
         except KeyError as exc:
             problem = f"missing key {exc}"
-        except (AttributeError, TypeError, ValueError, IngestError, PreconditionError) as exc:
+        except (AttributeError, TypeError, ValueError, IngestError, PreconditionError,
+                DegenerateDataError) as exc:
             problem = str(exc)
         raise IngestError(f"malformed posterior document ({problem}); a posterior.json "
-                          "written before chain draws were stored must be re-fitted")
+                          "without chain draws, or fitted with anchors at the "
+                          "observations, must be re-fitted")
 
     def summary_rows(self):
         """Rows of (grid, drift mean/50%/95% bands, diffusion likewise) for CSV."""
@@ -486,18 +499,7 @@ def fit(c: TimeSeriesCollection, cfg: FitConfig = FitConfig(), *,
     if np.all(dx == 0.0):
         raise DegenerateDataError("all increments are zero; dynamics are unidentifiable")
 
-    lo, hi = c.value_range
-    span = hi - lo
-    if span <= 0:
-        raise DegenerateDataError("data range is a single point")
-    pad = cfg.padding * span
-    grid = np.linspace(lo - pad, hi + pad, cfg.grid_size)
-    if cfg.anchors_at_observations:
-        anchors = np.unique(np.concatenate([[lo - pad, hi + pad], x]))
-    else:
-        anchors = np.linspace(lo - pad, hi + pad, cfg.n_anchors)
-    center = 0.5 * (lo + hi)
-
+    _, anchors, center = cfg.layout(*c.value_range)
     ctx = TargetContext(x, dx, dt, anchors, center)
     chains = hmc.sample(
         ctx.log_posterior_and_grad,
@@ -510,15 +512,7 @@ def fit(c: TimeSeriesCollection, cfg: FitConfig = FitConfig(), *,
         threads=threads,
     )
 
-    posterior = Posterior(
-        grid=grid,
-        chain_draws=chains.draws,
-        divergences=chains.divergences,
-        anchors=anchors,
-        center=center,
-        data_range=(float(lo), float(hi)),
-        config=cfg,
-    )
+    posterior = Posterior(chains.draws, chains.divergences, c.value_range, cfg)
     if not posterior.converged:
         worst = max(posterior.diagnostics["rhat"].values())
         warnings.warn(f"max Rhat {worst:.3f} exceeds {MAX_RHAT}", ConvergenceWarning,

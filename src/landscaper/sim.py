@@ -274,8 +274,9 @@ def generate_short_series(
         raise PreconditionError("need n_series >= 1 and pts_per_series >= 2")
     if not internal_dt > 0:
         raise PreconditionError(f"internal step must be positive, got {internal_dt}")
-    if dt_target < internal_dt:
-        raise PreconditionError(f"dt_target must be >= internal step {internal_dt}")
+    if not internal_dt <= dt_target < math.inf:
+        raise PreconditionError(
+            f"dt_target must be finite and >= internal step {internal_dt}, got {dt_target}")
     stride = round(dt_target / internal_dt)
     if abs(stride * internal_dt - dt_target) > 1e-9 * max(1.0, stride):
         raise PreconditionError(

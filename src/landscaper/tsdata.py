@@ -365,9 +365,9 @@ def read_document(doc, converters: dict, what: str) -> dict:
 
 
 def _converter(types, expected: str, cast=lambda v: v):
-    # JSON true/false load as bool, a subclass of int: only `boolean` takes them.
+    # JSON true/false load as bool, a subclass of int: no converter takes them.
     def convert(value):
-        if isinstance(value, types) and (types is bool or not isinstance(value, bool)):
+        if isinstance(value, types) and not isinstance(value, bool):
             return cast(value)
         raise TypeError(f"expected {expected}, got {value!r}")
     return convert
@@ -375,7 +375,6 @@ def _converter(types, expected: str, cast=lambda v: v):
 
 integer = _converter(int, "an integer")
 number = _converter((int, float), "a number", float)
-boolean = _converter(bool, "true or false")
 text = _converter(str, "a string")
 
 

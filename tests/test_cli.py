@@ -39,27 +39,22 @@ CUSP_SPEC = {"name": "cusp", "alpha": 0, "beta": 1, "lam": 0, "r": 1, "epsilon":
 
 def synthetic_posterior(bistable: bool, n_draws=40) -> Posterior:
     """Latent draws whose curves follow a cusp-like (or linear) drift and a
-    near-constant diffusion: each latent is z = L^-1 (target values at the
-    anchors), with L the anchor Cholesky factor at fixed hyperparameters."""
-    anchors = np.linspace(-2.4, 2.4, 30)
+    near-constant diffusion on data over [-2, 2]: each latent is
+    z = L^-1 (target values at the anchors), with L the anchor Cholesky factor
+    at fixed hyperparameters. The default layout puts the anchors and grid on
+    [-2.4, 2.4] with centre 0."""
+    config = FitConfig()
+    _, anchors, center = config.layout(-2.0, 2.0)
     rng = np.random.default_rng(8)
     base = anchors - anchors**3 if bistable else -anchors
     drift = base + 0.02 * rng.standard_normal((n_draws, anchors.size))
     ghat = np.log(0.5 + 0.05 * rng.random((n_draws, anchors.size)))
     eta = np.log([2.0, 1.0, 2.0, 2.0, 2.0, 1.0])
-    _, _, _, chol_f, chol_g = TargetContext((), (), (), anchors, 0.0)._factors(eta)
+    _, _, _, chol_f, chol_g = TargetContext((), (), (), anchors, center)._factors(eta)
     theta = np.column_stack([np.linalg.solve(chol_f, drift.T).T,
                              np.linalg.solve(chol_g, ghat.T).T,
                              np.tile(eta, (n_draws, 1))])
-    return Posterior(
-        grid=np.linspace(-2.4, 2.4, 200),
-        chain_draws=theta.reshape(2, n_draws // 2, -1),
-        divergences=0,
-        anchors=anchors,
-        center=0.0,
-        data_range=(-2.2, 2.2),
-        config=FitConfig(),
-    )
+    return Posterior(theta.reshape(2, n_draws // 2, -1), 0, (-2.0, 2.0), config)
 
 
 class TestSimulate:
@@ -257,6 +252,27 @@ class TestDerive:
         for name in outputs:
             assert read_bytes(loaded / name) == read_bytes(in_memory / name), name
 
+    def test_posterior_in_the_older_layout_derives_the_same_bytes(self, tmp_path, capsys):
+        # Files written while the posterior stored its grid, anchors and
+        # centre, and the config the anchor-layout switch, derive as before.
+        post = synthetic_posterior(bistable=True)
+        doc = post.to_json()
+        old = {**doc, "grid": post.grid.tolist(), "anchors": post.anchors.tolist(),
+               "center": post.center,
+               "config": {**doc["config"], "anchors_at_observations": False}}
+        outputs = []
+        for name, d in (("new", doc), ("old", old)):
+            dump_json(d, tmp_path / f"{name}.json")
+            assert run(["derive", "--posterior", tmp_path / f"{name}.json",
+                        "--out", tmp_path / name]) == 0
+            outputs.append(load_json(tmp_path / name / "manifest.json")["outputs"])
+        assert len(outputs[0]) == 12 and outputs[1] == outputs[0]
+        old["config"]["anchors_at_observations"] = True
+        dump_json(old, tmp_path / "refit.json")
+        assert run(["derive", "--posterior", tmp_path / "refit.json",
+                    "--out", tmp_path / "refit"]) == cli.EXIT_PARSE
+        assert "re-fitted" in capsys.readouterr().err
+
     def test_derive_computes_no_diagnostics(self, tmp_path, monkeypatch):
         def refuse(series):
             raise AssertionError("derive computed a diagnostic")
@@ -379,6 +395,9 @@ class TestMalformedDocuments:
         # the experiment seed sets every replicate's fit seed
         ("tpr-grid", {"model": CUSP_SPEC, "series_counts": [12], "replicates": 1,
                       "fit": {"n_chains": 2, "n_iterations": 100, "seed": 5}}, "seed"),
+        ("tpr-grid", {"model": CUSP_SPEC, "series_counts": [12], "replicates": 1,
+                      "fit": {"n_chains": 2, "n_iterations": 100,
+                              "anchors_at_observations": False}}, "anchors_at_observations"),
     ])
     def test_experiment_config_keys_are_checked(self, tmp_path, capsys, name, doc, names):
         path = tmp_path / "exp.json"
@@ -396,6 +415,8 @@ class TestMalformedDocuments:
         ({"n_chains": 2, "bogus": 1}, "bogus"),
         ([2, 150], "list"),
         ({"n_chains": 2, "threads": 2}, "threads"),
+        # there is one anchor layout, so no switch selects it
+        ({"anchors_at_observations": False}, "anchors_at_observations"),
     ])
     def test_fit_config_values_are_typed(self, tmp_path, capsys, dataset, doc, names):
         path = tmp_path / "fit.json"
@@ -404,6 +425,29 @@ class TestMalformedDocuments:
                     "--out", tmp_path / "o"]) == cli.EXIT_PARSE
         err = capsys.readouterr().err
         assert str(path) in err and names in err
+
+    @pytest.mark.parametrize("doc", [{"max_leapfrog": 0}, {"target_accept": 1.5},
+                                     {"grid_size": 2}])
+    def test_fit_setting_out_of_range_exits_precondition(self, tmp_path, capsys, dataset,
+                                                         doc):
+        path = tmp_path / "fit.json"
+        dump_json({"n_chains": 2, "n_iterations": 100, **doc}, path)
+        assert run(["fit", "--data", dataset / "dataset.csv", "--config", path,
+                    "--out", tmp_path / "o"]) == cli.EXIT_PRECONDITION
+        assert next(iter(doc)) in capsys.readouterr().err
+        assert not (tmp_path / "o" / "posterior.json").exists()
+
+    @pytest.mark.parametrize("step, value", [("--dt", "nan"), ("--dt", "inf"),
+                                             ("--dt-frac", "nan"), ("--dt-frac", "inf"),
+                                             ("--dt-frac", 0), ("--dt-frac", -1)])
+    def test_step_not_finite_and_positive_exits_precondition(self, tmp_path, capsys, step,
+                                                             value):
+        args = simulate_args(tmp_path / "o")
+        i = args.index("--dt")
+        args[i : i + 2] = [step, value]
+        assert run(args) == cli.EXIT_PRECONDITION
+        assert "dt" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "dataset.csv").exists()
 
     @pytest.mark.parametrize("case", ["simulate", "fit", "fit config", "experiment",
                                       "experiment config"])

@@ -4,6 +4,7 @@ import importlib.util
 import inspect
 import json
 import pkgutil
+import re
 import warnings
 from pathlib import Path
 
@@ -43,6 +44,22 @@ def test_demo_imports_resolve():
             missing += [f"{script.name}: {node.module}.{alias.name}"
                         for alias in node.names if not hasattr(mod, alias.name)]
     assert missing == []
+
+
+def test_readme_fit_config_keys_are_the_config_fields():
+    # The README lists the keys `fit --config` takes; it must name every
+    # FitConfig field and nothing else.
+    from dataclasses import fields
+
+    from landscaper.inference import FitConfig
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    bullet = re.search(r"^- `fit --config` takes a JSON object setting any `FitConfig` "
+                       r"field:(.*?)\.\s", readme, re.MULTILINE | re.DOTALL)
+    assert bullet, "README has no `fit --config` key list"
+    keys = re.findall(r"`(\w+)`", bullet.group(1))
+    assert len(keys) == len(set(keys))
+    assert set(keys) == {f.name for f in fields(FitConfig)}
 
 
 def test_benchmark_tracer_targets_resolve():

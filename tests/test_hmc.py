@@ -79,6 +79,11 @@ class TestSampler:
             hmc.sample(target, np.zeros(1), n_chains=1, n_iterations=1, seed=0)
         assert hmc.sample(target, np.zeros(1), n_chains=1, n_iterations=2, seed=0).warmup == 1
 
+    def test_needs_a_leapfrog_step(self):
+        with pytest.raises(SamplerError, match="max_leapfrog"):
+            hmc.sample(gaussian_target([0.0], [1.0]), np.zeros(1), n_chains=1,
+                       n_iterations=100, seed=0, max_leapfrog=0)
+
     def test_correlated_scale_adaptation(self):
         # widely different scales exercise the mass-matrix adaptation
         target = gaussian_target([0.0, 0.0], [100.0, 0.01])

@@ -222,6 +222,28 @@ class TestStateAndConfig:
         with pytest.raises(PreconditionError):
             FitConfig(n_iterations=50)
 
+    @pytest.mark.parametrize("key, value", [
+        ("n_anchors", 1), ("n_anchors", -1), ("max_leapfrog", 0), ("target_accept", 0.0),
+        ("target_accept", 1.0), ("target_accept", 1.5), ("target_accept", math.nan),
+        ("grid_size", 2), ("padding", -0.1), ("padding", math.inf),
+    ])
+    def test_sampler_and_grid_settings_out_of_range(self, key, value):
+        with pytest.raises(PreconditionError, match=key):
+            FitConfig(**{key: value})
+
+    def test_layout_is_the_padded_data_range(self):
+        cfg = FitConfig(n_anchors=5, grid_size=9, padding=0.25)
+        grid, anchors, center = cfg.layout(-1.0, 3.0)
+        np.testing.assert_array_equal(grid, np.linspace(-2.0, 4.0, 9))
+        np.testing.assert_array_equal(anchors, np.linspace(-2.0, 4.0, 5))
+        assert center == 1.0
+
+    @pytest.mark.parametrize("lo, hi", [(1.0, 1.0), (2.0, 1.0), (0.0, math.inf),
+                                        (math.nan, 1.0)])
+    def test_layout_needs_a_finite_range_of_positive_width(self, lo, hi):
+        with pytest.raises(DegenerateDataError, match="range"):
+            FitConfig().layout(lo, hi)
+
     def test_threads_is_not_a_config_key(self):
         # The thread count is `fit`'s keyword: it never changes results, so
         # no config document or serialized config carries it.
@@ -268,6 +290,10 @@ class TestFit:
         span = hi - lo
         assert post.grid[0] == pytest.approx(lo - 0.1 * span)
         assert post.grid[-1] == pytest.approx(hi + 0.1 * span)
+        grid, anchors, center = post.config.layout(lo, hi)
+        assert post.data_range == (lo, hi)
+        assert np.array_equal(post.grid, grid) and np.array_equal(post.anchors, anchors)
+        assert post.center == center
 
     def test_posterior_json_round_trip(self, small_posterior):
         post, _ = small_posterior
@@ -295,23 +321,30 @@ class TestFit:
     def test_diagnostics_are_not_stored(self, small_posterior):
         post, _ = small_posterior
         doc = post.to_json()
-        assert "diagnostics" not in doc and "converged" not in doc
+        assert set(doc) == {"chain_draws", "divergences", "data_range", "config"}
         back = Posterior.from_json(json.loads(json.dumps(doc)))
         assert "diagnostics" not in vars(back) and "converged" not in vars(back)
         assert back.diagnostics == post.diagnostics
         assert back.converged == post.converged
 
     def test_posterior_with_stored_diagnostics_still_loads(self, small_posterior):
-        # The layout before diagnostics were computed from the draws: Rhat and
-        # ESS stored per parameter (null where not finite), and `converged`.
+        # The layouts before diagnostics were computed from the draws: Rhat and
+        # ESS stored per parameter (null where not finite), and `converged`;
+        # and before the layout rule: the grid, anchors and centre, and the
+        # config's anchor-layout switch, off.
         post, _ = small_posterior
         stored = {kind: {name: v if math.isfinite(v) else None for name, v in values.items()}
                   for kind, values in post.diagnostics.items()}
-        doc = {**post.to_json(), "diagnostics": stored, "converged": post.converged}
+        doc = post.to_json()
+        doc.update(diagnostics=stored, converged=post.converged, grid=post.grid.tolist(),
+                   anchors=post.anchors.tolist(), center=post.center,
+                   config={**doc["config"], "anchors_at_observations": False})
         back = Posterior.from_json(json.loads(json.dumps(doc)))
         assert back.diagnostics == post.diagnostics
         assert back.converged == post.converged
+        assert back.config == post.config
         assert np.array_equal(back.drift_draws, post.drift_draws)
+        assert np.array_equal(back.diffusion_draws, post.diffusion_draws)
 
     def test_malformed_posterior_document_rejected(self, small_posterior):
         post, _ = small_posterior
@@ -329,6 +362,13 @@ class TestFit:
             Posterior.from_json(json.loads(json.dumps({**doc, "chain_draws": nan.tolist()})))
         with pytest.raises(PreconditionError, match="shape"):
             dataclasses.replace(post, chain_draws=post.chain_draws[0])
+        for data_range in ([1.0, 1.0], [1.0], [0.0, "x"]):
+            with pytest.raises(IngestError, match="malformed posterior document"):
+                Posterior.from_json({**doc, "data_range": data_range})
+        # The anchors-at-observations layout is gone.
+        refit = {**doc, "config": {**doc["config"], "anchors_at_observations": True}}
+        with pytest.raises(IngestError, match="anchors_at_observations.*re-fitted"):
+            Posterior.from_json(refit)
 
     def test_band_rejects_unknown_curve(self, small_posterior):
         post, _ = small_posterior
@@ -357,17 +397,6 @@ class TestFit:
         assert np.max(np.abs(b.drift_draws.mean(0) - a.drift_draws.mean(0)) / sd) < 0.35
         gsd = np.maximum(a.diffusion_draws.std(axis=0), 1e-3)
         assert np.max(np.abs(b.diffusion_draws.mean(0) - a.diffusion_draws.mean(0)) / gsd) < 0.35
-
-    def test_anchors_at_observations_mode(self, bistable_cusp):
-        ds = generate_short_series(bistable_cusp, 8, 3, 0.1, seed=2)
-        cfg = FitConfig(n_chains=2, n_iterations=200, seed=5,
-                        anchors_at_observations=True, max_leapfrog=8)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            post = fit(ds.collection, cfg)
-        # anchors include every observed transition start plus the padded ends
-        x, _, _ = to_transitions(ds.collection).arrays()
-        assert post.anchors.size == np.unique(x).size + 2
 
     def test_one_chain_posterior_is_strict_json(self, readme_dataset, tmp_path):
         # One chain has no Rhat or ESS. Neither is stored, so the file holds

@@ -219,6 +219,11 @@ class TestGenerateShortSeries:
         with pytest.raises(PreconditionError, match="internal step"):
             generate_short_series(bistable_cusp, 5, 2, 0.1, seed=0, internal_dt=internal_dt)
 
+    @pytest.mark.parametrize("dt_target", [math.nan, math.inf, 0.0, -0.1])
+    def test_sampling_step_must_be_finite_and_positive(self, bistable_cusp, dt_target):
+        with pytest.raises(PreconditionError, match="dt_target"):
+            generate_short_series(bistable_cusp, 5, 2, dt_target, seed=0)
+
     def test_non_multiple_dt_rejected(self, bistable_cusp):
         with pytest.raises(PreconditionError):
             generate_short_series(bistable_cusp, 5, 2, 0.015, seed=0)

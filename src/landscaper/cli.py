@@ -162,7 +162,10 @@ def cmd_simulate(args, argv) -> int:
         if not 0 < args.dt_frac < math.inf:
             raise PreconditionError(f"--dt-frac must be finite and positive, got {args.dt_frac}")
         t_c = estimate_timescale(model, seed=tc_seed).t_c
-        stride = max(1, round(args.dt_frac * t_c / args.internal_dt))
+        stride = round(args.dt_frac * t_c / args.internal_dt)
+        if stride < 1:
+            raise PreconditionError(f"--dt-frac {args.dt_frac} gives a step below the "
+                                    f"internal step {args.internal_dt}")
         dt = stride * args.internal_dt
     else:
         if args.dt is None:

@@ -133,10 +133,7 @@ class TippingRegion:
 
 def stationary_density(cp: CurvePair) -> StationaryDensity:
     """pi(x) ~ (1/g) exp{2 int f/g} by cumulative trapezoid, normalized."""
-    try:
-        pdf = density_from_drift_diffusion(cp.grid, cp.drift, cp.diffusion)
-    except FloatingPointError as exc:
-        raise DegenerateDataError(str(exc)) from None
+    pdf = density_from_drift_diffusion(cp.grid, cp.drift, cp.diffusion)
     return StationaryDensity(grid=cp.grid, density=pdf)
 
 

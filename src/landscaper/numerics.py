@@ -8,10 +8,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import DegenerateDataError, PreconditionError
 
 __all__ = ["cumulative_trapezoid", "density_from_drift_diffusion", "nearest_rank",
            "seed_sequence"]
+
+# Largest rounding error density_from_drift_diffusion accepts in its exponent:
+# the unit roundoff times the largest magnitude of the running integral.
+DENSITY_ROUNDOFF_BOUND = 1e-6
 
 
 def seed_sequence(seed) -> np.random.SeedSequence:
@@ -39,19 +43,30 @@ def density_from_drift_diffusion(grid, f, g) -> np.ndarray:
     """Normalized stationary density pi(x) ~ (1/g) exp(2 int f/g) on a grid.
 
     Cumulative trapezoid of 2 f/g from the grid start, stabilized by
-    subtracting the running maximum before exponentiation, then normalized by
-    the trapezoid integral. Used both by the curve-level derived quantities
-    and by the simulators' quadrature so the two stay numerically identical.
+    subtracting its maximum before exponentiation, then normalized by the
+    trapezoid integral. Used both by the curve-level derived quantities and by
+    the simulators' quadrature so the two stay numerically identical.
+
+    Raises DegenerateDataError, rather than return a wrong density, when the
+    normalization overflows or when rounding alone exceeds
+    DENSITY_ROUNDOFF_BOUND. The bound is on the integral's largest magnitude,
+    not its maximum: one that falls far below zero and climbs back carries
+    that rounding into a second peak.
     """
     grid = np.asarray(grid, dtype=float)
     f = np.asarray(f, dtype=float)
     g = np.asarray(g, dtype=float)
     exponent = cumulative_trapezoid(2.0 * f / g, grid)
+    reach = np.abs(exponent).max()
+    if reach * (np.finfo(float).eps / 2) > DENSITY_ROUNDOFF_BOUND:
+        raise DegenerateDataError(
+            f"stationary density not resolvable on [{grid[0]}, {grid[-1]}]: the running "
+            f"integral of 2f/g reaches {reach:.3g} in magnitude, beyond double precision")
     exponent -= exponent.max()
     unnorm = np.exp(exponent) / g
     norm = np.trapezoid(unnorm, grid)
     if not np.isfinite(norm) or norm <= 0:
-        raise FloatingPointError("stationary density normalization overflowed")
+        raise DegenerateDataError("stationary density normalization overflowed")
     return unnorm / norm
 
 

@@ -3,13 +3,14 @@
 Provides the cusp catastrophe family (polynomial drift, constant noise) and a
 bimodal-but-unistable model with state-dependent noise, plus Euler-Maruyama
 integration and generation of labeled collections of short series for model
-validation. Single-walker paths (euler_maruyama, and the burn-in and
-reference run of estimate_timescale) use a scalar loop on Python floats;
-collections of series use a vectorized loop over the batch of walkers. Both do
-the same arithmetic in the same order, so a path does not depend on which loop
-made it. Every trajectory is driven by a seeded generator stream derived from
-(seed, series index), so parallel generation is reproducible regardless of
-scheduling.
+validation. Every built-in model carries a table of its stationary density,
+computed by quadrature, and every simulation starts from an inverse-transform
+draw of it. Single-walker paths (euler_maruyama and the reference run of
+estimate_timescale) use a scalar loop on Python floats; collections of series
+use a vectorized loop over the batch of walkers. Both do the same arithmetic
+in the same order, so a path does not depend on which loop made it. Every
+trajectory is driven by a seeded generator stream derived from (seed, series
+index), so parallel generation is reproducible regardless of scheduling.
 """
 
 from __future__ import annotations
@@ -40,11 +41,6 @@ __all__ = [
 INTERNAL_DT = 0.01
 DIVERGENCE_LIMIT = 1e6
 QUADRATURE_POINTS = 4001
-# Internal steps from the diffusion's mode that give a model without an
-# analytic stationary density its stationary start.
-BURN_IN_STEPS = 10_000
-# Normals drawn per burn-in chunk across all walkers (8 MB of float64).
-BURN_IN_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -72,9 +68,9 @@ class SdeModel:
     """A 1-D SDE dx = drift(x) dt + sqrt(diffusion(x)) dW with optional ground truth.
 
     ``diffusion`` is the squared noise intensity g (non-negative). ``label``
-    is the true number of stable states when known. ``stationary_icdf``, when
-    present, maps uniforms in (0,1) to stationary draws; models without it are
-    initialized by burn-in.
+    is the true number of stable states when known. ``stationary_icdf`` maps
+    uniforms in (0,1) to stationary draws; every built-in model has one, and
+    a model without it can be integrated from a given state but not started.
     """
 
     drift: Callable
@@ -146,7 +142,12 @@ def custom_bimodal_unistable() -> SdeModel:
 
     drift(x) = exp(-0.08 x) - 0.95 for x <= 0 and -0.5 x^2 + 0.05 for x > 0
     (continuous at 0); squared noise g(x) = 0.844 exp(-(2x - 0.6)^2), peaking
-    at x = 0.3. The single stable root sits at sqrt(0.1).
+    at x = 0.3. The single stable root sits at sqrt(0.1), between the two
+    density peaks near -0.63 and 0.95.
+
+    The stationary table covers (-2, 2.5). Further out g is so small that the
+    running integral of 2f/g reaches 1e17 before the mass starts, and the
+    quadrature cannot resolve the density.
     """
 
     def drift(x):
@@ -162,15 +163,19 @@ def custom_bimodal_unistable() -> SdeModel:
         return out if out.ndim else float(out)
 
     root = math.sqrt(0.1)
+    state_range = (-2.0, 2.5)
+    grid = np.linspace(*state_range, QUADRATURE_POINTS)
+    pdf = density_from_drift_diffusion(grid, drift(grid), diffusion(grid))
     return SdeModel(
         drift=drift,
         diffusion=diffusion,
         name="bimodal-unistable",
         params={},
         label=1,
-        state_range=(-3.0, 3.0),
+        state_range=state_range,
         stable_points=(root,),
         tipping_points=(),
+        stationary_icdf=_build_icdf(grid, pdf),
     )
 
 
@@ -207,11 +212,8 @@ def _simulate_path(m: SdeModel, x0: float, dt: float, z: np.ndarray) -> np.ndarr
     return values
 
 
-def _simulate_batch(m: SdeModel, x0: np.ndarray, dt: float, z: np.ndarray,
-                    first_step: int = 0) -> np.ndarray:
-    """Vectorized Euler-Maruyama over a batch of walkers; returns (k, n_steps+1).
-
-    A divergence is reported at its step plus `first_step`, the steps before x0."""
+def _simulate_batch(m: SdeModel, x0: np.ndarray, dt: float, z: np.ndarray) -> np.ndarray:
+    """Vectorized Euler-Maruyama over a batch of walkers; returns (k, n_steps+1)."""
     k, n_steps = z.shape
     sqrt_dt = math.sqrt(dt)
     out = np.empty((k, n_steps + 1))
@@ -222,7 +224,7 @@ def _simulate_batch(m: SdeModel, x0: np.ndarray, dt: float, z: np.ndarray,
         x = x + np.asarray(m.drift(x), dtype=float) * dt + np.sqrt(g) * sqrt_dt * z[:, n]
         bad = ~np.isfinite(x) | (np.abs(x) > DIVERGENCE_LIMIT)
         if np.any(bad):
-            raise SimulationDiverged(first_step + n + 1, float(x[np.argmax(bad)]))
+            raise SimulationDiverged(n + 1, float(x[np.argmax(bad)]))
         out[:, n + 1] = x
     return out
 
@@ -249,11 +251,6 @@ def _build_icdf(grid: np.ndarray, pdf: np.ndarray) -> Callable:
     return icdf
 
 
-def _diffusion_mode(m: SdeModel) -> float:
-    probe = np.linspace(m.state_range[0], m.state_range[1], 2001)
-    return float(probe[np.argmax(np.asarray(m.diffusion(probe), dtype=float))])
-
-
 def generate_short_series(
     m: SdeModel,
     n_series: int,
@@ -264,11 +261,10 @@ def generate_short_series(
 ) -> SimulatedDataset:
     """Simulate a labeled collection of short series with stationary starts.
 
-    Each series draws an independent stationary initial state (inverse
-    transform when the model has an analytic density, BURN_IN_STEPS of the
-    internal step from the diffusion's mode otherwise), evolves at the
-    high-resolution internal step and is subsampled to dt_target, which must
-    be a whole multiple of the internal step.
+    Each series draws an independent stationary initial state from the
+    model's stationary table, evolves at the high-resolution internal step
+    and is subsampled to dt_target, which must be a whole multiple of the
+    internal step.
     """
     if n_series < 1 or pts_per_series < 2:
         raise PreconditionError("need n_series >= 1 and pts_per_series >= 2")
@@ -287,21 +283,9 @@ def generate_short_series(
     children = seed_sequence(seed).spawn(n_series)
     rngs = [np.random.default_rng(c) for c in children]
 
-    if m.stationary_icdf is not None:
-        x0 = np.array([m.stationary_icdf(_open_uniform(r)) for r in rngs])
-        burned = 0
-    else:
-        # Burn in over chunks of steps, keeping only each walker's current
-        # state. Every generator still draws its normals in the same order.
-        x0 = np.full(n_series, _diffusion_mode(m))
-        burned = BURN_IN_STEPS
-        chunk = max(1, BURN_IN_BLOCK // n_series)
-        for start in range(0, burned, chunk):
-            z = np.stack([r.standard_normal(min(chunk, burned - start)) for r in rngs])
-            x0 = _simulate_batch(m, x0, internal_dt, z, start)[:, -1]
-
+    x0 = np.array([_stationary_start(m, r) for r in rngs])
     z = np.stack([r.standard_normal(n_obs_steps) for r in rngs])
-    paths = _simulate_batch(m, x0, internal_dt, z, burned)
+    paths = _simulate_batch(m, x0, internal_dt, z)
     obs = paths[:, ::stride][:, :pts_per_series]
     times = np.arange(pts_per_series) * (stride * internal_dt)
 
@@ -338,14 +322,12 @@ def estimate_timescale(m: SdeModel, seed=0, total_time: float = 1000.0):
 
 
 def _stationary_start(m: SdeModel, rng) -> float:
-    """One stationary initial state: inverse transform when the model has an
-    analytic density, otherwise BURN_IN_STEPS of INTERNAL_DT from the
-    diffusion's mode."""
-    if m.stationary_icdf is not None:
-        return float(m.stationary_icdf(_open_uniform(rng)))
-    burn = _simulate_path(m, _diffusion_mode(m), INTERNAL_DT,
-                          rng.standard_normal(BURN_IN_STEPS))
-    return float(burn[-1])
+    """One stationary initial state, drawn by inverse transform of the model's
+    stationary table from one uniform of `rng`; the one place a simulation
+    starts."""
+    if m.stationary_icdf is None:
+        raise PreconditionError(f"model {m.name!r} has no stationary table to start from")
+    return float(m.stationary_icdf(_open_uniform(rng)))
 
 
 def _open_uniform(rng) -> float:

@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's code paths: brute-force scans, the
 kernels written out from their formulas, direct matrix-inverse GP formulas,
-plain-python density sums, and a batch Monte Carlo first-passage simulator.
+plain-python density sums, a batch Monte Carlo first-passage simulator, and
+stationary states reached by a long Euler-Maruyama burn-in.
 They exist so that library results are checked against something that cannot
 share their bugs.
 """
@@ -98,3 +99,19 @@ def first_passage_times(drift, diffusion, x0, barrier, dt, n_walkers, seed):
             alive = alive[~crossed]
             x = x[~crossed]
     return times
+
+
+def burned_in_states(drift, diffusion, n_walkers, seed, x0=0.3, dt=0.01, n_steps=10_000):
+    """States of n_walkers Euler-Maruyama walkers after n_steps of dt from x0.
+
+    Long enough a burn-in forgets the start, so the walkers are draws from the
+    stationary density without any quadrature of it.
+    """
+    rng = np.random.default_rng(seed)
+    x = np.full(n_walkers, float(x0))
+    sqrt_dt = math.sqrt(dt)
+    for _ in range(n_steps):
+        z = rng.standard_normal(n_walkers)
+        g = np.asarray(diffusion(x), dtype=float)
+        x = x + np.asarray(drift(x), dtype=float) * dt + np.sqrt(g) * sqrt_dt * z
+    return x

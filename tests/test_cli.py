@@ -501,6 +501,23 @@ class TestMalformedDocuments:
         assert run(args) == cli.EXIT_PRECONDITION
         assert "internal" in capsys.readouterr().err
 
+    def test_dt_frac_below_one_internal_step_exits_precondition(self, tmp_path, capsys):
+        args = simulate_args(tmp_path / "o")
+        i = args.index("--dt")
+        args[i : i + 2] = ["--dt-frac", "1e-9"]
+        assert run(args) == cli.EXIT_PRECONDITION
+        assert "internal step 0.01" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "dataset.csv").exists()
+
+    def test_unresolvable_stationary_density_exits_precondition(self, tmp_path, capsys):
+        # At epsilon 1e-12 the running integral of 2f/g reaches about 3e14, and
+        # a start table from that quadrature would follow its grid, not the model.
+        args = simulate_args(tmp_path / "o")
+        args[args.index("--epsilon") + 1] = 1e-12
+        assert run(args) == cli.EXIT_PRECONDITION
+        assert "2f/g" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "dataset.csv").exists()
+
     def test_replay_of_argv_ending_in_out(self, tmp_path, capsys):
         path = tmp_path / "manifest.json"
         dump_json({"command": "simulate", "argv": ["simulate", "--out"]}, path)

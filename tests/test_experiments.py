@@ -7,7 +7,7 @@ from scipy.stats import spearmanr
 from landscaper.errors import PreconditionError
 from landscaper.experiments import coverage_experiment, kl_divergence, tpr_grid
 from landscaper.inference import FitConfig
-from landscaper.sim import CuspParams, cusp_model
+from landscaper.sim import CuspParams, cusp_model, custom_bimodal_unistable
 
 
 class TestKlDivergence:
@@ -60,6 +60,14 @@ class TestCoverageExperiment:
     def test_agreement_grows_with_budget(self, small_coverage):
         rho = spearmanr(small_coverage.budgets, small_coverage.agreement_short).statistic
         assert rho > 0.9
+
+    def test_bimodal_unistable_reaches_its_stationary_density(self):
+        # Both designs start from the model's stationary table and are scored
+        # against the same density, so both end close to it.
+        res = coverage_experiment(custom_bimodal_unistable(), total_time=100,
+                                  replicates=3, seed=3)
+        assert res.agreement_short[-1] >= 0.9
+        assert res.agreement_long[-1] >= 0.9
 
     def test_replicates_validated(self, bistable_cusp):
         with pytest.raises(PreconditionError):

@@ -5,6 +5,7 @@ import inspect
 import json
 import pkgutil
 import re
+import shlex
 import warnings
 from pathlib import Path
 
@@ -27,15 +28,18 @@ def test_every_exported_name_resolves():
     assert stale == []
 
 
+def demo_scripts(pattern):
+    scripts = sorted((Path(__file__).resolve().parent.parent / "demos").glob(pattern))
+    assert scripts
+    return scripts
+
+
 def test_demo_imports_resolve():
     # The demos are not run by the suite, so a deleted public name would
     # otherwise only show when someone runs them. Their `from landscaper...
     # import ...` lines are read with ast, without running the scripts.
-    demos = Path(__file__).resolve().parent.parent / "demos"
-    scripts = sorted(demos.glob("*.py"))
-    assert scripts
     missing = []
-    for script in scripts:
+    for script in demo_scripts("*.py"):
         for node in ast.walk(ast.parse(script.read_text(encoding="utf-8"))):
             if not (isinstance(node, ast.ImportFrom) and node.module
                     and node.module.split(".")[0] == "landscaper"):
@@ -44,6 +48,50 @@ def test_demo_imports_resolve():
             missing += [f"{script.name}: {node.module}.{alias.name}"
                         for alias in node.names if not hasattr(mod, alias.name)]
     assert missing == []
+
+
+def test_demo_keywords_are_parameters():
+    # A removed keyword option breaks a demo that passes it as surely as a
+    # removed name does. Each keyword a demo passes to a name it imported
+    # from landscaper must still be a parameter of that callable.
+    unknown = []
+    for script in demo_scripts("*.py"):
+        tree = ast.parse(script.read_text(encoding="utf-8"))
+        imported = {
+            alias.asname or alias.name: getattr(importlib.import_module(node.module),
+                                                alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module
+            and node.module.split(".")[0] == "landscaper"
+            for alias in node.names
+        }
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and callable(imported.get(node.func.id))):
+                continue
+            params = inspect.signature(imported[node.func.id]).parameters
+            if any(p.kind is p.VAR_KEYWORD for p in params.values()):
+                continue
+            unknown += [f"{script.name}:{node.lineno}: {node.func.id}({kw.arg}=)"
+                        for kw in node.keywords if kw.arg and kw.arg not in params]
+    assert unknown == []
+
+
+def test_cli_demo_commands_parse():
+    # The shell demo's `landscaper ...` commands must still parse: a removed
+    # flag or subcommand would otherwise only show when the demo is run.
+    from landscaper import cli
+
+    refused = []
+    for script in demo_scripts("*.sh"):
+        for line in script.read_text(encoding="utf-8").replace("\\\n", " ").splitlines():
+            tokens = shlex.split(line) if line.startswith("landscaper ") else []
+            try:
+                if tokens:
+                    cli.build_parser().parse_args(tokens[1:])
+            except SystemExit:
+                refused.append(f"{script.name}: {line}")
+    assert refused == []
 
 
 def test_readme_fit_config_keys_are_the_config_fields():

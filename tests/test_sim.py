@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+from scipy.stats import ks_2samp
 
 from landscaper import sim
-from landscaper.errors import PreconditionError, SimulationDiverged
+from landscaper.errors import DegenerateDataError, PreconditionError, SimulationDiverged
+from landscaper.numerics import density_from_drift_diffusion
 from landscaper.sim import (
     CuspParams,
     SdeModel,
@@ -23,7 +25,7 @@ from landscaper.tsdata import (
     to_transitions,
 )
 
-from oracles import sign_scan_roots
+from oracles import burned_in_states, sign_scan_roots
 
 
 class TestCuspModel:
@@ -89,6 +91,31 @@ class TestCustomBimodalUnistable:
         m = custom_bimodal_unistable()
         xs = np.linspace(-5, 5, 1001)
         assert np.all(m.diffusion(xs) > 0)
+
+    def test_starts_match_burned_in_walkers(self):
+        # Inverse-transform starts against walkers that forgot x = 0.3 over
+        # 10,000 Euler-Maruyama steps, which share no code with the table.
+        m = custom_bimodal_unistable()
+        ds = generate_short_series(m, 2000, 2, 0.01, seed=11)
+        starts = np.array([s.values[0] for s in ds.collection.series])
+        walkers = burned_in_states(m.drift, m.diffusion, 2000, seed=12)
+        assert ks_2samp(starts, walkers).pvalue > 0.01
+
+    def test_stationary_table_is_grid_converged(self):
+        m = custom_bimodal_unistable()
+        fine = np.linspace(*m.state_range, 10 * sim.QUADRATURE_POINTS)
+        fine_icdf = sim._build_icdf(
+            fine, density_from_drift_diffusion(fine, m.drift(fine), m.diffusion(fine)))
+        us = np.linspace(0.001, 0.999, 999)
+        np.testing.assert_allclose(m.stationary_icdf(us), fine_icdf(us), rtol=0, atol=1e-3)
+
+    def test_wide_range_density_is_refused(self):
+        # On (-3, 3) the running integral of 2f/g reaches about 2.4e17 before
+        # the mass starts, and the quadrature's quantiles move with the grid.
+        m = custom_bimodal_unistable()
+        grid = np.linspace(-3.0, 3.0, sim.QUADRATURE_POINTS)
+        with pytest.raises(DegenerateDataError, match="2f/g"):
+            density_from_drift_diffusion(grid, m.drift(grid), m.diffusion(grid))
 
 
 class TestEulerMaruyama:
@@ -237,56 +264,19 @@ class TestGenerateShortSeries:
         # stationary support of the custom model is roughly [-1, 1.2]
         assert values.min() > -2.0 and values.max() < 2.0
 
-    def test_chunked_burn_in_matches_unchunked(self, monkeypatch):
-        # 4 walkers, 300-step chunks: the 1000 burn-in steps span 4 chunks.
-        monkeypatch.setattr(sim, "BURN_IN_BLOCK", 4 * 300)
-        monkeypatch.setattr(sim, "BURN_IN_STEPS", 1000)
-        m = custom_bimodal_unistable()
-        ds = generate_short_series(m, 4, 3, 0.05, seed=6)
-        rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(6).spawn(4)]
-        z = np.stack([r.standard_normal(1000 + 10) for r in rngs])
-        paths = sim._simulate_batch(m, np.full(4, sim._diffusion_mode(m)), 0.01, z)
-        for s, expected in zip(ds.collection.series, paths[:, 1000::5]):
-            np.testing.assert_array_equal(s.values, expected)
-
-    def test_burn_in_divergence_reports_absolute_step(self, monkeypatch):
-        # x grows by exactly 1000 per step from 0 and leaves [-1e6, 1e6] at
-        # step 1001, in the fourth 300-step chunk.
-        monkeypatch.setattr(sim, "BURN_IN_BLOCK", 300)
-        monkeypatch.setattr(sim, "BURN_IN_STEPS", 2000)
-        m = SdeModel(drift=lambda x: 1e5 + 0.0 * x, diffusion=lambda x: 0.0 * np.asarray(x),
-                     name="runaway", state_range=(0.0, 0.0))
-        with pytest.raises(SimulationDiverged) as err:
-            generate_short_series(m, 1, 2, 0.01, seed=0)
-        assert err.value.step == 1001
-
-    def test_burn_in_memory_is_bounded(self, monkeypatch):
-        # Unchunked, 200 walkers x 5000 steps hold 8 MB of normals, twice over,
-        # plus the paths; chunked, a few 0.5 MB blocks at a time.
-        import tracemalloc
-
-        monkeypatch.setattr(sim, "BURN_IN_BLOCK", 1 << 16)
-        monkeypatch.setattr(sim, "BURN_IN_STEPS", 5000)
-        m = custom_bimodal_unistable()
-        tracemalloc.start()
-        try:
-            generate_short_series(m, 200, 2, 0.01, seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4e6
+    def test_model_without_stationary_table_cannot_start(self):
+        m = SdeModel(drift=lambda x: -x, diffusion=lambda x: 1.0, name="ou")
+        with pytest.raises(PreconditionError, match="'ou' has no stationary table"):
+            generate_short_series(m, 3, 2, 0.01, seed=0)
+        with pytest.raises(PreconditionError, match="no stationary table"):
+            estimate_timescale(m, seed=0, total_time=1.0)
 
 
 def batch_of_one_timescale(m, seed, total_time, internal_dt=0.01):
     """estimate_timescale's reference run on the vectorized integrator."""
     n_steps = int(round(total_time / internal_dt))
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    if m.stationary_icdf is not None:
-        x0 = m.stationary_icdf(sim._open_uniform(rng))
-    else:
-        burn = sim._simulate_batch(m, np.array([sim._diffusion_mode(m)]), internal_dt,
-                                   rng.standard_normal((1, sim.BURN_IN_STEPS)))
-        x0 = float(burn[0, -1])
+    x0 = m.stationary_icdf(sim._open_uniform(rng))
     path = sim._simulate_batch(m, np.array([x0]), internal_dt,
                                rng.standard_normal((1, n_steps)))
     ts = TimeSeries("reference", np.arange(n_steps + 1) * internal_dt, path[0])
@@ -295,13 +285,12 @@ def batch_of_one_timescale(m, seed, total_time, internal_dt=0.01):
 
 class TestEstimateTimescale:
     def test_cusp_matches_batch_of_one(self, bistable_cusp):
-        # stationary_icdf start
         for seed in (0, 5):
             expected = batch_of_one_timescale(bistable_cusp, seed, total_time=200.0)
             assert estimate_timescale(bistable_cusp, seed=seed, total_time=200.0) == expected
 
     def test_burn_in_model_matches_batch_of_one(self):
-        # burn-in start from the diffusion's mode
+        # State-dependent noise, started from the model's stationary table.
         m = custom_bimodal_unistable()
         expected = batch_of_one_timescale(m, 3, total_time=50.0)
         assert estimate_timescale(m, seed=3, total_time=50.0) == expected

@@ -34,11 +34,13 @@ from .experiments import coverage_experiment, tpr_grid
 from .inference import FitConfig, Posterior, fit
 from .numerics import seed_sequence
 from .sim import (
+    INTERNAL_DT,
     CuspParams,
     cusp_model,
     custom_bimodal_unistable,
     estimate_timescale,
     generate_short_series,
+    step_from_fraction,
 )
 from .tsdata import (
     TimeSeriesCollection,
@@ -107,18 +109,21 @@ def _resolve_threads(value) -> int:
     return 1 if value is None else max(1, value)
 
 
-# The keys of a model spec and their converters. Every model takes the cusp
-# parameters (`simulate` passes those it is given), and bimodal-unistable
-# ignores them.
+# The keys of a model spec document and their converters. Every model takes
+# the cusp parameters, and bimodal-unistable ignores them. `simulate` hands
+# the ones it is given to `_make_model` as flags, not as a document.
 CUSP_PARAMS = tuple(f.name for f in fields(CuspParams))
 MODEL_SPEC = {"name": text, **dict.fromkeys(CUSP_PARAMS, number)}
 
 
 def _build_model(spec):
-    params = read_document(spec, MODEL_SPEC, "model spec")
-    name = params.pop("name", None)
+    return _make_model(**read_document(spec, MODEL_SPEC, "model spec"))
+
+
+def _make_model(name=None, **params):
+    cusp = CuspParams(**params)  # checked for every model: the manifest records them
     if name == "cusp":
-        return cusp_model(CuspParams(**params))
+        return cusp_model(cusp)
     if name == "bimodal-unistable":
         return custom_bimodal_unistable()
     raise IngestError(f"unknown model name {name!r}")
@@ -137,7 +142,7 @@ def _replicate_fit_config(doc) -> FitConfig:
 # takes the experiment function's default.
 EXPERIMENT_CONFIGS = {
     "coverage": {"model": _build_model, "seed": integer, "total_time": number,
-                 "replicates": integer, "points_per_short": integer, "n_bins": integer},
+                 "replicates": integer},
     "tpr-grid": {"model": _build_model, "seed": integer, "series_counts": list_of(integer),
                  "timesteps": list_of(number), "replicates": integer,
                  "fit": _replicate_fit_config},
@@ -154,25 +159,17 @@ def cmd_simulate(args, argv) -> int:
     out.mkdir(parents=True, exist_ok=True)
     spec = {"name": args.model, **{k: getattr(args, k) for k in CUSP_PARAMS
                                    if getattr(args, k) is not None}}
-    model = _build_model(spec)
+    model = _make_model(**spec)
     tc_seed, data_seed = seed_sequence(args.seed).spawn(2)
     if args.dt_frac is not None:
-        if not args.internal_dt > 0:
-            raise PreconditionError(f"--internal-dt must be positive, got {args.internal_dt}")
         if not 0 < args.dt_frac < math.inf:
             raise PreconditionError(f"--dt-frac must be finite and positive, got {args.dt_frac}")
-        t_c = estimate_timescale(model, seed=tc_seed).t_c
-        stride = round(args.dt_frac * t_c / args.internal_dt)
-        if stride < 1:
-            raise PreconditionError(f"--dt-frac {args.dt_frac} gives a step below the "
-                                    f"internal step {args.internal_dt}")
-        dt = stride * args.internal_dt
+        dt = step_from_fraction(args.dt_frac, estimate_timescale(model, seed=tc_seed).t_c)
     else:
         if args.dt is None:
             raise PreconditionError("one of --dt or --dt-frac is required")
         dt = args.dt
-    ds = generate_short_series(model, args.n_series, args.points, dt, data_seed,
-                               internal_dt=args.internal_dt)
+    ds = generate_short_series(model, args.n_series, args.points, dt, data_seed)
     csv_path = out / f"{args.name}.csv"
     truth_path = out / f"{args.name}_truth.json"
     write_observations_csv(ds.collection, csv_path)
@@ -180,7 +177,7 @@ def cmd_simulate(args, argv) -> int:
     truth["seed"] = args.seed
     dump_json(truth, truth_path)
     config = {"spec": spec, "n_series": args.n_series, "points": args.points,
-              "dt": dt, "internal_dt": args.internal_dt}
+              "dt": dt, "internal_dt": INTERNAL_DT}
     _write_manifest(out, "simulate", argv, args.seed, config, [],
                     [csv_path, truth_path], started)
     return EXIT_OK
@@ -382,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, default=None, help="sampling step (time units)")
     p.add_argument("--dt-frac", type=float, default=None,
                    help="sampling step as a fraction of the model's t_c")
-    p.add_argument("--internal-dt", type=float, default=0.01)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--name", default="dataset")
     p.add_argument("--out", required=True)

@@ -18,6 +18,7 @@ from .sim import (
     estimate_timescale,
     euler_maruyama,
     generate_short_series,
+    step_from_fraction,
 )
 
 __all__ = [
@@ -31,6 +32,8 @@ __all__ = [
 DENSITY_FLOOR = 1e-12
 # Observations per short series in each tpr_grid fit.
 TPR_POINTS_PER_SERIES = 2
+COVERAGE_POINTS_PER_SERIES = 5
+COVERAGE_BINS = 50
 
 
 @dataclass(frozen=True)
@@ -83,31 +86,28 @@ def coverage_experiment(
     total_time: float = 250.0,
     replicates: int = 50,
     seed=0,
-    points_per_short: int = 5,
-    n_bins: int = 50,
 ) -> CoverageResult:
     """Expanding-window agreement between data histograms and the true density.
 
     Per replicate, one long trajectory and one collection of independently
-    initialized short series share the same total simulation time. At each
-    whole-unit budget the observed values so far are histogrammed and compared
-    to the stationary density by KL divergence; agreement is 1 - KL/maxKL with
-    maxKL taken over both conditions and all budgets within the replicate.
+    initialized short series of COVERAGE_POINTS_PER_SERIES points share the
+    same total simulation time. At each whole-unit budget the observed values
+    so far are histogrammed in COVERAGE_BINS bins and compared to the
+    stationary density by KL divergence; agreement is 1 - KL/maxKL with maxKL
+    taken over both conditions and all budgets within the replicate.
     Both conditions observe every step of INTERNAL_DT.
     """
-    if replicates < 1 or n_bins < 1 or total_time < 1:
-        raise PreconditionError("replicates, n_bins and total_time must be >= 1")
-    if points_per_short < 2:
-        raise PreconditionError("points_per_short must be >= 2")
+    if replicates < 1 or not 1 <= total_time < np.inf:
+        raise PreconditionError("replicates must be >= 1 and total_time finite and >= 1")
     grid, _, cdf = _reference_density(model)
     lo = float(np.interp(5e-4, cdf, grid))
     hi = float(np.interp(1.0 - 5e-4, cdf, grid))
-    edges = np.linspace(lo, hi, n_bins + 1)
+    edges = np.linspace(lo, hi, COVERAGE_BINS + 1)
     width = edges[1] - edges[0]
     ref = np.diff(np.interp(edges, grid, cdf)) / width
 
     budgets = np.arange(1, int(total_time) + 1)
-    span = (points_per_short - 1) * INTERNAL_DT
+    span = (COVERAGE_POINTS_PER_SERIES - 1) * INTERNAL_DT
     n_short = int(np.floor(total_time / span))
     steps_long = int(round(total_time / INTERNAL_DT))
 
@@ -115,7 +115,8 @@ def coverage_experiment(
     agree_l = np.empty((replicates, len(budgets)))
     for r, child in enumerate(seed_sequence(seed).spawn(replicates)):
         short_seed, long_seed = child.spawn(2)
-        ds = generate_short_series(model, n_short, points_per_short, INTERNAL_DT, short_seed)
+        ds = generate_short_series(model, n_short, COVERAGE_POINTS_PER_SERIES, INTERNAL_DT,
+                                   short_seed)
         short_values = np.concatenate([s.values for s in ds.collection.series])
         x0 = _stationary_start(model, np.random.default_rng(long_seed))
         long_values = euler_maruyama(model, x0, INTERNAL_DT, steps_long,
@@ -125,7 +126,7 @@ def coverage_experiment(
         kl_l = np.empty(len(budgets))
         for i, tau in enumerate(budgets):
             k_series = min(int(np.floor(tau / span)), n_short)
-            vals_s = short_values[: k_series * points_per_short]
+            vals_s = short_values[: k_series * COVERAGE_POINTS_PER_SERIES]
             vals_l = long_values[: int(round(tau / INTERNAL_DT)) + 1]
             kl_s[i] = _histogram_kl(vals_s, edges, width, ref)
             kl_l[i] = _histogram_kl(vals_l, edges, width, ref)
@@ -176,20 +177,12 @@ def tpr_grid(
     timesteps = tuple(float(t) for t in timesteps)
     if any(n < 1 for n in series_counts):
         raise PreconditionError("series_counts entries must be >= 1")
-    if any(t <= 0 for t in timesteps):
-        raise PreconditionError("timestep fractions must be positive")
+    if not all(0 < t < np.inf for t in timesteps):
+        raise PreconditionError("timestep fractions must be finite and positive")
 
     tc_seed, data_seed = seed_sequence(seed).spawn(2)
     t_c = estimate_timescale(true_model, seed=tc_seed).t_c
-
-    strides = {}
-    for frac in timesteps:
-        stride = int(round(frac * t_c / INTERNAL_DT))
-        if stride < 1:
-            raise PreconditionError(
-                f"timestep fraction {frac} gives a step below the internal step {INTERNAL_DT}"
-            )
-        strides[frac] = stride
+    steps = {frac: step_from_fraction(frac, t_c) for frac in timesteps}
 
     tpr = np.zeros((len(series_counts), len(timesteps)))
     failures = np.zeros_like(tpr, dtype=int)
@@ -201,10 +194,8 @@ def tpr_grid(
             for rep_seed in cell_seed.spawn(replicates):
                 data_child, fit_child = rep_seed.spawn(2)
                 try:
-                    ds = generate_short_series(
-                        true_model, n_series, TPR_POINTS_PER_SERIES,
-                        strides[frac] * INTERNAL_DT, data_child,
-                    )
+                    ds = generate_short_series(true_model, n_series, TPR_POINTS_PER_SERIES,
+                                               steps[frac], data_child)
                     rep_cfg = replace(cfg, seed=int(fit_child.generate_state(1)[0]))
                     post = fit(ds.collection, rep_cfg)
                     if multistability_posterior(post).mode == true_model.label:

@@ -5,11 +5,11 @@ draws a momentum p ~ N(0, M), integrates Hamilton's equations with a leapfrog
 integrator for a per-iteration jittered number of steps (uniform on
 {1, ..., max_leapfrog}) and applies a Metropolis accept/reject on the total
 energy. During warmup the step size follows Nesterov-style dual averaging
-toward a target acceptance rate, and the diagonal mass matrix is re-estimated
-from warmup draws in two windows (with shrinkage toward a small constant, and
-the step size re-initialized after each update). Transitions whose energy
-error exceeds ENERGY_ERROR_LIMIT, or that produce non-finite values, count as
-divergent and keep the previous draw.
+toward the fixed acceptance rate TARGET_ACCEPT, and the diagonal mass matrix
+is re-estimated from warmup draws in two windows (with shrinkage toward a
+small constant, and the step size re-initialized after each update).
+Transitions whose energy error exceeds ENERGY_ERROR_LIMIT, or that produce
+non-finite values, count as divergent and keep the previous draw.
 
 Chains own independent generator streams spawned from the seed by chain
 index, so results do not depend on scheduling. `threads` > 1 runs up to that
@@ -38,7 +38,8 @@ ENERGY_ERROR_LIMIT = 1000.0
 INIT_JITTER = 1.0
 MAX_INIT_ATTEMPTS = 100
 
-# Dual-averaging constants (standard choices).
+# Dual-averaging target and constants (standard choices, Hoffman & Gelman 2014).
+TARGET_ACCEPT = 0.8
 DA_GAMMA = 0.05
 DA_T0 = 10.0
 DA_KAPPA = 0.75
@@ -62,7 +63,6 @@ def sample(
     n_chains: int = 4,
     n_iterations: int = 2000,
     seed=0,
-    target_accept: float = 0.8,
     max_leapfrog: int = 32,
     threads: int = 1,
 ) -> Chains:
@@ -82,8 +82,7 @@ def sample(
         rng = np.random.default_rng(streams[idx])
         return _run_chain(
             target, init, rng,
-            n_iterations=n_iterations, warmup=warmup,
-            target_accept=target_accept, max_leapfrog=max_leapfrog,
+            n_iterations=n_iterations, warmup=warmup, max_leapfrog=max_leapfrog,
             jitter_first=idx > 0,
         )
 
@@ -153,9 +152,8 @@ def _find_step_size(target, q, logp, grad, rng, inv_mass, sqrt_mass):
 
 
 class _DualAveraging:
-    def __init__(self, eps0, target_accept):
+    def __init__(self, eps0):
         self.mu = math.log(10.0 * eps0)
-        self.target = target_accept
         self.log_eps = math.log(eps0)
         self.log_eps_bar = 0.0
         self.h_bar = 0.0
@@ -165,7 +163,7 @@ class _DualAveraging:
         self.count += 1
         m = self.count
         frac = 1.0 / (m + DA_T0)
-        self.h_bar = (1.0 - frac) * self.h_bar + frac * (self.target - accept_prob)
+        self.h_bar = (1.0 - frac) * self.h_bar + frac * (TARGET_ACCEPT - accept_prob)
         self.log_eps = self.mu - math.sqrt(m) / DA_GAMMA * self.h_bar
         eta = m**-DA_KAPPA
         self.log_eps_bar = eta * self.log_eps + (1.0 - eta) * self.log_eps_bar
@@ -186,15 +184,14 @@ def _regularized_variance(draws: np.ndarray) -> np.ndarray:
     return (n / (n + 5.0)) * var + 1e-3 * (5.0 / (n + 5.0))
 
 
-def _run_chain(target, init, rng, *, n_iterations, warmup, target_accept,
-               max_leapfrog, jitter_first):
+def _run_chain(target, init, rng, *, n_iterations, warmup, max_leapfrog, jitter_first):
     q, logp, grad = _initialize(target, init, rng, jitter_first)
     dim = init.size
 
     inv_mass = np.ones(dim)
     sqrt_mass = np.ones(dim)
     eps = _find_step_size(target, q, logp, grad, rng, inv_mass, sqrt_mass)
-    da = _DualAveraging(eps, target_accept)
+    da = _DualAveraging(eps)
 
     # Mass-matrix re-estimation points inside warmup.
     updates = sorted({int(0.5 * warmup), int(0.9 * warmup)})
@@ -238,7 +235,7 @@ def _run_chain(target, init, rng, *, n_iterations, warmup, target_accept,
                 sqrt_mass = 1.0 / np.sqrt(inv_mass)
                 window = []
                 eps = _find_step_size(target, q, logp, grad, rng, inv_mass, sqrt_mass)
-                da = _DualAveraging(eps, target_accept)
+                da = _DualAveraging(eps)
             if it + 1 == warmup:
                 eps = da.eps_final
         else:

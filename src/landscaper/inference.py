@@ -28,8 +28,7 @@ import numpy as np
 from . import hmc
 from .diagnostics import ess, rhat
 from .errors import ConvergenceWarning, DegenerateDataError, IngestError, PreconditionError
-from .tsdata import (TimeSeriesCollection, TransitionSet, integer, number, read_document,
-                     to_transitions)
+from .tsdata import TimeSeriesCollection, TransitionSet, integer, read_document, to_transitions
 
 __all__ = [
     "ModelState",
@@ -45,6 +44,11 @@ JITTER_REL = 1e-8
 HYPER_BOUND = 30.0
 # A fit has converged when every parameter's split-chain Rhat is at most this.
 MAX_RHAT = 1.05
+PADDING = 0.1
+GRID_SIZE = 200
+# Config keys that older posterior files store, each with the value now fixed.
+RETIRED_CONFIG = {"anchors_at_observations": False, "target_accept": hmc.TARGET_ACCEPT,
+                  "padding": PADDING, "grid_size": GRID_SIZE}
 
 # Inverse-Gamma prior shapes/scales: variances and length scales.
 VAR_PRIOR = (2.0, 2.0)
@@ -104,43 +108,35 @@ class FitConfig:
     n_chains: int = 4
     n_iterations: int = 2000
     n_anchors: int = 30
-    target_accept: float = 0.8
     max_leapfrog: int = 32
-    padding: float = 0.1
-    grid_size: int = 200
     seed: int = 0
 
     def __post_init__(self):
         for name, least in (("n_chains", 1), ("n_iterations", 100), ("n_anchors", 2),
-                            ("max_leapfrog", 1), ("grid_size", 3)):
+                            ("max_leapfrog", 1)):
             if getattr(self, name) < least:
                 raise PreconditionError(f"{name} must be >= {least}")
-        if not 0 < self.target_accept < 1:
-            raise PreconditionError(f"target_accept must lie in (0, 1), got {self.target_accept}")
-        if not 0 <= self.padding < math.inf:
-            raise PreconditionError(f"padding must be finite and >= 0, got {self.padding}")
 
     def to_json(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_json(cls, doc) -> "FitConfig":
-        """A config from a JSON object setting any of the fields, each a value
-        of the field's type; IngestError for any other key or value."""
-        by_type = {"int": integer, "float": number}
-        return cls(**read_document(doc, {f.name: by_type[f.type] for f in fields(cls)},
+        """A config from a JSON object setting any of the fields, each an
+        integer; IngestError for any other key or value."""
+        return cls(**read_document(doc, dict.fromkeys((f.name for f in fields(cls)), integer),
                                    "FitConfig"))
 
     def layout(self, lo: float, hi: float):
-        """(grid, anchors, center) of a fit to data on [lo, hi]: `grid_size`
+        """(grid, anchors, center) of a fit to data on [lo, hi]: GRID_SIZE
         grid points and `n_anchors` anchors evenly spaced over the range
-        widened by `padding` times its width at each end, and the midpoint."""
+        widened by PADDING times its width at each end, and the midpoint."""
         span = hi - lo
         if not 0 < span < math.inf:
             raise DegenerateDataError(f"data range [{lo}, {hi}] is not a finite interval "
                                       "of positive width")
-        pad = self.padding * span
-        return (np.linspace(lo - pad, hi + pad, self.grid_size),
+        pad = PADDING * span
+        return (np.linspace(lo - pad, hi + pad, GRID_SIZE),
                 np.linspace(lo - pad, hi + pad, self.n_anchors), 0.5 * (lo + hi))
 
 
@@ -368,8 +364,8 @@ class Posterior:
     `drift_draws` and `diffusion_draws` (n_draws, len(grid)) are recomputed
     from the draws; all five are set when the posterior is made or loaded.
     `diagnostics` and `converged` are computed from the draws the first time
-    they are read. A `posterior.json` without `chain_draws`, or fitted with
-    anchors at the observations, must be re-fitted.
+    they are read. A `posterior.json` without `chain_draws`, or fitted with a
+    retired config key away from its fixed value, must be re-fitted.
     """
 
     chain_draws: np.ndarray
@@ -453,12 +449,16 @@ class Posterior:
     def from_json(cls, doc: dict) -> "Posterior":
         """The posterior of a `to_json` document. Keys it does not read, such
         as the `diagnostics`, `converged`, `grid`, `anchors` and `center` that
-        older files stored, are ignored; so is an older config's
-        `anchors_at_observations: false`."""
+        older files stored, are ignored; an older config's RETIRED_CONFIG key
+        is dropped if it holds its fixed value, and refused otherwise."""
         try:
             config = doc["config"]
-            if isinstance(config, dict) and config.get("anchors_at_observations") is False:
-                config = {k: v for k, v in config.items() if k != "anchors_at_observations"}
+            if isinstance(config, dict):
+                for key, fixed in RETIRED_CONFIG.items():
+                    value = config.get(key, fixed)
+                    if type(value) is not type(fixed) or value != fixed:
+                        raise IngestError(f"config {key} is {value!r}, not {fixed!r}")
+                config = {k: v for k, v in config.items() if k not in RETIRED_CONFIG}
             return cls(
                 chain_draws=np.asarray(doc["chain_draws"], dtype=float),
                 divergences=int(doc["divergences"]),
@@ -471,8 +471,8 @@ class Posterior:
                 DegenerateDataError) as exc:
             problem = str(exc)
         raise IngestError(f"malformed posterior document ({problem}); a posterior.json "
-                          "without chain draws, or fitted with anchors at the "
-                          "observations, must be re-fitted")
+                          "without chain draws, or fitted with a setting that is now "
+                          "fixed, must be re-fitted")
 
     def summary_rows(self):
         """Rows of (grid, drift mean/50%/95% bands, diffusion likewise) for CSV."""
@@ -507,7 +507,6 @@ def fit(c: TimeSeriesCollection, cfg: FitConfig = FitConfig(), *,
         n_chains=cfg.n_chains,
         n_iterations=cfg.n_iterations,
         seed=cfg.seed,
-        target_accept=cfg.target_accept,
         max_leapfrog=cfg.max_leapfrog,
         threads=threads,
     )

@@ -16,7 +16,7 @@ index), so parallel generation is reproducible regardless of scheduling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -36,6 +36,7 @@ __all__ = [
     "cusp_stationary_density",
     "generate_short_series",
     "estimate_timescale",
+    "step_from_fraction",
 ]
 
 INTERNAL_DT = 0.01
@@ -54,8 +55,9 @@ class CuspParams:
     epsilon: float = 1.0
 
     def __post_init__(self):
-        if self.r <= 0 or self.epsilon <= 0:
-            raise PreconditionError("cusp parameters r and epsilon must be positive")
+        if not all(map(math.isfinite, astuple(self))) or self.r <= 0 or self.epsilon <= 0:
+            raise PreconditionError(f"cusp parameters must be finite, and r and epsilon "
+                                    f"positive; got {self}")
 
     def quadrature_grid(self) -> np.ndarray:
         # Truncation half-width 5*max(1, sqrt(beta)) keeps the quartic tails negligible.
@@ -257,26 +259,22 @@ def generate_short_series(
     pts_per_series: int,
     dt_target: float,
     seed,
-    internal_dt: float = INTERNAL_DT,
 ) -> SimulatedDataset:
     """Simulate a labeled collection of short series with stationary starts.
 
     Each series draws an independent stationary initial state from the
-    model's stationary table, evolves at the high-resolution internal step
-    and is subsampled to dt_target, which must be a whole multiple of the
-    internal step.
+    model's stationary table, evolves at the internal step INTERNAL_DT and is
+    subsampled to dt_target, which must be a whole multiple of it.
     """
     if n_series < 1 or pts_per_series < 2:
         raise PreconditionError("need n_series >= 1 and pts_per_series >= 2")
-    if not internal_dt > 0:
-        raise PreconditionError(f"internal step must be positive, got {internal_dt}")
-    if not internal_dt <= dt_target < math.inf:
+    if not INTERNAL_DT <= dt_target < math.inf:
         raise PreconditionError(
-            f"dt_target must be finite and >= internal step {internal_dt}, got {dt_target}")
-    stride = round(dt_target / internal_dt)
-    if abs(stride * internal_dt - dt_target) > 1e-9 * max(1.0, stride):
+            f"dt_target must be finite and >= internal step {INTERNAL_DT}, got {dt_target}")
+    stride = round(dt_target / INTERNAL_DT)
+    if abs(stride * INTERNAL_DT - dt_target) > 1e-9 * max(1.0, stride):
         raise PreconditionError(
-            f"dt_target={dt_target} is not a whole multiple of the internal step {internal_dt}"
+            f"dt_target={dt_target} is not a whole multiple of the internal step {INTERNAL_DT}"
         )
 
     n_obs_steps = (pts_per_series - 1) * stride
@@ -285,9 +283,9 @@ def generate_short_series(
 
     x0 = np.array([_stationary_start(m, r) for r in rngs])
     z = np.stack([r.standard_normal(n_obs_steps) for r in rngs])
-    paths = _simulate_batch(m, x0, internal_dt, z)
+    paths = _simulate_batch(m, x0, INTERNAL_DT, z)
     obs = paths[:, ::stride][:, :pts_per_series]
-    times = np.arange(pts_per_series) * (stride * internal_dt)
+    times = np.arange(pts_per_series) * (stride * INTERNAL_DT)
 
     width = len(str(max(n_series - 1, 1)))
     series = tuple(
@@ -301,8 +299,8 @@ def generate_short_series(
         "stable_points": list(m.stable_points),
         "tipping_points": list(m.tipping_points),
         "state_range": list(m.state_range),
-        "internal_dt": internal_dt,
-        "dt_target": stride * internal_dt,
+        "internal_dt": INTERNAL_DT,
+        "dt_target": stride * INTERNAL_DT,
         "n_series": n_series,
         "pts_per_series": pts_per_series,
         "seed": _seed_repr(seed),
@@ -319,6 +317,16 @@ def estimate_timescale(m: SdeModel, seed=0, total_time: float = 1000.0):
     path = _simulate_path(m, x0, INTERNAL_DT, rng.standard_normal(n_steps))
     ts = TimeSeries("reference", np.arange(n_steps + 1) * INTERNAL_DT, path)
     return characteristic_timescale(TimeSeriesCollection((ts,)))
+
+
+def step_from_fraction(frac: float, t_c: float) -> float:
+    """`frac` times the time scale `t_c`, rounded to a whole number of
+    INTERNAL_DT steps; PreconditionError when that is less than one step."""
+    stride = round(frac * t_c / INTERNAL_DT)
+    if stride < 1:
+        raise PreconditionError(f"step fraction {frac} of t_c gives a step below the "
+                                f"internal step {INTERNAL_DT}")
+    return stride * INTERNAL_DT
 
 
 def _stationary_start(m: SdeModel, rng) -> float:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -183,8 +184,8 @@ def filter_by_timestep(c: TimeSeriesCollection, max_dt: float) -> TimeSeriesColl
     A series that splits gets fragment-indexed ids ("unit#0", "unit#1", ...);
     an unsplit series keeps its id, which makes the operation idempotent.
     """
-    if max_dt <= 0:
-        raise PreconditionError("max_dt must be positive")
+    if not 0 < max_dt < np.inf:
+        raise PreconditionError(f"max_dt must be finite and positive, got {max_dt}")
     kept = []
     for s in c.series:
         gaps = np.diff(s.times)
@@ -373,8 +374,15 @@ def _converter(types, expected: str, cast=lambda v: v):
     return convert
 
 
+def _finite(value) -> float:
+    # json.load reads NaN and Infinity tokens, and integers past the float range.
+    if abs(value) <= sys.float_info.max:
+        return float(value)
+    raise TypeError(f"expected a finite number, got {value!r}")
+
+
 integer = _converter(int, "an integer")
-number = _converter((int, float), "a number", float)
+number = _converter((int, float), "a number", _finite)
 text = _converter(str, "a string")
 
 

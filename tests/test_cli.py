@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -254,12 +255,15 @@ class TestDerive:
 
     def test_posterior_in_the_older_layout_derives_the_same_bytes(self, tmp_path, capsys):
         # Files written while the posterior stored its grid, anchors and
-        # centre, and the config the anchor-layout switch, derive as before.
+        # centre, and its config the anchor-layout switch and the sampler
+        # target, padding and grid size that are now fixed, derive as before.
         post = synthetic_posterior(bistable=True)
         doc = post.to_json()
+        retired = {"anchors_at_observations": False, "target_accept": 0.8,
+                   "padding": 0.1, "grid_size": 200}
         old = {**doc, "grid": post.grid.tolist(), "anchors": post.anchors.tolist(),
-               "center": post.center,
-               "config": {**doc["config"], "anchors_at_observations": False}}
+               "center": post.center, "config": {**doc["config"], **retired}}
+        assert len(old["config"]) == 9  # eight config fields and the older switch
         outputs = []
         for name, d in (("new", doc), ("old", old)):
             dump_json(d, tmp_path / f"{name}.json")
@@ -267,11 +271,13 @@ class TestDerive:
                         "--out", tmp_path / name]) == 0
             outputs.append(load_json(tmp_path / name / "manifest.json")["outputs"])
         assert len(outputs[0]) == 12 and outputs[1] == outputs[0]
-        old["config"]["anchors_at_observations"] = True
-        dump_json(old, tmp_path / "refit.json")
-        assert run(["derive", "--posterior", tmp_path / "refit.json",
-                    "--out", tmp_path / "refit"]) == cli.EXIT_PARSE
-        assert "re-fitted" in capsys.readouterr().err
+        for key, value in (("anchors_at_observations", True), ("grid_size", 100)):
+            dump_json({**old, "config": {**old["config"], key: value}},
+                      tmp_path / "refit.json")
+            assert run(["derive", "--posterior", tmp_path / "refit.json",
+                        "--out", tmp_path / "refit"]) == cli.EXIT_PARSE
+            err = capsys.readouterr().err
+            assert key in err and "re-fitted" in err
 
     def test_derive_computes_no_diagnostics(self, tmp_path, monkeypatch):
         def refuse(series):
@@ -398,10 +404,23 @@ class TestMalformedDocuments:
         ("tpr-grid", {"model": CUSP_SPEC, "series_counts": [12], "replicates": 1,
                       "fit": {"n_chains": 2, "n_iterations": 100,
                               "anchors_at_observations": False}}, "anchors_at_observations"),
+        # numbers must be finite: json.load reads NaN and Infinity tokens
+        ("tpr-grid", {"model": CUSP_SPEC, "series_counts": [12], "timesteps": [math.nan],
+                      "replicates": 1}, "timesteps"),
+        ("coverage", {"model": CUSP_SPEC, "total_time": math.inf, "replicates": 1},
+         "total_time"),
+        ("coverage", {"model": {**CUSP_SPEC, "alpha": math.nan}, "total_time": 2,
+                      "replicates": 1}, "alpha"),
+        # settings that are now module constants
+        ("coverage", {"model": CUSP_SPEC, "total_time": 2, "replicates": 1, "n_bins": 50},
+         "n_bins"),
+        ("tpr-grid", {"model": CUSP_SPEC, "series_counts": [12], "replicates": 1,
+                      "fit": {"n_chains": 2, "n_iterations": 100, "padding": 0.1}}, "padding"),
     ])
     def test_experiment_config_keys_are_checked(self, tmp_path, capsys, name, doc, names):
         path = tmp_path / "exp.json"
-        dump_json(doc, path)
+        # Raw text, as dump_json refuses NaN.
+        path.write_text(json.dumps(doc))
         assert run(["experiment", "--name", name, "--config", path,
                     "--out", tmp_path / "o"]) == cli.EXIT_PARSE
         err = capsys.readouterr().err
@@ -417,6 +436,9 @@ class TestMalformedDocuments:
         ({"n_chains": 2, "threads": 2}, "threads"),
         # there is one anchor layout, so no switch selects it
         ({"anchors_at_observations": False}, "anchors_at_observations"),
+        # the sampler target and the grid are module constants
+        ({"target_accept": 1.5}, "target_accept"),
+        ({"grid_size": 2}, "grid_size"),
     ])
     def test_fit_config_values_are_typed(self, tmp_path, capsys, dataset, doc, names):
         path = tmp_path / "fit.json"
@@ -426,8 +448,8 @@ class TestMalformedDocuments:
         err = capsys.readouterr().err
         assert str(path) in err and names in err
 
-    @pytest.mark.parametrize("doc", [{"max_leapfrog": 0}, {"target_accept": 1.5},
-                                     {"grid_size": 2}])
+    @pytest.mark.parametrize("doc", [{"max_leapfrog": 0}, {"n_anchors": 1},
+                                     {"n_iterations": 99}])
     def test_fit_setting_out_of_range_exits_precondition(self, tmp_path, capsys, dataset,
                                                          doc):
         path = tmp_path / "fit.json"
@@ -471,8 +493,7 @@ class TestMalformedDocuments:
         assert run(argv) == cli.EXIT_PRECONDITION
         assert "seed" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key, value", [("n_bins", 0), ("total_time", 0.5),
-                                            ("points_per_short", 1)])
+    @pytest.mark.parametrize("key, value", [("total_time", 0.5)])
     def test_coverage_range_exits_precondition(self, tmp_path, capsys, key, value):
         path = tmp_path / "exp.json"
         dump_json({"model": CUSP_SPEC, "total_time": 2, "replicates": 1, key: value}, path)
@@ -490,16 +511,28 @@ class TestMalformedDocuments:
         assert "series_counts" in capsys.readouterr().err
         assert not (tmp_path / "o" / "tpr.json").exists()
 
-    @pytest.mark.parametrize("step", ["--dt", "--dt-frac"])
-    @pytest.mark.parametrize("internal_dt", [0, -0.01, "nan"])
-    def test_nonpositive_internal_dt_exits_precondition(self, tmp_path, capsys, step,
-                                                        internal_dt):
-        args = simulate_args(tmp_path / "o") + ["--internal-dt", internal_dt]
-        if step == "--dt-frac":
-            i = args.index("--dt")
-            args[i : i + 2] = ["--dt-frac", "0.01"]
+    @pytest.mark.parametrize("max_dt", ["nan", "inf"])
+    def test_max_dt_not_finite_exits_precondition_before_fitting(self, tmp_path, capsys,
+                                                                 dataset, max_dt):
+        out = tmp_path / "o"
+        assert run(["fit", "--data", dataset / "dataset.csv", "--max-dt", max_dt,
+                    "--out", out]) == cli.EXIT_PRECONDITION
+        assert "max_dt" in capsys.readouterr().err
+        assert not (out / "posterior.json").exists()
+
+    @pytest.mark.parametrize("model, param, value", [
+        ("cusp", "--alpha", "nan"), ("cusp", "--beta", "inf"),
+        # ignored by the model, but recorded in the manifest
+        ("bimodal-unistable", "--alpha", "nan"),
+    ])
+    def test_cusp_parameter_not_finite_exits_precondition(self, tmp_path, capsys, model,
+                                                          param, value):
+        args = simulate_args(tmp_path / "o")
+        args[args.index("--model") + 1] = model
+        args[args.index(param) + 1] = value
         assert run(args) == cli.EXIT_PRECONDITION
-        assert "internal" in capsys.readouterr().err
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "dataset.csv").exists()
 
     def test_dt_frac_below_one_internal_step_exits_precondition(self, tmp_path, capsys):
         args = simulate_args(tmp_path / "o")
@@ -534,6 +567,17 @@ class TestMalformedDocuments:
 
 
 class TestReplayAndThreads:
+    def test_replay_of_a_removed_flag_is_a_usage_error(self, tmp_path):
+        # The internal step is fixed, so a manifest recording --internal-dt
+        # does not replay.
+        path = tmp_path / "manifest.json"
+        argv = simulate_args(tmp_path / "o") + ["--internal-dt", "0.01"]
+        dump_json({"command": "simulate", "argv": [str(a) for a in argv]}, path)
+        with pytest.raises(SystemExit) as exit_info:
+            run(["replay", "--manifest", path])
+        assert exit_info.value.code == cli.EXIT_PARSE
+        assert not (tmp_path / "o" / "dataset.csv").exists()
+
     def test_replay_byte_identical(self, tmp_path):
         out1 = tmp_path / "r1"
         assert run(simulate_args(out1, seed=77)) == 0

@@ -73,8 +73,8 @@ class TestCoverageExperiment:
         with pytest.raises(PreconditionError):
             coverage_experiment(bistable_cusp, replicates=0)
 
-    @pytest.mark.parametrize("kw", [{"n_bins": 0}, {"total_time": 0.5},
-                                    {"points_per_short": 1}])
+    @pytest.mark.parametrize("kw", [{"total_time": 0.5}, {"total_time": math.nan},
+                                    {"total_time": math.inf}])
     def test_ranges_validated(self, bistable_cusp, kw):
         with pytest.raises(PreconditionError, match=next(iter(kw))):
             coverage_experiment(bistable_cusp, replicates=1, **kw)
@@ -104,6 +104,11 @@ class TestTprGrid:
     def test_too_small_timestep_rejected(self, bistable_cusp):
         with pytest.raises(PreconditionError, match="internal step"):
             tpr_grid(bistable_cusp, [10], [1e-6], replicates=1)
+
+    @pytest.mark.parametrize("frac", [0.0, -0.1, math.nan, math.inf])
+    def test_timestep_not_finite_and_positive_rejected(self, bistable_cusp, frac):
+        with pytest.raises(PreconditionError, match="finite and positive"):
+            tpr_grid(bistable_cusp, [10], [0.1, frac], replicates=1)
 
     def test_small_grid_runs(self, bistable_cusp):
         cfg = FitConfig(n_chains=2, n_iterations=200, max_leapfrog=16)

@@ -78,20 +78,28 @@ def test_demo_keywords_are_parameters():
 
 
 def test_cli_demo_commands_parse():
-    # The shell demo's `landscaper ...` commands must still parse: a removed
-    # flag or subcommand would otherwise only show when the demo is run.
+    # The `landscaper ...` commands of the shell demo and of the README's bash
+    # blocks must still parse: a removed flag or subcommand would otherwise
+    # only show when someone runs them.
     from landscaper import cli
 
-    refused = []
-    for script in demo_scripts("*.sh"):
-        for line in script.read_text(encoding="utf-8").replace("\\\n", " ").splitlines():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    sources = [(script.name, script.read_text(encoding="utf-8"))
+               for script in demo_scripts("*.sh")]
+    sources += [("README.md", block)
+                for block in re.findall(r"^```bash\n(.*?)^```", readme, re.M | re.S)]
+    parsed, refused = set(), []
+    for name, text in sources:
+        for line in text.replace("\\\n", " ").splitlines():
             tokens = shlex.split(line) if line.startswith("landscaper ") else []
             try:
                 if tokens:
                     cli.build_parser().parse_args(tokens[1:])
+                    parsed.add(name)
             except SystemExit:
-                refused.append(f"{script.name}: {line}")
+                refused.append(f"{name}: {line}")
     assert refused == []
+    assert "README.md" in parsed
 
 
 def test_readme_fit_config_keys_are_the_config_fields():

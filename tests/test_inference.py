@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from landscaper import derived
+from landscaper import derived, inference
 from landscaper.errors import DegenerateDataError, IngestError, PreconditionError
 from landscaper.inference import (
     HYPER_BOUND,
@@ -223,20 +223,19 @@ class TestStateAndConfig:
             FitConfig(n_iterations=50)
 
     @pytest.mark.parametrize("key, value", [
-        ("n_anchors", 1), ("n_anchors", -1), ("max_leapfrog", 0), ("target_accept", 0.0),
-        ("target_accept", 1.0), ("target_accept", 1.5), ("target_accept", math.nan),
-        ("grid_size", 2), ("padding", -0.1), ("padding", math.inf),
+        ("n_anchors", 1), ("n_anchors", -1), ("max_leapfrog", 0),
     ])
     def test_sampler_and_grid_settings_out_of_range(self, key, value):
         with pytest.raises(PreconditionError, match=key):
             FitConfig(**{key: value})
 
     def test_layout_is_the_padded_data_range(self):
-        cfg = FitConfig(n_anchors=5, grid_size=9, padding=0.25)
-        grid, anchors, center = cfg.layout(-1.0, 3.0)
-        np.testing.assert_array_equal(grid, np.linspace(-2.0, 4.0, 9))
-        np.testing.assert_array_equal(anchors, np.linspace(-2.0, 4.0, 5))
-        assert center == 1.0
+        # PADDING 0.1 of the width 10 widens [-1, 9] by 1 at each end.
+        assert (inference.PADDING, inference.GRID_SIZE) == (0.1, 200)
+        grid, anchors, center = FitConfig(n_anchors=5).layout(-1.0, 9.0)
+        np.testing.assert_array_equal(grid, np.linspace(-2.0, 10.0, 200))
+        np.testing.assert_array_equal(anchors, np.linspace(-2.0, 10.0, 5))
+        assert center == 4.0
 
     @pytest.mark.parametrize("lo, hi", [(1.0, 1.0), (2.0, 1.0), (0.0, math.inf),
                                         (math.nan, 1.0)])
@@ -331,14 +330,16 @@ class TestFit:
         # The layouts before diagnostics were computed from the draws: Rhat and
         # ESS stored per parameter (null where not finite), and `converged`;
         # and before the layout rule: the grid, anchors and centre, and the
-        # config's anchor-layout switch, off.
+        # config's anchor-layout switch, off; and the config's sampler target,
+        # padding and grid size, at the values now fixed.
         post, _ = small_posterior
         stored = {kind: {name: v if math.isfinite(v) else None for name, v in values.items()}
                   for kind, values in post.diagnostics.items()}
         doc = post.to_json()
         doc.update(diagnostics=stored, converged=post.converged, grid=post.grid.tolist(),
                    anchors=post.anchors.tolist(), center=post.center,
-                   config={**doc["config"], "anchors_at_observations": False})
+                   config={**doc["config"], "anchors_at_observations": False,
+                           "target_accept": 0.8, "padding": 0.1, "grid_size": 200})
         back = Posterior.from_json(json.loads(json.dumps(doc)))
         assert back.diagnostics == post.diagnostics
         assert back.converged == post.converged

@@ -48,6 +48,11 @@ class TestCuspModel:
             CuspParams(alpha=0, beta=1, lam=0, r=0.0, epsilon=1)
         with pytest.raises(PreconditionError):
             CuspParams(alpha=0, beta=1, lam=0, r=1, epsilon=-1)
+        # np.roots of a non-finite cubic raises LinAlgError in cusp_model.
+        for name in ("alpha", "beta", "lam", "r", "epsilon"):
+            for value in (math.nan, math.inf, -math.inf):
+                with pytest.raises(PreconditionError, match="finite"):
+                    CuspParams(**{name: value})
 
     def test_roots_match_sign_scan_oracle(self, rng):
         for _ in range(20):
@@ -240,11 +245,6 @@ class TestGenerateShortSeries:
             generate_short_series(bistable_cusp, 0, 2, 0.1, seed=0)
         with pytest.raises(PreconditionError):
             generate_short_series(bistable_cusp, 5, 1, 0.1, seed=0)
-
-    @pytest.mark.parametrize("internal_dt", [0.0, -0.01, math.nan])
-    def test_nonpositive_internal_step_rejected(self, bistable_cusp, internal_dt):
-        with pytest.raises(PreconditionError, match="internal step"):
-            generate_short_series(bistable_cusp, 5, 2, 0.1, seed=0, internal_dt=internal_dt)
 
     @pytest.mark.parametrize("dt_target", [math.nan, math.inf, 0.0, -0.1])
     def test_sampling_step_must_be_finite_and_positive(self, bistable_cusp, dt_target):

@@ -225,8 +225,9 @@ class TestFilterByTimestep:
 
     def test_nonpositive_max_dt_rejected(self):
         c = make_collection(([0, 1], [1.0, 2.0]))
-        with pytest.raises(PreconditionError):
-            filter_by_timestep(c, 0.0)
+        for max_dt in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(PreconditionError, match="max_dt"):
+                filter_by_timestep(c, max_dt)
 
 
 class TestClr:
@@ -329,6 +330,9 @@ class TestReadDocument:
         ("x", "x"), ("x", False), ("x", [1.0]), ("x", None),
         ("name", None), ("name", 3),
         ("ns", ["a"]), ("ns", [1.0]), ("ns", 3), ("ns", "12"),
+        # json.load reads NaN and Infinity tokens, and integers past the float range
+        ("x", math.nan), ("x", math.inf), ("x", -math.inf),
+        pytest.param("x", 10**400, id="x-1e400"),
     ])
     def test_rejects_a_wrong_typed_value(self, key, value):
         with pytest.raises(IngestError, match=f"doc: {key}: expected"):

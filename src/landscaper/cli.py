@@ -104,9 +104,14 @@ def _write_csv(path: Path, header, columns) -> None:
 
 
 def _resolve_threads(value) -> int:
-    # Serial unless --threads asks: the chains' small numpy steps serialise on
-    # the GIL, and a thread pool over chains measured slower than one thread.
-    return 1 if value is None else max(1, value)
+    # One lockstep group of chains unless --threads asks for more: the groups'
+    # small numpy steps serialise on the GIL, and more than one group measured
+    # slower than one.
+    if value is None:
+        return 1
+    if value < 1:
+        raise PreconditionError(f"--threads must be >= 1; got {value}")
+    return value
 
 
 # The keys of a model spec document and their converters. Every model takes

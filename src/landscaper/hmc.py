@@ -1,6 +1,9 @@
 """Hamiltonian Monte Carlo with dual-averaging step size and diagonal mass.
 
-The target is a callable q -> (log density, gradient) on R^d. Each transition
+The target is a callable q -> (log density, gradient) on R^d. It may also
+have a method `batch(Q)` that maps a (k, d) stack of points to a (k,) array
+of log densities and a (k, d) array of gradients, each row as the callable
+gives it for that point. Each transition
 draws a momentum p ~ N(0, M), integrates Hamilton's equations with a leapfrog
 integrator for a per-iteration jittered number of steps (uniform on
 {1, ..., max_leapfrog}) and applies a Metropolis accept/reject on the total
@@ -11,11 +14,18 @@ small constant, and the step size re-initialized after each update).
 Transitions whose energy error exceeds ENERGY_ERROR_LIMIT, or that produce
 non-finite values, count as divergent and keep the previous draw.
 
-Chains own independent generator streams spawned from the seed by chain
-index, so results do not depend on scheduling. `threads` > 1 runs up to that
-many chains on a thread pool; with the small numpy steps of this sampler the
-chains contend for the interpreter lock, and the pool ran slower than the
-serial default (threads=1) on every fit measured.
+Each chain runs as a generator that yields every point it needs evaluated
+and is sent back the point's (log density, gradient). The chains are driven
+in lockstep: at each step, the points all live chains of a group wait on are
+evaluated together, with one `batch` call when the target has the method and
+with one call per point when it does not (a plain function, such as a
+wrapper that times each evaluation). A batched target shares its per-call
+overhead across the chains. Chains own independent generator streams
+spawned from the seed by chain index, so results do not depend on how the
+chains are grouped. `threads` > 1 splits the chains into that many groups on
+a thread pool; with the small numpy steps of this sampler the groups contend
+for the interpreter lock, and the pool ran slower than the default single
+group (threads=1) on every fit measured.
 """
 
 from __future__ import annotations
@@ -68,29 +78,37 @@ def sample(
 ) -> Chains:
     """Run `n_chains` HMC chains and return their post-warmup draws.
 
-    The first `n_iterations // 2` iterations of each chain are warmup.
+    The first `n_iterations // 2` iterations of each chain are warmup. The
+    chains are split into `min(threads, n_chains)` groups, each run in
+    lockstep on its own thread; at each step a group evaluates the points all
+    its live chains wait on with one `target.batch` call if the target has
+    one, and with one `target` call per point otherwise.
     """
     init = np.asarray(init, dtype=float)
     if n_iterations < 2:
         raise SamplerError(f"need n_iterations >= 2 for warmup and sampling; got {n_iterations}")
     if max_leapfrog < 1:
         raise SamplerError(f"need max_leapfrog >= 1; got {max_leapfrog}")
+    if n_chains < 1:
+        raise SamplerError(f"need n_chains >= 1; got {n_chains}")
+    if threads < 1:
+        raise SamplerError(f"need threads >= 1; got {threads}")
     warmup = n_iterations // 2
     streams = seed_sequence(seed).spawn(n_chains)
 
-    def run(idx):
-        rng = np.random.default_rng(streams[idx])
-        return _run_chain(
-            target, init, rng,
-            n_iterations=n_iterations, warmup=warmup, max_leapfrog=max_leapfrog,
-            jitter_first=idx > 0,
-        )
+    def run(group):
+        return _lockstep(target, [
+            _run_chain(init, np.random.default_rng(streams[idx]), n_iterations=n_iterations,
+                       warmup=warmup, max_leapfrog=max_leapfrog, jitter_first=idx > 0)
+            for idx in group
+        ])
 
-    if threads > 1 and n_chains > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, n_chains)) as pool:
-            results = list(pool.map(run, range(n_chains)))
+    groups = np.array_split(np.arange(n_chains), min(threads, n_chains))
+    if len(groups) > 1:
+        with ThreadPoolExecutor(max_workers=len(groups)) as pool:
+            results = [r for rs in pool.map(run, groups) for r in rs]
     else:
-        results = [run(i) for i in range(n_chains)]
+        results = run(groups[0])
 
     draws = np.stack([r[0] for r in results])
     return Chains(
@@ -102,49 +120,78 @@ def sample(
     )
 
 
+def _lockstep(target, chains):
+    """Drive chain generators to their ends and return their results in order.
+
+    Each generator yields the point it needs evaluated and is sent back
+    (log density, gradient); all pending points are evaluated together.
+    """
+    batch = getattr(target, "batch", None)
+    results = [None] * len(chains)
+    pending = {i: next(chain) for i, chain in enumerate(chains)}
+    while pending:
+        points = list(pending.values())
+        if batch is not None:
+            logps, grads = batch(np.array(points))
+            values = zip(logps.tolist(), np.asarray(grads, dtype=float))
+        else:
+            values = [_eval(target, q) for q in points]
+        for i, value in zip(list(pending), values):
+            try:
+                pending[i] = chains[i].send(value)
+            except StopIteration as done:
+                del pending[i]
+                results[i] = done.value
+    return results
+
+
 def _eval(target, q):
     logp, grad = target(q)
     return float(logp), np.asarray(grad, dtype=float)
 
 
-def _initialize(target, init, rng, jitter_first):
+# The chain generators below yield each point they need evaluated and receive
+# its (log density, gradient), as a float and a float array.
+
+
+def _initialize(init, rng, jitter_first):
     for attempt in range(MAX_INIT_ATTEMPTS):
         if attempt == 0 and not jitter_first:
             q = init.copy()
         else:
             q = init + rng.uniform(-INIT_JITTER, INIT_JITTER, size=init.shape)
-        logp, grad = _eval(target, q)
+        logp, grad = yield q
         if math.isfinite(logp) and np.isfinite(grad).all():
             return q, logp, grad
     raise SamplerError(f"no finite starting point after {MAX_INIT_ATTEMPTS} jittered attempts")
 
 
-def _leapfrog(target, q, p, grad, eps, n_steps, inv_mass):
+def _leapfrog(q, p, grad, eps, n_steps, inv_mass):
     half_eps = 0.5 * eps
     step = eps * inv_mass
     for _ in range(n_steps):
         p = p + half_eps * grad
         q = q + step * p
-        logp, grad = _eval(target, q)
+        logp, grad = yield q
         if not (math.isfinite(logp) and np.isfinite(grad).all()):
             return q, p, -np.inf, grad
         p = p + half_eps * grad
     return q, p, logp, grad
 
 
-def _find_step_size(target, q, logp, grad, rng, inv_mass, sqrt_mass):
+def _find_step_size(q, logp, grad, rng, inv_mass, sqrt_mass):
     """Crude doubling/halving search for a step size with ~50% acceptance."""
     eps = 1.0
     p = rng.standard_normal(q.shape) * sqrt_mass
     h0 = -logp + 0.5 * (inv_mass * p * p).sum()
-    q1, p1, logp1, _ = _leapfrog(target, q, p, grad, eps, 1, inv_mass)
+    q1, p1, logp1, _ = yield from _leapfrog(q, p, grad, eps, 1, inv_mass)
     log_ratio = -(-logp1 + 0.5 * (inv_mass * p1 * p1).sum()) + h0
     direction = 1 if log_ratio > math.log(0.5) else -1
     for _ in range(60):
         eps *= 2.0**direction
         if not (1e-10 < eps < 1e10):
             break
-        q1, p1, logp1, _ = _leapfrog(target, q, p, grad, eps, 1, inv_mass)
+        q1, p1, logp1, _ = yield from _leapfrog(q, p, grad, eps, 1, inv_mass)
         log_ratio = -(-logp1 + 0.5 * (inv_mass * p1 * p1).sum()) + h0
         if direction * log_ratio <= direction * math.log(0.5):
             break
@@ -184,13 +231,13 @@ def _regularized_variance(draws: np.ndarray) -> np.ndarray:
     return (n / (n + 5.0)) * var + 1e-3 * (5.0 / (n + 5.0))
 
 
-def _run_chain(target, init, rng, *, n_iterations, warmup, max_leapfrog, jitter_first):
-    q, logp, grad = _initialize(target, init, rng, jitter_first)
+def _run_chain(init, rng, *, n_iterations, warmup, max_leapfrog, jitter_first):
+    q, logp, grad = yield from _initialize(init, rng, jitter_first)
     dim = init.size
 
     inv_mass = np.ones(dim)
     sqrt_mass = np.ones(dim)
-    eps = _find_step_size(target, q, logp, grad, rng, inv_mass, sqrt_mass)
+    eps = yield from _find_step_size(q, logp, grad, rng, inv_mass, sqrt_mass)
     da = _DualAveraging(eps)
 
     # Mass-matrix re-estimation points inside warmup.
@@ -207,7 +254,7 @@ def _run_chain(target, init, rng, *, n_iterations, warmup, max_leapfrog, jitter_
         p = rng.standard_normal(dim) * sqrt_mass
         n_steps = min(1 + int(rng.uniform() * max_leapfrog), max_leapfrog)
         h0 = -logp + 0.5 * (inv_mass * p * p).sum()
-        q1, p1, logp1, grad1 = _leapfrog(target, q, p, grad, eps, n_steps, inv_mass)
+        q1, p1, logp1, grad1 = yield from _leapfrog(q, p, grad, eps, n_steps, inv_mass)
 
         if math.isfinite(logp1):
             h1 = -logp1 + 0.5 * (inv_mass * p1 * p1).sum()
@@ -234,7 +281,7 @@ def _run_chain(target, init, rng, *, n_iterations, warmup, max_leapfrog, jitter_
                 inv_mass = _regularized_variance(np.asarray(window))
                 sqrt_mass = 1.0 / np.sqrt(inv_mass)
                 window = []
-                eps = _find_step_size(target, q, logp, grad, rng, inv_mass, sqrt_mass)
+                eps = yield from _find_step_size(q, logp, grad, rng, inv_mass, sqrt_mass)
                 da = _DualAveraging(eps)
             if it + 1 == warmup:
                 eps = da.eps_final

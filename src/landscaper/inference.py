@@ -18,10 +18,16 @@ the log-scale Jacobian included. The gradient of the log posterior is computed a
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
+import threading
 import warnings
 from dataclasses import asdict, dataclass, fields
-from functools import cached_property
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -140,15 +146,29 @@ class FitConfig:
                 np.linspace(lo - pad, hi + pad, self.n_anchors), 0.5 * (lo + hi))
 
 
+class _Factors(NamedTuple):
+    """The constrained hypers and anchor factors of k states (see `_factors`)."""
+
+    sig: np.ndarray
+    consts: list
+    v_q: np.ndarray
+    v_b: np.ndarray
+    v_l: np.ndarray
+    scale: np.ndarray
+    corr: np.ndarray
+    chol_t: np.ndarray
+    failed: set
+
+
 class TargetContext:
-    """Precomputed data-dependent pieces of the log posterior."""
+    """Precomputed data-dependent pieces of the log posterior.
+
+    A context is a target for `hmc.sample`: called on one state it returns
+    (log density, gradient), and `batch` evaluates a stack of states at once.
+    """
 
     def __init__(self, x, dx, dt, anchors, center: float):
-        # Imported here rather than at module level, so that importing the
-        # package (and so every CLI start) does not load scipy.
-        from scipy.linalg.lapack import dpotrf, dtrtri, dtrtrs
-
-        self._potrf, self._trtri, self._trtrs = dpotrf, dtrtri, dtrtrs
+        self._potrf, self._trtri, self._trtrs = _lapack_routines()
         self.x = np.asarray(x, dtype=float)
         self.dx = np.asarray(dx, dtype=float)
         self.dt = np.asarray(dt, dtype=float)
@@ -166,153 +186,245 @@ class TargetContext:
         self.d2_xs = (self.x[:, None] - s[None, :]) ** 2
         self.ls = s - self.center
         self.lx = self.x - self.center
-        self.ls_outer = np.outer(self.ls, self.ls)
-        self.mean_ls2 = float(np.mean(self.ls**2))
+        ls2 = self.ls**2
+        self.ls_outer = self.ls[:, None] * self.ls
+        self.mean_ls2 = float(ls2.sum()) / m
         self.dim = 2 * m + N_HYPERS
         # E @ (ls_pows * w[:, None]) gives E @ w, E @ (ls w) and E @ (ls^2 w) in one
         # product, and since (x - s)^2 = lx^2 - 2 lx ls + ls^2, the row sums of
-        # d2_coef times that product are (E * d2_xs) @ w. The expansion uses the
+        # d2_coef.T times that product are (E * d2_xs) @ w. The expansion uses the
         # centred coordinates: with raw x it cancels badly far from the origin.
-        self.ls_pows = np.column_stack([np.ones(m), self.ls, self.ls**2])
-        self.d2_coef = np.column_stack([self.lx**2, -2.0 * self.lx, np.ones_like(self.lx)])
-        # phi() of the Cholesky adjoint: the lower triangle, diagonal halved.
-        self.half_tril = np.tril(np.ones((m, m)), -1) + 0.5 * np.eye(m)
+        self.ls_pows = np.column_stack([np.ones(m), self.ls, ls2])
+        self.d2_coef = np.array([self.lx**2, -2.0 * self.lx, np.ones_like(self.lx)])
+        self.half_tril = _half_tril(m)
         # The state-independent part of the log density: Gaussian normalisers of
         # the increments and of the whitened latents, and the Inverse-Gamma ones.
         self.log_norm = (
-            -0.5 * self.x.size * LOG_2PI - 0.5 * float(np.sum(np.log(self.dt)))
+            -0.5 * self.x.size * LOG_2PI - 0.5 * float(np.log(self.dt).sum())
             - m * LOG_2PI + PRIOR_LOG_NORM
         )
+        # The data-anchor blocks of a batch, one array per thread, kept between
+        # calls: a fresh (2k, n, m) array on every call costs page faults.
+        self._scratch = threading.local()
 
     def initial_vector(self) -> np.ndarray:
         hypers = [math.log(2.0), math.log(1.25), math.log(2.0), math.log(2.0),
                   math.log(2.0), math.log(1.25)]
         return np.concatenate([np.zeros(2 * self.m), hypers])
 
-    def _factors(self, eta):
-        """The constrained hypers and anchor factors of one state.
+    def _factors(self, etas) -> _Factors:
+        """The constrained hypers and anchor factors of k states' log hypers
+        `etas` (k, 6).
 
-        Returns (sig, e_ss, g_ss, chol_f, chol_g): sig is exp(eta) as a list
-        of six Python floats, in `HYPER_NAMES` order; e_ss and g_ss are the EQ
-        correlation blocks of the anchors at the drift and the diffusion
-        length scale; chol_f and chol_g are the lower Cholesky factors of the
-        two anchor covariances, Fortran-ordered with a zero upper triangle.
-        Raises LinAlgError when a covariance is not numerically positive
-        definite.
+        sig is exp(etas), in `HYPER_NAMES` order. consts lists per state the
+        Python floats (v_qf, v_qg, v_b, v_l, l_f^2, l_g^2), the kernel
+        variances and squared length scales, computed as one state always
+        was (float ** 2 calls libm pow, which does not always round like
+        x * x). The stacks of 2k rows hold state i's drift row at 2i and its
+        diffusion row at 2i + 1: v_q the EQ variances, scale -1 / (2 l^2),
+        corr the EQ correlation blocks of the anchors, and chol_t the lower
+        Cholesky factors L of the anchor covariances, stored transposed:
+        chol_t[j].T is L, Fortran-ordered with a zero upper triangle. v_b and
+        v_l (k,) are the constant and linear kernel variances. failed holds
+        the states whose covariance is not numerically positive definite;
+        their factors are NaN.
         """
-        sig = np.exp(eta).tolist()
-        s_qf, l_f, s_b, s_l, s_qg, l_g = sig
-        v_qf, v_b, v_l, v_qg = s_qf**2, s_b**2, s_l**2, s_qg**2
-        e_ss = _eq(self.d2_ss, l_f)
-        k_f = e_ss * v_qf
-        k_f += v_b
-        k_f += self.ls_outer * v_l
-        k_f.reshape(-1)[:: self.m + 1] += JITTER_REL * (v_qf + v_b + v_l * self.mean_ls2)
-        g_ss = _eq(self.d2_ss, l_g)
-        k_g = g_ss * v_qg
-        k_g.reshape(-1)[:: self.m + 1] += JITTER_REL * v_qg
+        k, m = len(etas), self.m
+        sig = np.exp(etas)
+        consts, rows = [], []
+        for s_qf, l_f, s_b, s_l, s_qg, l_g in sig.tolist():
+            v_qf, v_b, v_l, v_qg = s_qf**2, s_b**2, s_l**2, s_qg**2
+            l2_f, l2_g = l_f * l_f, l_g * l_g
+            consts.append((v_qf, v_qg, v_b, v_l, l2_f, l2_g))
+            rows.append((v_qf, v_qg, -0.5 / l2_f, -0.5 / l2_g, v_b, v_l,
+                         JITTER_REL * (v_qf + v_b + v_l * self.mean_ls2), JITTER_REL * v_qg))
+        table = np.array(rows)
+        v_q, scale, jitter = table[:, 0:2].ravel(), table[:, 2:4].ravel(), table[:, 6:8].ravel()
+        v_b, v_l = table[:, 4], table[:, 5]
+        corr = self.d2_ss * scale[:, None, None]
+        np.exp(corr, out=corr)
+        cov = corr * v_q[:, None, None]
+        cov_f = cov[0::2]
+        cov_f += v_b[:, None, None]
+        cov_f += self.ls_outer * v_l[:, None, None]
+        cov.reshape(2 * k, -1)[:, :: m + 1] += jitter[:, None]
+        failed = set()
         # Both covariances are exactly symmetric, so each Fortran-ordered
-        # transpose is the same matrix, and LAPACK factors it in place.
-        chol_f = _lapack(self._potrf(k_f.T, lower=1, overwrite_a=1))
-        return sig, e_ss, g_ss, chol_f, _lapack(self._potrf(k_g.T, lower=1, overwrite_a=1))
+        # transpose is the same matrix. LAPACK factors it in place and returns
+        # it (a copy, if it made one, goes back in its place); a nonzero info
+        # means the covariance is not numerically positive definite.
+        for j, c in enumerate(cov):
+            c = c.T
+            chol, info = self._potrf(c, lower=1, overwrite_a=1)
+            if info:
+                failed.add(j // 2)
+                c[...] = np.nan
+            elif chol is not c:
+                c[...] = chol
+        return _Factors(sig, consts, v_q, v_b, v_l, scale, corr, cov, failed)
 
-    def _chol_adjoint(self, l_chol, z, p):
-        """S = L^-T phi(L^T w p^T) L^-1, the K-space adjoint of d(L^-T z).
-
-        L^T w is z itself, and phi keeps the lower triangle with its diagonal
-        halved, which is the elementwise product with `half_tril`. L is
-        inverted in place, so `l_chol` is spent.
-        """
-        l_inv = _lapack(self._trtri(l_chol, lower=1, overwrite_c=1))
-        zp = z[:, None] * p
-        zp *= self.half_tril
-        return l_inv.T @ zp @ l_inv
+    def _block(self, rows):
+        """This thread's (rows, n, m) scratch array."""
+        block = getattr(self._scratch, "block", None)
+        if block is None or len(block) < rows:
+            block = self._scratch.block = np.empty((rows, self.x.size, self.m))
+        return block[:rows]
 
     # -- forward + gradient ------------------------------------------------
 
     def log_posterior_and_grad(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        m = self.m
-        z_f = theta[:m]
-        z_g = theta[m : 2 * m]
-        eta = theta[2 * m :]
-        # any() rather than max(), whose result with a NaN depends on the NaN's
-        # position; a NaN passes here and fails the finiteness checks below.
-        if any(abs(e) > HYPER_BOUND for e in eta.tolist()):
-            return -np.inf, np.zeros_like(theta)
+        """Log posterior and gradient at one state: row 0 of `batch`."""
+        logp, grad = self.batch(np.asarray(theta, dtype=float)[None])
+        return float(logp[0]), grad[0]
 
-        try:
+    __call__ = log_posterior_and_grad
+
+    def batch(self, thetas):
+        """Log posterior and gradient of each row of `thetas` (k, dim), as
+        arrays (k,) and (k, dim).
+
+        A row's bits do not depend on the batch it is in: every row goes
+        through the same floating-point operations, on the same BLAS and
+        LAPACK routines, as when it is evaluated alone. Array work is stacked
+        across rows only where each row stays its own computation: elementwise
+        operations, stacked matrix products, row sums, and `np.vecdot`, one
+        BLAS dot per row, where a (k, L) @ (L,) product would be one
+        matrix-vector product with other bits. A row whose log hypers leave
+        [-HYPER_BOUND, HYPER_BOUND], whose anchor covariance is not
+        numerically positive definite, or whose value or gradient is not
+        finite gets (-inf, zeros).
+        """
+        thetas = np.asarray(thetas, dtype=float)
+        # A row with a NaN ends at (-inf, zeros) whether or not it passes here:
+        # max() compares it either way round.
+        rows = [i for i, eta in enumerate(thetas[:, 2 * self.m:].tolist())
+                if max(map(abs, eta)) <= HYPER_BOUND]
+        if rows:
             with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-                sig, e_ss, g_ss, chol_f, chol_g = self._factors(eta)
-                s_qf, l_f, s_b, s_l, s_qg, l_g = sig
-                v_qf, v_b, v_l, v_qg = s_qf**2, s_b**2, s_l**2, s_qg**2
-                w_f = _lapack(self._trtrs(chol_f, z_f, lower=1, trans=1))
-                w_g = _lapack(self._trtrs(chol_g, z_g, lower=1, trans=1))
+                lp, g = self._evaluate(thetas[rows] if len(rows) < len(thetas) else thetas)
+                ok = np.isfinite(lp) & np.isfinite(g).all(axis=1)
+            if len(rows) == len(thetas) and ok.all():
+                return lp, g
+            rows = np.asarray(rows)[ok]
+        logp = np.full(len(thetas), -np.inf)
+        grad = np.zeros_like(thetas)
+        if len(rows):
+            logp[rows], grad[rows] = lp[ok], g[ok]
+        return logp, grad
 
-                # The two data-anchor blocks are the only n x m arrays per call.
-                e_xs = _eq(self.d2_xs, l_f)
-                g_xs = _eq(self.d2_xs, l_g)
-                pf = e_xs @ (self.ls_pows * w_f[:, None])
-                pg = g_xs @ (self.ls_pows * w_g[:, None])
-                sum_wf = float(w_f.sum())
-                ls_wf = float(self.ls @ w_f)
-                f_x = v_qf * pf[:, 0] + v_b * sum_wf + (v_l * ls_wf) * self.lx
-                ghat_x = v_qg * pg[:, 0]
+    def _evaluate(self, theta):
+        # The k states of `theta`. As in `_factors`, stacks of 2k rows hold
+        # state i's drift row at 2i and its diffusion row at 2i + 1, so the
+        # latents z are theta's first 2m columns as they stand. `red` gathers
+        # the row reductions that the per-state arithmetic at the end reads.
+        k, m, n = len(theta), self.m, self.x.size
+        eta = theta[:, 2 * m:].copy()
+        fac = self._factors(eta)
+        v_q, v_b, v_l = fac.v_q, fac.v_b, fac.v_l
+        z = np.ascontiguousarray(theta[:, : 2 * m]).reshape(2 * k, m)
+        red = np.empty((15, 2 * k))
+        # After a successful dpotrf the factor's diagonal is positive, so the
+        # triangular solves and inverses below cannot fail; a NaN factor gives
+        # NaNs, which the finiteness check in `batch` rejects.
+        chols = [c.T for c in fac.chol_t]
+        w = np.array([self._trtrs(c, zj, lower=1, trans=1)[0] for c, zj in zip(chols, z)])
+        sum_w, ls_w = w.sum(axis=1, out=red[0]), np.vecdot(self.ls, w, out=red[1])
 
-                # Increment variance is exp(ghat) dt.
-                resid = self.dx - f_x * self.dt
-                a_vec = resid * np.exp(-ghat_x)      # resid dt / var
-                r2_var = resid * a_vec / self.dt     # resid^2 / var
-                exp_neg = np.exp(-eta)
-                logp = float(
-                    self.log_norm
-                    - 0.5 * ghat_x.sum() - 0.5 * r2_var.sum()
-                    - 0.5 * (z_f @ z_f) - 0.5 * (z_g @ z_g)
-                    - PRIOR_SHAPE @ eta - PRIOR_SCALE @ exp_neg
-                )
-                if not math.isfinite(logp):
-                    return -np.inf, np.zeros_like(theta)
+        # The data-anchor blocks are the only n x m arrays per state.
+        xs = self._block(2 * k)
+        np.multiply(self.d2_xs, fac.scale[:, None, None], out=xs)
+        np.exp(xs, out=xs)
+        pows = xs @ (self.ls_pows * w[:, :, None])
+        eq_x = v_q[:, None] * pows[:, :, 0]
+        f_x = eq_x[0::2] + (v_b * sum_w[0::2])[:, None] + (v_l * ls_w[0::2])[:, None] * self.lx
+        ghat_x = eq_x[1::2]
 
-                # Adjoints of the likelihood wrt f(x_n) and ghat(x_n).
-                b_vec = 0.5 * r2_var - 0.5
-                sum_a = float(a_vec.sum())
-                lx_a = float(self.lx @ a_vec)
+        # Increment variance is exp(ghat) dt. adj holds the adjoints of the
+        # likelihood wrt f(x_n) and wrt ghat(x_n), in the rows of f and ghat.
+        adj = np.empty((2 * k, n))
+        a_vec, b_vec = adj[0::2], adj[1::2]
+        resid = self.dx - f_x * self.dt
+        np.multiply(resid, np.exp(-ghat_x), out=a_vec)   # resid dt / var
+        r2_var = resid * a_vec / self.dt                 # resid^2 / var
+        np.multiply(0.5, r2_var, out=b_vec)
+        b_vec -= 0.5
+        exp_neg = np.exp(-eta)
+        sum_adj, lx_adj = adj.sum(axis=1, out=red[2]), np.vecdot(self.lx, adj, out=red[3])
+        eq_x.sum(axis=1, out=red[4])
+        r2_var.sum(axis=1, out=red[5, 0::2])
+        np.vecdot(z, z, out=red[6])
+        np.vecdot(PRIOR_SHAPE, eta, out=red[7, 0::2])
+        np.vecdot(PRIOR_SCALE, exp_neg, out=red[7, 1::2])
 
-                r_f = v_qf * (e_xs.T @ a_vec) + v_b * sum_a + (v_l * lx_a) * self.ls
-                p_f = _lapack(self._trtrs(chol_f, r_f, lower=1))
-                p_g = _lapack(self._trtrs(chol_g, v_qg * (g_xs.T @ b_vec), lower=1))
-                s_f = self._chol_adjoint(chol_f, z_f, p_f)
-                s_g = self._chol_adjoint(chol_g, z_g, p_g)
-                tr_sf = float(s_f.trace())
-                tr_sg = float(s_g.trace())
-                # Amplitude entries are log sigma, so the kernel variance
-                # contributes d(sigma^2)/d(eta) = 2 sigma^2.
-                hyper_grads = np.array([
-                    2.0 * v_qf * (a_vec @ pf[:, 0] - (e_ss * s_f).sum() - JITTER_REL * tr_sf),
-                    (v_qf / (l_f * l_f)) * (np.vdot(self.d2_coef * a_vec[:, None], pf)
-                                            - (e_ss * self.d2_ss * s_f).sum()),
-                    2.0 * v_b * (sum_a * sum_wf - s_f.sum() - JITTER_REL * tr_sf),
-                    2.0 * v_l * (lx_a * ls_wf - self.ls @ s_f @ self.ls
-                                 - JITTER_REL * self.mean_ls2 * tr_sf),
-                    2.0 * v_qg * (b_vec @ pg[:, 0] - (g_ss * s_g).sum() - JITTER_REL * tr_sg),
-                    (v_qg / (l_g * l_g)) * (np.vdot(self.d2_coef * b_vec[:, None], pg)
-                                            - (g_ss * self.d2_ss * s_g).sum()),
-                ])
-                hyper_grads += PRIOR_SCALE * exp_neg - PRIOR_SHAPE
-                grad = np.concatenate([p_f - z_f, p_g - z_g, hyper_grads])
+        r = v_q[:, None] * (xs.swapaxes(1, 2) @ adj[:, :, None])[:, :, 0]
+        r_f = r[0::2]
+        r_f += (v_b * sum_adj[0::2])[:, None]
+        r_f += (v_l * lx_adj[0::2])[:, None] * self.ls
+        p = np.array([self._trtrs(c, rj, lower=1)[0] for c, rj in zip(chols, r)])
+        # S = L^-T phi(L^T w p^T) L^-1, the K-space adjoint of d(L^-T z): L^T w
+        # is z itself, and phi keeps the lower triangle with its diagonal
+        # halved. Each L is inverted in place, so chol_t becomes the stack of
+        # the inverses' transposes, C-ordered as a single state's were.
+        for c in chols:
+            l_inv = self._trtri(c, lower=1, overwrite_c=1)[0]
+            if l_inv is not c:
+                c[...] = l_inv
+        l_inv_t = fac.chol_t
+        zp = z[:, :, None] * p[:, None, :]
+        zp *= self.half_tril
+        s = l_inv_t @ zp @ l_inv_t.swapaxes(1, 2)
+        # d2_coef.T * adj, one column at a time: broadcasting over the 3-wide
+        # rows is several times slower.
+        adj_d2 = np.empty((2 * k, n, 3))
+        for c in range(3):
+            np.multiply(self.d2_coef[c], adj, out=adj_d2[:, :, c])
+        flat = (2 * k, -1)
+        np.vecdot(adj, pows[:, :, 0], out=red[8])
+        np.vecdot(adj_d2.reshape(flat), pows.reshape(flat), out=red[9])
+        (fac.corr * s).reshape(flat).sum(axis=1, out=red[10])
+        (fac.corr * self.d2_ss * s).reshape(flat).sum(axis=1, out=red[11])
+        s.trace(axis1=1, axis2=2, out=red[12])
+        s.reshape(flat).sum(axis=1, out=red[13])
+        np.vecdot(self.ls @ s, self.ls, out=red[14])
 
-                if not np.isfinite(grad).all():
-                    return -np.inf, np.zeros_like(theta)
-                return logp, grad
-        except np.linalg.LinAlgError:
-            return -np.inf, np.zeros_like(theta)
+        # Per state, in Python floats: the log density, and the gradient wrt
+        # the log hypers. Amplitude entries are log sigma, so the kernel
+        # variance contributes d(sigma^2)/d(eta) = 2 sigma^2.
+        logp, hyper_grads = [], []
+        cols = red.T.tolist()
+        for (v_qf, v_qg, v_b, v_l, l2_f, l2_g), (
+                sum_wf, ls_wf, sum_a, lx_a, _, r2_sum, zz_f, shape_eta, data_f, data_d2_f,
+                corr_s_f, corr_d2_s_f, tr_sf, sum_sf, ls_sf_ls), (
+                _, _, _, _, ghat_sum, _, zz_g, scale_exp, data_g, data_d2_g,
+                corr_s_g, corr_d2_s_g, tr_sg, _, _) in zip(fac.consts, cols[0::2], cols[1::2]):
+            logp.append(self.log_norm - 0.5 * ghat_sum - 0.5 * r2_sum - 0.5 * zz_f
+                        - 0.5 * zz_g - shape_eta - scale_exp)
+            hyper_grads.append((
+                2.0 * v_qf * (data_f - corr_s_f - JITTER_REL * tr_sf),
+                (v_qf / l2_f) * (data_d2_f - corr_d2_s_f),
+                2.0 * v_b * (sum_a * sum_wf - sum_sf - JITTER_REL * tr_sf),
+                2.0 * v_l * (lx_a * ls_wf - ls_sf_ls - JITTER_REL * self.mean_ls2 * tr_sf),
+                2.0 * v_qg * (data_g - corr_s_g - JITTER_REL * tr_sg),
+                (v_qg / l2_g) * (data_d2_g - corr_d2_s_g),
+            ))
+        hyper_grads = np.array(hyper_grads)
+        hyper_grads += PRIOR_SCALE * exp_neg - PRIOR_SHAPE
+        p -= z
+        grad = np.concatenate([p.reshape(k, 2 * m), hyper_grads], axis=1)
+        logp = np.array(logp)
+        if fac.failed:
+            logp[list(fac.failed)] = np.nan
+        return logp, grad
 
     def curves_on(self, grid, theta):
         """Drift and diffusion curves implied by one state vector on a grid."""
         grid = np.asarray(grid, dtype=float)
         m = self.m
-        sig, _, _, chol_f, chol_g = self._factors(theta[2 * m :])
-        s_qf, l_f, s_b, s_l, s_qg, l_g = sig
+        fac = self._factors(theta[None, 2 * m :])
+        if fac.failed:
+            raise np.linalg.LinAlgError("an anchor covariance is not positive definite")
+        s_qf, l_f, s_b, s_l, s_qg, l_g = fac.sig[0].tolist()
+        chol_f, chol_g = fac.chol_t[0].T, fac.chol_t[1].T
         w_f = _lapack(self._trtrs(chol_f, theta[:m], lower=1, trans=1))
         w_g = _lapack(self._trtrs(chol_g, theta[m : 2 * m], lower=1, trans=1))
         d2_gs = (grid[:, None] - self.anchors[None, :]) ** 2
@@ -320,6 +432,41 @@ class TargetContext:
                   + s_l**2 * float(self.ls @ w_f) * (grid - self.center))
         ghat_grid = s_qg**2 * (_eq(d2_gs, l_g) @ w_g)
         return f_grid, np.exp(ghat_grid)
+
+
+@lru_cache
+def _half_tril(m):
+    """phi() of the Cholesky adjoint, as a mask: the lower triangle of an
+    m x m matrix, diagonal halved."""
+    mask = np.tri(m, k=-1) + 0.5 * np.eye(m)
+    mask.flags.writeable = False
+    return mask
+
+
+def _lapack_routines():
+    """scipy's LAPACK wrappers dpotrf, dtrtri and dtrtrs.
+
+    Loaded here rather than at module level, so that importing the package
+    (and so every CLI start) does not load scipy. Importing
+    scipy.linalg.lapack imports all of scipy.linalg, and with it scipy's
+    array-API layer: about 0.3 s of every `fit` process, against a few
+    milliseconds for the compiled wrapper module the routines live in, which
+    is loaded on its own when nothing has imported it yet.
+    """
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is None:
+        import scipy
+
+        spec = importlib.machinery.PathFinder.find_spec(
+            name, [os.path.join(os.path.dirname(scipy.__file__), "linalg")])
+        if spec is None:
+            from scipy.linalg.lapack import dpotrf, dtrtri, dtrtrs
+            return dpotrf, dtrtri, dtrtrs
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return module.dpotrf, module.dtrtri, module.dtrtrs
 
 
 def _eq(d2, length):
@@ -334,6 +481,7 @@ def _lapack(result):
     if info:
         raise np.linalg.LinAlgError(f"LAPACK info {info}")
     return out
+
 
 
 def log_posterior(state: ModelState, transitions: TransitionSet, anchors):
@@ -489,8 +637,11 @@ def fit(c: TimeSeriesCollection, cfg: FitConfig = FitConfig(), *,
         threads: int = 1) -> Posterior:
     """End-to-end inference: anchors, HMC over the posterior, curves on a grid.
 
-    `threads` > 1 runs up to that many chains on a thread pool; it never
-    changes the posterior, and it is usually slower than the serial default.
+    The sampler's target is the `TargetContext` itself, so it evaluates the
+    points of all live chains with one `TargetContext.batch` call per step.
+    `threads` > 1 splits the chains into up to that many lockstep groups on a
+    thread pool; it never changes the posterior, and it is usually slower
+    than the default single group.
     """
     tset = to_transitions(c)
     if len(tset) < 10:
@@ -502,7 +653,7 @@ def fit(c: TimeSeriesCollection, cfg: FitConfig = FitConfig(), *,
     _, anchors, center = cfg.layout(*c.value_range)
     ctx = TargetContext(x, dx, dt, anchors, center)
     chains = hmc.sample(
-        ctx.log_posterior_and_grad,
+        ctx,
         ctx.initial_vector(),
         n_chains=cfg.n_chains,
         n_iterations=cfg.n_iterations,

@@ -9,7 +9,7 @@ import pytest
 
 from landscaper import cli, inference
 from landscaper.derived import CurvePair
-from landscaper.errors import ConvergenceWarning
+from landscaper.errors import ConvergenceWarning, PreconditionError
 from landscaper.inference import FitConfig, HYPER_NAMES, Posterior, TargetContext
 from landscaper.tsdata import dump_json, load_json
 
@@ -51,7 +51,7 @@ def synthetic_posterior(bistable: bool, n_draws=40) -> Posterior:
     drift = base + 0.02 * rng.standard_normal((n_draws, anchors.size))
     ghat = np.log(0.5 + 0.05 * rng.random((n_draws, anchors.size)))
     eta = np.log([2.0, 1.0, 2.0, 2.0, 2.0, 1.0])
-    _, _, _, chol_f, chol_g = TargetContext((), (), (), anchors, center)._factors(eta)
+    chol_f, chol_g = (c.T for c in TargetContext((), (), (), anchors, center)._factors(eta[None]).chol_t)
     theta = np.column_stack([np.linalg.solve(chol_f, drift.T).T,
                              np.linalg.solve(chol_g, ghat.T).T,
                              np.tile(eta, (n_draws, 1))])
@@ -604,4 +604,12 @@ class TestReplayAndThreads:
     def test_chains_run_serially_by_default(self):
         assert cli._resolve_threads(None) == 1
         assert cli._resolve_threads(3) == 3
-        assert cli._resolve_threads(0) == 1
+        for below in (0, -4):
+            with pytest.raises(PreconditionError, match="threads"):
+                cli._resolve_threads(below)
+
+    @pytest.mark.parametrize("threads", [0, -4])
+    def test_threads_below_one_exits_precondition(self, tmp_path, capsys, dataset, threads):
+        assert run(["fit", "--data", dataset / "dataset.csv", "--threads", threads,
+                    "--allow-nonconverged", "--out", tmp_path / "o"]) == cli.EXIT_PRECONDITION
+        assert "--threads" in capsys.readouterr().err

@@ -6,6 +6,8 @@ import json
 import pkgutil
 import re
 import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -139,6 +141,36 @@ def test_benchmark_tracer_targets_resolve():
     assert "threads" in inspect.signature(hmc.sample).parameters
     assert callable(inference.TargetContext.curves_on)
     assert "from_json" in inference.Posterior.__dict__
+
+
+def test_traced_fit_writes_the_plain_fit_outputs(tmp_path):
+    # perfbench/trace.py installs its wrappers and runs `fit` in-process. The
+    # sampler target it wraps is a plain function, so the traced fit takes the
+    # per-point path, and its outputs must be those of a plain fit.
+    from landscaper import cli, sim
+    from landscaper.tsdata import write_observations_csv
+
+    root = Path(__file__).resolve().parent.parent
+    data = sim.generate_short_series(sim.cusp_model(sim.CuspParams()), 20, 4, 0.3, seed=3)
+    write_observations_csv(data.collection, tmp_path / "data.csv")
+    (tmp_path / "fit.json").write_text(json.dumps(
+        {"n_chains": 2, "n_iterations": 100, "n_anchors": 12, "seed": 4}))
+    fit_args = ["fit", "--data", str(tmp_path / "data.csv"), "--config",
+                str(tmp_path / "fit.json"), "--allow-nonconverged", "--out"]
+    spans = tmp_path / "spans.json"
+    traced = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "trace.py"), "--spans", str(spans),
+         "--run-id", "t", "--"] + fit_args + [str(tmp_path / "traced")],
+        capture_output=True, text=True, cwd=tmp_path, timeout=120)
+    assert traced.returncode == 0, traced.stderr
+    names = {span[1] for span in json.loads(spans.read_text())["spans"]}
+    assert {"inference.grad", "hmc.sample", "inference.fit"} <= names
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert cli.main(fit_args + [str(tmp_path / "plain")]) == 0
+    outputs = [json.loads((tmp_path / out / "manifest.json").read_text())["outputs"]
+               for out in ("traced", "plain")]
+    assert outputs[0] == outputs[1]
 
 
 def test_fit_passes_threads_to_the_sampler_as_an_int(monkeypatch, tmp_path):

@@ -84,6 +84,34 @@ class TestSampler:
             hmc.sample(gaussian_target([0.0], [1.0]), np.zeros(1), n_chains=1,
                        n_iterations=100, seed=0, max_leapfrog=0)
 
+    @pytest.mark.parametrize("name, value", [("n_chains", 0), ("n_chains", -1),
+                                             ("threads", 0), ("threads", -4)])
+    def test_needs_a_chain_and_a_thread(self, name, value):
+        settings = {"n_chains": 1, "n_iterations": 100, "seed": 0, name: value}
+        with pytest.raises(SamplerError, match=name):
+            hmc.sample(gaussian_target([0.0], [1.0]), np.zeros(1), **settings)
+
+    def test_batched_target_matches_per_point_target(self):
+        # A target with `batch` is evaluated for all live chains at once; the
+        # draws are those of the same target evaluated one point at a time.
+        target = gaussian_target([0.5, -1.0], [1.0, 0.25])
+        batch_sizes = []
+
+        class Batched:
+            def __call__(self, q):
+                raise AssertionError("a target with batch is not called per point")
+
+            def batch(self, qs):
+                batch_sizes.append(len(qs))
+                values = [target(q) for q in qs]
+                return np.array([v[0] for v in values]), np.array([v[1] for v in values])
+
+        alone = hmc.sample(target, np.zeros(2), n_chains=3, n_iterations=200, seed=9)
+        batched = hmc.sample(Batched(), np.zeros(2), n_chains=3, n_iterations=200, seed=9)
+        np.testing.assert_array_equal(alone.draws, batched.draws)
+        assert alone.divergences == batched.divergences
+        assert max(batch_sizes) == 3 and min(batch_sizes) >= 1
+
     def test_correlated_scale_adaptation(self):
         # widely different scales exercise the mass-matrix adaptation
         target = gaussian_target([0.0, 0.0], [100.0, 0.01])

@@ -1,7 +1,11 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +26,8 @@ from landscaper.inference import (
     rhat,
 )
 from landscaper.sim import generate_short_series
-from landscaper.tsdata import TimeSeries, TimeSeriesCollection, dump_json, to_transitions
+from landscaper.tsdata import (TimeSeries, TimeSeriesCollection, TransitionSet, dump_json,
+                               to_transitions)
 
 from oracles import drift_kernel, eq_kernel, increments_loglik, whitened_values_direct
 
@@ -62,16 +67,20 @@ class TestLogPosterior:
         for offset in (0.0, 100.0):
             ctx = synthetic_context(rng, offset=offset)
             fun = lambda t: ctx.log_posterior_and_grad(t)[0]
-            for _ in range(20):
+            for i in range(20):
                 theta = random_state(rng, ctx.m)
                 lp, grad = ctx.log_posterior_and_grad(theta)
                 assert math.isfinite(lp)
                 fd = fd4_gradient(fun, theta)
-                # norm-aware denominator keeps near-zero components (cancellation
-                # of large contributions) from dominating the relative error
-                floor = 1e-6 * max(1.0, float(np.abs(grad).max()))
-                rel = np.abs(grad - fd) / (np.abs(grad) + np.abs(fd) + floor)
-                assert rel.max() < 1e-5
+                # One row taken from a batch of 4 is checked as well.
+                others = [random_state(rng, ctx.m) for _ in range(3)]
+                batch_grad = ctx.batch(np.array(others[:i % 4] + [theta] + others[i % 4:]))[1]
+                for grad in (grad, batch_grad[i % 4]):
+                    # norm-aware denominator keeps near-zero components (cancellation
+                    # of large contributions) from dominating the relative error
+                    floor = 1e-6 * max(1.0, float(np.abs(grad).max()))
+                    rel = np.abs(grad - fd) / (np.abs(grad) + np.abs(fd) + floor)
+                    assert rel.max() < 1e-5
 
     def test_gradient_is_shift_invariant_far_from_origin(self, rng):
         # Shifting states, anchors and center together leaves the density
@@ -100,6 +109,66 @@ class TestLogPosterior:
             lp, grad = ctx.log_posterior_and_grad(theta)
             assert lp == -np.inf
             np.testing.assert_array_equal(grad, np.zeros_like(theta))
+
+    def test_batch_rows_are_independent(self, rng, monkeypatch):
+        # One batch mixes finite states with NaN, +-inf, a log hyper beyond
+        # HYPER_BOUND and an anchor covariance that LAPACK does not factor.
+        # Every good row is bit-equal to the same state evaluated alone and
+        # through `log_posterior`; every bad row is (-inf, zeros).
+        ctx = synthetic_context(rng)
+        m = ctx.m
+        amplitude, length_scale = 2 * m, 2 * m + 1
+        # A drift amplitude no random state reaches marks the covariance whose
+        # factorisation is made to fail; the state itself is finite.
+        assert math.isfinite(ctx.log_posterior_and_grad(np.r_[np.zeros(2 * m), 4.0, np.zeros(5)])[0])
+        potrf = ctx._potrf
+
+        def failing_potrf(a, **kwargs):
+            marked = a[0, 0] > 1e3
+            c, info = potrf(a, **kwargs)
+            return c, (1 if marked else info)
+
+        monkeypatch.setattr(ctx, "_potrf", failing_potrf)
+        bad = []
+        for index, value in [(0, np.nan), (m, np.inf), (amplitude, -np.inf),
+                             (length_scale, np.nan), (amplitude, HYPER_BOUND + 0.5),
+                             (length_scale, -HYPER_BOUND - 0.5), (amplitude, 4.0)]:
+            theta = random_state(rng, m)
+            theta[index] = value
+            bad.append(theta)
+        good = [random_state(rng, m) for _ in range(5)]
+        order = rng.permutation(len(good) + len(bad))
+        thetas = np.array(good + bad)[order]
+        is_good = order < len(good)
+        logps, grads = ctx.batch(thetas)
+        transitions = TransitionSet(ctx.x, ctx.dx, ctx.dt)
+        for theta, lp, grad, ok in zip(thetas, logps, grads, is_good):
+            if not ok:
+                assert lp == -np.inf
+                np.testing.assert_array_equal(grad, np.zeros_like(theta))
+                continue
+            alone = ctx.log_posterior_and_grad(theta)
+            state = ModelState(theta[:m], theta[m:2 * m], theta[2 * m:2 * m + 4], theta[2 * m + 4:])
+            public = log_posterior(state, transitions, ctx.anchors)
+            for other_lp, other_grad in (alone, public):
+                assert lp == other_lp
+                np.testing.assert_array_equal(grad, other_grad)
+
+    def test_lapack_routines_load_without_scipy_linalg(self):
+        # A context takes scipy's LAPACK wrappers without importing the
+        # scipy.linalg package, and they are the ones that package exports.
+        code = ("import sys; import numpy as np; from landscaper import inference; "
+                "inference.TargetContext(np.zeros(3), np.ones(3), np.ones(3), "
+                "np.linspace(-1, 1, 4), 0.0); print('scipy.linalg' in sys.modules); "
+                "from scipy.linalg import lapack; c = inference.TargetContext((), (), (), "
+                "np.linspace(-1, 1, 4), 0.0); "
+                "print((c._potrf, c._trtri, c._trtrs) == (lapack.dpotrf, lapack.dtrtri, "
+                "lapack.dtrtrs))")
+        src = Path(inference.__file__).resolve().parent.parent
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["False", "True"]
 
     def test_prior_only_when_no_data(self, rng):
         anchors = np.linspace(-1, 1, 8)

@@ -4,7 +4,10 @@ Every command funnels randomness through --seed, writes its outputs with
 stable formatting (sorted JSON keys, repr floats) and drops a manifest.json
 recording argv, input digests, output digests, config hash, seed and tool
 version, so any run can be replayed bit-identically. The `timings` field of
-the manifest is the only part that varies between identical runs.
+the manifest is the only part that varies between identical runs: the total
+seconds, and for `fit` also `chain_groups`, the number of chain groups run
+in parallel (which follows the machine's CPU count), and `fit_seconds`, the
+wall time of the `inference.fit` call.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import fields, replace
@@ -79,7 +83,8 @@ def _config_hash(doc) -> str:
 
 
 def _write_manifest(out_dir: Path, command: str, argv: list[str], seed, config_doc,
-                    inputs: list[Path], outputs: list[Path], started: float) -> None:
+                    inputs: list[Path], outputs: list[Path], started: float,
+                    timings: dict | None = None) -> None:
     manifest = {
         "command": command,
         "argv": argv,
@@ -89,7 +94,7 @@ def _write_manifest(out_dir: Path, command: str, argv: list[str], seed, config_d
         "details": config_doc,
         "inputs": {str(p): _sha256(p) for p in inputs},
         "outputs": {p.name: _sha256(p) for p in outputs},
-        "timings": {"seconds": time.perf_counter() - started},
+        "timings": {"seconds": time.perf_counter() - started, **(timings or {})},
     }
     dump_json(manifest, out_dir / "manifest.json")
 
@@ -104,11 +109,12 @@ def _write_csv(path: Path, header, columns) -> None:
 
 
 def _resolve_threads(value) -> int:
-    # One lockstep group of chains unless --threads asks for more: the groups'
-    # small numpy steps serialise on the GIL, and more than one group measured
-    # slower than one.
+    # One lockstep group of chains per usable CPU unless --threads says otherwise.
     if value is None:
-        return 1
+        try:
+            return len(os.sched_getaffinity(0))
+        except AttributeError:  # no CPU affinity on this platform
+            return os.cpu_count() or 1
     if value < 1:
         raise PreconditionError(f"--threads must be >= 1; got {value}")
     return value
@@ -215,7 +221,11 @@ def cmd_fit(args, argv) -> int:
         cfg = replace(cfg, seed=args.seed)
 
     collection = _load_fit_collection(args)
-    posterior = fit(collection, cfg, threads=_resolve_threads(args.threads))
+    threads = _resolve_threads(args.threads)
+    fit_started = time.perf_counter()
+    posterior = fit(collection, cfg, threads=threads)
+    timings = {"chain_groups": min(threads, cfg.n_chains),
+               "fit_seconds": time.perf_counter() - fit_started}
 
     post_path = out / "posterior.json"
     dump_json(posterior.to_json(), post_path)
@@ -237,7 +247,7 @@ def cmd_fit(args, argv) -> int:
               "n_transitions": collection.n_points - len(collection.series)}
     _write_manifest(out, "fit", argv, posterior.config.seed, config,
                     [Path(args.data)] + ([Path(args.config)] if args.config else []),
-                    [post_path, summary_path, diag_path], started)
+                    [post_path, summary_path, diag_path], started, timings)
     if not posterior.converged and not args.allow_nonconverged:
         print(f"error: chains did not converge (max Rhat > 1.05); "
               f"divergences={posterior.divergences}", file=sys.stderr)
@@ -399,7 +409,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="apply a centred log-ratio transform (wide CSV input)")
     p.add_argument("--column", default=None, help="variable column in a wide CSV")
     p.add_argument("--allow-nonconverged", action="store_true")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None,
+                   help="split the chains into up to this many groups, each in its own "
+                        "process (default: the number of usable CPUs); the output is the "
+                        "same for any value")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit)
 

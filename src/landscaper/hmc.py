@@ -22,16 +22,17 @@ with one call per point when it does not (a plain function, such as a
 wrapper that times each evaluation). A batched target shares its per-call
 overhead across the chains. Chains own independent generator streams
 spawned from the seed by chain index, so results do not depend on how the
-chains are grouped. `threads` > 1 splits the chains into that many groups on
-a thread pool; with the small numpy steps of this sampler the groups contend
-for the interpreter lock, and the pool ran slower than the default single
-group (threads=1) on every fit measured.
+chains are grouped. `threads` > 1 splits the chains into that many groups.
+For a batched target, every group but the first runs in a forked child
+process, which sends its chains' results back through a pipe; the groups of
+a plain-function target, or on a platform without the `fork` start method,
+run one after another in the calling process.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,9 +81,11 @@ def sample(
 
     The first `n_iterations // 2` iterations of each chain are warmup. The
     chains are split into `min(threads, n_chains)` groups, each run in
-    lockstep on its own thread; at each step a group evaluates the points all
-    its live chains wait on with one `target.batch` call if the target has
-    one, and with one `target` call per point otherwise.
+    lockstep; at each step a group evaluates the points all its live chains
+    wait on with one `target.batch` call if the target has one, and with one
+    `target` call per point otherwise. The groups of a batched target run
+    in parallel, the first here and each other one in a forked child process
+    (see `_run_groups`); the draws are the same for any number of groups.
     """
     init = np.asarray(init, dtype=float)
     if n_iterations < 2:
@@ -104,11 +107,7 @@ def sample(
         ])
 
     groups = np.array_split(np.arange(n_chains), min(threads, n_chains))
-    if len(groups) > 1:
-        with ThreadPoolExecutor(max_workers=len(groups)) as pool:
-            results = [r for rs in pool.map(run, groups) for r in rs]
-    else:
-        results = run(groups[0])
+    results = [r for rs in _run_groups(run, groups, hasattr(target, "batch")) for r in rs]
 
     draws = np.stack([r[0] for r in results])
     return Chains(
@@ -118,6 +117,70 @@ def sample(
         accept_rates=np.array([r[3] for r in results]),
         warmup=warmup,
     )
+
+
+def _run_groups(run, groups, batched):
+    """`run(group)` for every group, in group order.
+
+    With more than one group of a `batched` target, every group but the first
+    runs in a child process forked here, which sends back its results or the
+    exception it raised; the first group runs here meanwhile. The exception
+    of the first failing group, in group order, is raised, and every child is
+    killed and reaped before this returns or raises.
+    """
+    # Forked, not spawned: a child shares the target and the chain closures as
+    # they are, with nothing to pickle, and the CLI process runs no threads.
+    if len(groups) > 1 and batched:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            return _run_forked(run, groups, multiprocessing.get_context("fork"))
+    return [run(group) for group in groups]
+
+
+def _run_forked(run, groups, context):
+    children = []
+    try:
+        for group in groups[1:]:
+            receiver, sender = context.Pipe(duplex=False)
+            child = context.Process(target=_run_child, args=(run, group, sender), daemon=True)
+            child.start()
+            sender.close()
+            children.append((child, receiver))
+        results = [run(groups[0])]
+        for child, receiver in children:
+            try:
+                error, value = receiver.recv()
+            except EOFError:
+                child.join()
+                raise SamplerError(f"a chain group's process exited with code {child.exitcode} "
+                                   "before sending its results") from None
+            if error is not None:
+                raise error
+            results.append(value)
+        return results
+    finally:
+        for child, receiver in children:
+            child.kill()
+            child.join()
+            receiver.close()
+
+
+def _run_child(run, group, sender):
+    # The body of a forked child: send back (None, results) or (exception,
+    # None). An exception that does not survive pickling is sent as a
+    # SamplerError that names it. A child that dies without sending, of an
+    # interrupt or a signal, is reported by the caller from its exit code.
+    try:
+        message = (None, run(group))
+    except Exception as exc:
+        try:
+            pickle.loads(pickle.dumps(exc))
+        except Exception:
+            exc = SamplerError(f"a chain group raised {type(exc).__name__}: {exc}")
+        message = (exc, None)
+    sender.send(message)
+    sender.close()
 
 
 def _lockstep(target, chains):

@@ -639,9 +639,10 @@ def fit(c: TimeSeriesCollection, cfg: FitConfig = FitConfig(), *,
 
     The sampler's target is the `TargetContext` itself, so it evaluates the
     points of all live chains with one `TargetContext.batch` call per step.
-    `threads` > 1 splits the chains into up to that many lockstep groups on a
-    thread pool; it never changes the posterior, and it is usually slower
-    than the default single group.
+    `threads` > 1 splits the chains into up to that many lockstep groups,
+    every group but the first in a forked child process, so the groups run
+    in parallel; it never changes the posterior. The default runs one group
+    in the calling process, as the simulation studies do.
     """
     tset = to_transitions(c)
     if len(tset) < 10:

@@ -1,3 +1,4 @@
+import multiprocessing
 import sys
 from pathlib import Path
 
@@ -18,3 +19,16 @@ def bistable_cusp():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(autouse=True)
+def no_leftover_child_processes():
+    """Fail any test after which a child process started through
+    multiprocessing (a forked chain group) is still alive."""
+    yield
+    leftover = multiprocessing.active_children()
+    if leftover:
+        for child in leftover:
+            child.kill()
+            child.join()
+        pytest.fail(f"child processes outlived the test: {leftover}")

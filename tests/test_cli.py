@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import os
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -597,12 +598,16 @@ class TestReplayAndThreads:
             assert run(["fit", "--data", dataset / "dataset.csv", "--config", cfg,
                         "--seed", 2, "--threads", threads, "--allow-nonconverged",
                         "--out", out]) == 0
+            timings = load_json(out / "manifest.json")["timings"]
+            assert timings["chain_groups"] == min(threads, 2)
+            assert 0 < timings["fit_seconds"] < timings["seconds"]
             outs.append(out)
         assert read_bytes(outs[0] / "posterior.json") == read_bytes(outs[1] / "posterior.json")
         assert read_bytes(outs[0] / "summary.csv") == read_bytes(outs[1] / "summary.csv")
 
     def test_chains_run_serially_by_default(self):
-        assert cli._resolve_threads(None) == 1
+        # The default is one chain group per usable CPU.
+        assert cli._resolve_threads(None) == len(os.sched_getaffinity(0))
         assert cli._resolve_threads(3) == 3
         for below in (0, -4):
             with pytest.raises(PreconditionError, match="threads"):

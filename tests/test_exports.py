@@ -3,6 +3,7 @@ import importlib
 import importlib.util
 import inspect
 import json
+import os
 import pkgutil
 import re
 import shlex
@@ -200,5 +201,5 @@ def test_fit_passes_threads_to_the_sampler_as_an_int(monkeypatch, tmp_path):
         assert cli.main(["fit", "--data", str(tmp_path / "data.csv"), "--config",
                          str(tmp_path / "fit.json"), "--allow-nonconverged",
                          "--out", str(tmp_path / "fit")]) == 0
-    assert seen == [1, 2, 1]
+    assert seen == [1, 2, len(os.sched_getaffinity(0))]
     assert all(type(t) is int for t in seen)

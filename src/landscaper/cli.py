@@ -99,13 +99,17 @@ def _write_manifest(out_dir: Path, command: str, argv: list[str], seed, config_d
     dump_json(manifest, out_dir / "manifest.json")
 
 
-def _write_csv(path: Path, header, columns) -> None:
-    rows = np.column_stack([np.asarray(c, dtype=float) for c in columns])
+def _write_csv(path: Path, header, rows) -> None:
+    # csv writes a Python float as its repr, which reads back to the same bits.
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(v)) for v in row])
+        writer.writerows(rows)
+
+
+def _float_rows(columns) -> list:
+    """The rows of equal-length columns, every value a Python float."""
+    return np.column_stack([np.asarray(c, dtype=float) for c in columns]).tolist()
 
 
 def _resolve_threads(value) -> int:
@@ -231,17 +235,11 @@ def cmd_fit(args, argv) -> int:
     dump_json(posterior.to_json(), post_path)
     header, rows = posterior.summary_rows()
     summary_path = out / "summary.csv"
-    _write_csv(summary_path, header, rows.T)
+    _write_csv(summary_path, header, rows.tolist())
     diag_path = out / "diagnostics.csv"
-    with open(diag_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["parameter", "rhat", "ess"])
-        for name in posterior.diagnostics["rhat"]:
-            writer.writerow([
-                name,
-                repr(float(posterior.diagnostics["rhat"][name])),
-                repr(float(posterior.diagnostics["ess"][name])),
-            ])
+    rhats, esses = posterior.diagnostics["rhat"], posterior.diagnostics["ess"]
+    _write_csv(diag_path, ["parameter", "rhat", "ess"],
+               [[name, float(rhats[name]), float(esses[name])] for name in rhats])
     config = {"fit": posterior.config.to_json(), "max_dt": args.max_dt,
               "clr": args.clr, "column": args.column,
               "n_transitions": collection.n_points - len(collection.series)}
@@ -266,7 +264,7 @@ def cmd_derive(args, argv) -> int:
 
     def emit(name: str, header, columns, meta: dict):
         csv_path = out / f"{name}.csv"
-        _write_csv(csv_path, header, columns)
+        _write_csv(csv_path, header, _float_rows(columns))
         meta_path = out / f"{name}.json"
         dump_json({"quantity": name, **meta}, meta_path)
         outputs.extend([csv_path, meta_path])
@@ -299,16 +297,15 @@ def cmd_derive(args, argv) -> int:
         notice("tipping_region", str(exc))
 
     try:
-        band = derived.exit_time_band(posterior, mode=args.band_mode)
+        band = derived.exit_time_band(posterior)
         emit("exit_time_band", ["grid", "mean", "lower60", "lower40"],
              [grid, band.mean, band.lower60, band.lower40],
-             {"retained": band.retained, "tipping": band.tipping, "mode": band.mode,
+             {"retained": band.retained, "tipping": band.tipping,
               "boundary": "two-sided split at the tipping node; zero-slope outer rows"})
     except (PreconditionError, DegenerateDataError) as exc:
         notice("exit_time_band", str(exc))
 
-    config = {"band_mode": args.band_mode}
-    _write_manifest(out, "derive", argv, None, config, [Path(args.posterior)],
+    _write_manifest(out, "derive", argv, None, {}, [Path(args.posterior)],
                     outputs, started)
     return EXIT_OK
 
@@ -334,7 +331,8 @@ def cmd_experiment(args, argv) -> int:
         result = coverage_experiment(model, **kw)
         table = out / "coverage.csv"
         _write_csv(table, ["budget", "agreement_short", "agreement_long"],
-                   [result.budgets, result.agreement_short, result.agreement_long])
+                   _float_rows([result.budgets, result.agreement_short,
+                                result.agreement_long]))
         meta = {"replicates": result.replicates,
                 "final_short": float(result.agreement_short[-1]),
                 "final_long": float(result.agreement_long[-1])}
@@ -343,11 +341,8 @@ def cmd_experiment(args, argv) -> int:
             kw["cfg"] = kw.pop("fit")
         result = tpr_grid(model, **kw)
         table = out / "tpr.csv"
-        with open(table, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n_series"] + [repr(t) for t in result.timesteps])
-            for i, n in enumerate(result.series_counts):
-                writer.writerow([n] + [repr(float(v)) for v in result.tpr[i]])
+        _write_csv(table, ["n_series"] + [repr(t) for t in result.timesteps],
+                   [[n] + row for n, row in zip(result.series_counts, result.tpr.tolist())])
         meta = {"replicates": result.replicates, "t_c": result.t_c,
                 "failures": result.failures.tolist()}
     meta_path = table.with_suffix(".json")
@@ -362,6 +357,8 @@ def cmd_replay(args, argv) -> int:
     replay_argv = manifest.get("argv") if isinstance(manifest, dict) else None
     if not (isinstance(replay_argv, list) and all(isinstance(a, str) for a in replay_argv)):
         raise IngestError(f"{args.manifest}: manifest has no argv list of strings to replay")
+    if replay_argv[:1] == ["replay"]:
+        raise IngestError(f"{args.manifest}: manifest argv is itself a replay, not a run")
     if args.out is not None:
         if "--out" not in replay_argv:
             replay_argv += ["--out", args.out]
@@ -418,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("derive", help="derive stability quantities from a posterior")
     p.add_argument("--posterior", required=True)
-    p.add_argument("--band-mode", choices=["pointwise", "curve"], default="pointwise")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_derive)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDataError, PreconditionError
-from .numerics import cumulative_trapezoid, density_from_drift_diffusion, nearest_rank
+from .numerics import cumulative_trapezoid, density_from_drift_diffusion, lapack, nearest_rank
 
 __all__ = [
     "CurvePair",
@@ -97,7 +97,7 @@ class ExitTimeSolution:
 
 @dataclass(frozen=True)
 class ExitTimeBand:
-    """Posterior mean exit-time curve with lower 60%/40% credible curves."""
+    """Posterior mean exit-time curve with pointwise lower 60%/40% credible curves."""
 
     grid: np.ndarray
     mean: np.ndarray
@@ -105,7 +105,6 @@ class ExitTimeBand:
     lower40: np.ndarray
     retained: int
     tipping: float
-    mode: str
 
 
 @dataclass(frozen=True)
@@ -232,13 +231,11 @@ def exit_time(cp: CurvePair, tipping: float) -> ExitTimeSolution:
     """Solve f T' + (g/2) T'' = -1 on each side of the tipping point.
 
     Central differences on the uniform grid, one tridiagonal system over the
-    whole grid: the grid node nearest the tipping location is a Dirichlet row
-    T = 0 that no other row refers to, so the two basin sides never mix, and
-    the two outer ends are one-sided zero-slope rows.
+    whole grid, solved by LAPACK's dgtsv: the grid node nearest the tipping
+    location is a Dirichlet row T = 0 that no other row refers to, so the two
+    basin sides never mix, and the two outer ends are one-sided zero-slope
+    rows. A singular system is a DegenerateDataError.
     """
-    # Imported here so that importing the package does not load scipy.
-    from scipy.linalg import solve_banded
-
     grid, f, g = cp.grid, cp.drift, cp.diffusion
     if not (grid[0] < tipping < grid[-1]):
         raise PreconditionError("tipping point must lie strictly inside the grid")
@@ -250,26 +247,27 @@ def exit_time(cp: CurvePair, tipping: float) -> ExitTimeSolution:
     if k == 1 or k == n - 2:
         raise PreconditionError("basin side has too few grid nodes")
 
-    # solve_banded layout: ab[0, j + 1], ab[1, j] and ab[2, j - 1] are row j's
-    # super-, main and sub-diagonal entries.
+    # Row j is sub[j - 1] T(j-1) + main[j] T(j) + sup[j] T(j+1).
     adv = f[1:-1] / (2.0 * h)
     dif = g[1:-1] / (2.0 * h * h)
-    ab = np.zeros((3, n))
-    ab[0, 2:] = dif + adv
-    ab[1, 1:-1] = -2.0 * dif
-    ab[2, :-2] = dif - adv
+    sub = np.empty(n - 1)
+    main = np.empty(n)
+    sup = np.empty(n - 1)
+    sub[:-1] = dif - adv
+    main[1:-1] = -2.0 * dif
+    sup[1:] = dif + adv
     # Zero-slope rows T(1) - T(0) = 0 and T(n-1) - T(n-2) = 0.
-    ab[0, 1], ab[1, 0] = 1.0, -1.0
-    ab[1, -1], ab[2, -2] = 1.0, -1.0
+    main[0], sup[0] = -1.0, 1.0
+    sub[-1], main[-1] = -1.0, 1.0
     # Row k is T(k) = 0, and column k is empty but for it.
-    ab[:, k] = 0.0
-    ab[1, k], ab[0, k + 1], ab[2, k - 1] = 1.0, 0.0, 0.0
+    main[k] = 1.0
+    sub[k - 1] = sub[k] = sup[k - 1] = sup[k] = 0.0
     rhs = np.full(n, -1.0)
     rhs[[0, k, -1]] = 0.0
-    try:
-        times = solve_banded((1, 1), ab, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateDataError(f"singular exit-time system: {exc}") from None
+    dgtsv, = lapack("dgtsv")
+    *_, times, info = dgtsv(sub, main, sup, rhs)
+    if info:
+        raise DegenerateDataError(f"singular exit-time system: zero pivot in row {info}")
     if not np.all(np.isfinite(times)):
         raise DegenerateDataError("exit-time solve produced non-finite values")
     lowest = float(times.min())
@@ -281,19 +279,16 @@ def exit_time(cp: CurvePair, tipping: float) -> ExitTimeSolution:
     return ExitTimeSolution(grid=grid, times=times, tipping=float(grid[k]), tipping_index=k)
 
 
-def exit_time_band(p, mode: str = "pointwise") -> ExitTimeBand:
+def exit_time_band(p) -> ExitTimeBand:
     """Exit-time posterior band from draws sharing the posterior-mean tipping point.
 
     Draws are retained when they are valid, have exactly one tipping point,
     and that point lies within one grid cell of the posterior-mean drift's
     tipping point; each retained draw's BVP uses that shared anchor node, and
-    at least MIN_RETAINED draws must be retained. The lower curves take the
-    40th and 60th nearest-rank percentiles from below, either pointwise
-    (default) or by ranking whole curves per basin side at the side's stable
-    point ("curve").
+    at least MIN_RETAINED draws must be retained. At each grid node, the lower
+    curves are the retained draws' nearest-rank lower 40th and 60th
+    percentiles.
     """
-    if mode not in ("pointwise", "curve"):
-        raise PreconditionError(f"unknown band mode {mode!r}")
     grid = p.grid
     mean_cp = CurvePair(grid, p.drift_draws.mean(axis=0), p.diffusion_draws.mean(axis=0))
     structure = classify_roots(mean_cp)
@@ -316,30 +311,13 @@ def exit_time_band(p, mode: str = "pointwise") -> ExitTimeBand:
             f"need >= {MIN_RETAINED}"
         )
     curves = np.asarray(solutions)
-    mean_curve = curves.mean(axis=0)
+    ranked = np.sort(curves, axis=0)
     k = int(np.argmin(np.abs(grid - tip)))
-
-    if mode == "pointwise":
-        ranked = np.sort(curves, axis=0)
-        lower40 = ranked[nearest_rank(len(curves), 0.4)]
-        lower60 = ranked[nearest_rank(len(curves), 0.6)]
-    else:
-        lower40 = np.empty(len(grid))
-        lower60 = np.empty(len(grid))
-        stable = sorted(structure.stable_points)
-        left_ref = int(np.argmin(np.abs(grid - stable[0])))
-        right_ref = int(np.argmin(np.abs(grid - stable[-1])))
-        for ref, sl in ((left_ref, slice(0, k + 1)), (right_ref, slice(k, len(grid)))):
-            order = np.argsort(curves[:, ref], kind="stable")
-            lower40[sl] = curves[order[nearest_rank(len(order), 0.4)], sl]
-            lower60[sl] = curves[order[nearest_rank(len(order), 0.6)], sl]
-
     return ExitTimeBand(
         grid=grid,
-        mean=mean_curve,
-        lower60=lower60,
-        lower40=lower40,
+        mean=curves.mean(axis=0),
+        lower60=ranked[nearest_rank(len(curves), 0.6)],
+        lower40=ranked[nearest_rank(len(curves), 0.4)],
         retained=len(curves),
         tipping=float(grid[k]),
-        mode=mode,
     )

@@ -18,12 +18,7 @@ the log-scale Jacobian included. The gradient of the log posterior is computed a
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
 import math
-import os
-import sys
-import threading
 import warnings
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property, lru_cache
@@ -34,6 +29,7 @@ import numpy as np
 from . import hmc
 from .diagnostics import ess, rhat
 from .errors import ConvergenceWarning, DegenerateDataError, IngestError, PreconditionError
+from .numerics import lapack
 from .tsdata import TimeSeriesCollection, TransitionSet, integer, read_document, to_transitions
 
 __all__ = [
@@ -168,7 +164,7 @@ class TargetContext:
     """
 
     def __init__(self, x, dx, dt, anchors, center: float):
-        self._potrf, self._trtri, self._trtrs = _lapack_routines()
+        self._potrf, self._trtri, self._trtrs = lapack("dpotrf", "dtrtri", "dtrtrs")
         self.x = np.asarray(x, dtype=float)
         self.dx = np.asarray(dx, dtype=float)
         self.dt = np.asarray(dt, dtype=float)
@@ -203,9 +199,9 @@ class TargetContext:
             -0.5 * self.x.size * LOG_2PI - 0.5 * float(np.log(self.dt).sum())
             - m * LOG_2PI + PRIOR_LOG_NORM
         )
-        # The data-anchor blocks of a batch, one array per thread, kept between
-        # calls: a fresh (2k, n, m) array on every call costs page faults.
-        self._scratch = threading.local()
+        # The data-anchor blocks of a batch, kept between calls: a fresh
+        # (2k, n, m) array on every call costs page faults.
+        self._scratch = np.empty((0, self.x.size, m))
 
     def initial_vector(self) -> np.ndarray:
         hypers = [math.log(2.0), math.log(1.25), math.log(2.0), math.log(2.0),
@@ -264,11 +260,10 @@ class TargetContext:
         return _Factors(sig, consts, v_q, v_b, v_l, scale, corr, cov, failed)
 
     def _block(self, rows):
-        """This thread's (rows, n, m) scratch array."""
-        block = getattr(self._scratch, "block", None)
-        if block is None or len(block) < rows:
-            block = self._scratch.block = np.empty((rows, self.x.size, self.m))
-        return block[:rows]
+        """The (rows, n, m) scratch array."""
+        if len(self._scratch) < rows:
+            self._scratch = np.empty((rows, self.x.size, self.m))
+        return self._scratch[:rows]
 
     # -- forward + gradient ------------------------------------------------
 
@@ -441,32 +436,6 @@ def _half_tril(m):
     mask = np.tri(m, k=-1) + 0.5 * np.eye(m)
     mask.flags.writeable = False
     return mask
-
-
-def _lapack_routines():
-    """scipy's LAPACK wrappers dpotrf, dtrtri and dtrtrs.
-
-    Loaded here rather than at module level, so that importing the package
-    (and so every CLI start) does not load scipy. Importing
-    scipy.linalg.lapack imports all of scipy.linalg, and with it scipy's
-    array-API layer: about 0.3 s of every `fit` process, against a few
-    milliseconds for the compiled wrapper module the routines live in, which
-    is loaded on its own when nothing has imported it yet.
-    """
-    name = "scipy.linalg._flapack"
-    module = sys.modules.get(name)
-    if module is None:
-        import scipy
-
-        spec = importlib.machinery.PathFinder.find_spec(
-            name, [os.path.join(os.path.dirname(scipy.__file__), "linalg")])
-        if spec is None:
-            from scipy.linalg.lapack import dpotrf, dtrtri, dtrtrs
-            return dpotrf, dtrtri, dtrtrs
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        sys.modules[name] = module
-    return module.dpotrf, module.dtrtri, module.dtrtrs
 
 
 def _eq(d2, length):

@@ -1,17 +1,24 @@
-"""Small shared numerical routines.
+"""Small shared numerical routines, and the package's one entry to scipy.
 
 `cumulative_trapezoid` is scipy's formula written out in numpy, so importing
-the package (and every CLI start) does not load `scipy.integrate`.
+the package (and every CLI start) does not load `scipy.integrate`. `lapack`
+is the only place the package touches scipy: it hands out scipy's compiled
+LAPACK wrappers without importing `scipy.linalg`.
 """
 
 from __future__ import annotations
+
+import importlib.machinery
+import importlib.util
+import os
+import sys
 
 import numpy as np
 
 from .errors import DegenerateDataError, PreconditionError
 
-__all__ = ["cumulative_trapezoid", "density_from_drift_diffusion", "nearest_rank",
-           "seed_sequence"]
+__all__ = ["cumulative_trapezoid", "density_from_drift_diffusion", "lapack",
+           "nearest_rank", "seed_sequence"]
 
 # Largest rounding error density_from_drift_diffusion accepts in its exponent:
 # the unit roundoff times the largest magnitude of the running integral.
@@ -75,3 +82,30 @@ def nearest_rank(n: int, q: float) -> int:
     q-quantile: the ceil(q*n)-th smallest, and at least the first."""
     return max(1, int(np.ceil(q * n))) - 1
 
+
+
+def lapack(*names) -> tuple:
+    """scipy's LAPACK wrappers of the given names, such as "dpotrf", in order.
+
+    Loaded on first use rather than at import, so that importing the package
+    (and so every CLI start) does not load scipy. Importing
+    scipy.linalg.lapack imports all of scipy.linalg, and with it scipy's
+    array-API layer: about 0.3 s of every process, against a few milliseconds
+    for the compiled wrapper module the routines live in, which is loaded on
+    its own when nothing has imported it yet. They are the same objects that
+    scipy.linalg.lapack exports.
+    """
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is None:
+        import scipy
+
+        spec = importlib.machinery.PathFinder.find_spec(
+            name, [os.path.join(os.path.dirname(scipy.__file__), "linalg")])
+        if spec is None:
+            from scipy.linalg import lapack as module
+        else:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[name] = module
+    return tuple(getattr(module, n) for n in names)

@@ -291,8 +291,9 @@ def read_wide_csv(path, column: str, clr: bool) -> TimeSeriesCollection:
 
 def _csv_lines(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
     """The header row of a CSV file, and its other non-blank rows, each with its
-    line number; IngestError for an empty file."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    line number; IngestError for an empty file. A leading UTF-8 byte-order
+    mark, as spreadsheet exports write, is skipped."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         lines = list(csv.reader(fh))
     if not lines:
         raise IngestError(f"{path}: empty file")

@@ -366,8 +366,12 @@ class TestMalformedDocuments:
         {"command": "simulate", "argv": "simulate --out x"},
         {"command": "simulate", "argv": ["simulate", 3]},
         ["simulate", "--out", "x"],
+        # a manifest that replays itself
+        {"command": "replay", "argv": ["replay", "--manifest", "manifest.json"]},
     ])
-    def test_replay_needs_argv_list_of_strings(self, tmp_path, capsys, manifest):
+    def test_replay_needs_argv_list_of_strings(self, tmp_path, capsys, monkeypatch,
+                                               manifest):
+        monkeypatch.chdir(tmp_path)
         path = tmp_path / "manifest.json"
         dump_json(manifest, path)
         assert run(["replay", "--manifest", path, "--out", tmp_path / "o"]) == cli.EXIT_PARSE
@@ -578,6 +582,16 @@ class TestReplayAndThreads:
             run(["replay", "--manifest", path])
         assert exit_info.value.code == cli.EXIT_PARSE
         assert not (tmp_path / "o" / "dataset.csv").exists()
+        # The exit-time band is always pointwise, so --band-mode is gone too.
+        post_path = tmp_path / "posterior.json"
+        dump_json(synthetic_posterior(bistable=True).to_json(), post_path)
+        argv = ["derive", "--posterior", str(post_path), "--band-mode", "pointwise",
+                "--out", str(tmp_path / "d")]
+        dump_json({"command": "derive", "argv": argv}, path)
+        with pytest.raises(SystemExit) as exit_info:
+            run(["replay", "--manifest", path])
+        assert exit_info.value.code == cli.EXIT_PARSE
+        assert not (tmp_path / "d").exists()
 
     def test_replay_byte_identical(self, tmp_path):
         out1 = tmp_path / "r1"

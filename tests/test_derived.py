@@ -281,6 +281,40 @@ class TestExitTime:
             residuals.append(lhs + 1.0)
         assert np.abs(residuals).max() <= 1e-8
 
+    def test_equals_solve_banded(self, rng):
+        # scipy's banded solver on the same system in its band storage:
+        # ab[0, j + 1], ab[1, j] and ab[2, j - 1] are row j's super-, main
+        # and sub-diagonal entries.
+        from scipy.linalg import solve_banded
+
+        grid = np.linspace(-2.5, 2.5, 201)
+        h = grid[1] - grid[0]
+        for _ in range(8):
+            a, b, c = rng.uniform(0.5, 2.0), rng.uniform(-0.3, 0.3), rng.uniform(-1.0, 1.0)
+            f = a * (grid - grid**3) + b
+            g = rng.uniform(0.2, 1.0) * np.exp(0.3 * np.sin(c * grid))
+            tipping = rng.uniform(-0.2, 0.2)
+            sol = exit_time(CurvePair(grid, f, g), tipping)
+            k = sol.tipping_index
+            adv, dif = f[1:-1] / (2 * h), g[1:-1] / (2 * h * h)
+            ab = np.zeros((3, grid.size))
+            ab[0, 2:], ab[1, 1:-1], ab[2, :-2] = dif + adv, -2 * dif, dif - adv
+            ab[0, 1], ab[1, 0], ab[1, -1], ab[2, -2] = 1.0, -1.0, 1.0, -1.0
+            ab[:, k] = 0.0
+            ab[1, k], ab[0, k + 1], ab[2, k - 1] = 1.0, 0.0, 0.0
+            rhs = np.full(grid.size, -1.0)
+            rhs[[0, k, -1]] = 0.0
+            expected = np.maximum(solve_banded((1, 1), ab, rhs), 0.0)
+            np.testing.assert_array_equal(sol.times, expected)
+
+    def test_singular_system_is_degenerate(self):
+        # g / (2 h^2) underflows to zero, so the rows at x = +-50, where the
+        # drift vanishes too, are all zeros.
+        grid = np.linspace(-100.0, 100.0, 21)
+        cp = CurvePair(grid, grid * (1 - grid**2 / 2500), np.full_like(grid, 5e-324))
+        with pytest.raises(DegenerateDataError, match="singular exit-time system"):
+            exit_time(cp, 0.0)
+
     def test_interior_rows_next_to_tipping_satisfy_stencil_with_zero(self):
         cp = cusp_curve()
         sol = exit_time(cp, 0.0)
@@ -366,12 +400,6 @@ class TestExitTimeBand:
         values = np.arange(1, 11)
         assert values[nearest_rank(len(values), 0.4)] == 4
         assert values[nearest_rank(len(values), 0.6)] == 6
-
-    def test_curve_mode(self):
-        post = self.band_inputs([1.0 / k for k in range(1, 11)])
-        band = exit_time_band(post, mode="curve")
-        assert band.mode == "curve"
-        assert np.all(band.lower40 <= band.lower60 + 1e-12)
 
     def test_non_bistable_mean_rejected(self):
         grid = np.linspace(-2, 2, 101)

@@ -1,11 +1,7 @@
 import dataclasses
 import json
 import math
-import os
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -153,22 +149,6 @@ class TestLogPosterior:
             for other_lp, other_grad in (alone, public):
                 assert lp == other_lp
                 np.testing.assert_array_equal(grad, other_grad)
-
-    def test_lapack_routines_load_without_scipy_linalg(self):
-        # A context takes scipy's LAPACK wrappers without importing the
-        # scipy.linalg package, and they are the ones that package exports.
-        code = ("import sys; import numpy as np; from landscaper import inference; "
-                "inference.TargetContext(np.zeros(3), np.ones(3), np.ones(3), "
-                "np.linspace(-1, 1, 4), 0.0); print('scipy.linalg' in sys.modules); "
-                "from scipy.linalg import lapack; c = inference.TargetContext((), (), (), "
-                "np.linspace(-1, 1, 4), 0.0); "
-                "print((c._potrf, c._trtri, c._trtrs) == (lapack.dpotrf, lapack.dtrtri, "
-                "lapack.dtrtrs))")
-        src = Path(inference.__file__).resolve().parent.parent
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.split() == ["False", "True"]
 
     def test_prior_only_when_no_data(self, rng):
         anchors = np.linspace(-1, 1, 8)

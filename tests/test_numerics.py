@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -10,19 +11,72 @@ from scipy import integrate
 import landscaper
 from landscaper.errors import DegenerateDataError
 from landscaper.numerics import cumulative_trapezoid, density_from_drift_diffusion
+from landscaper.tsdata import dump_json
+
+from test_cli import synthetic_posterior
+
+PACKAGE = Path(landscaper.__file__).resolve().parent
 
 
-def test_cli_import_leaves_out_scipy_integrate():
-    # A fresh interpreter: this one has scipy loaded by the test. Neither
-    # scipy.integrate nor scipy.linalg (bound when a fit starts) is loaded.
-    src = str(Path(landscaper.__file__).resolve().parents[1])
+def run_fresh(code):
+    """stdout of `code` run in a fresh interpreter: this one has scipy loaded
+    by the tests."""
+    src = str(PACKAGE.parent)
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+def test_cli_import_leaves_out_scipy_integrate(tmp_path):
+    # Neither scipy.integrate nor scipy.linalg is loaded by importing the CLI,
+    # nor by a derive that solves exit-time systems.
     code = ("import sys, landscaper.cli; "
             "print([m for m in ('scipy.integrate', 'scipy.linalg') if m in sys.modules])")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert run_fresh(code).strip() == "[]"
+
+    post_path, out = tmp_path / "posterior.json", tmp_path / "derived"
+    dump_json(synthetic_posterior(bistable=True).to_json(), post_path)
+    code = ("import sys; from landscaper import cli; "
+            f"code = cli.main(['derive', '--posterior', {str(post_path)!r}, "
+            f"'--out', {str(out)!r}]); "
+            "print(code, [m for m in ('scipy.integrate', 'scipy.linalg') if m in sys.modules])")
+    assert run_fresh(code).strip() == "0 []"
+    assert (out / "exit_time_band.csv").exists()
+
+
+def test_lapack_loads_without_scipy_linalg():
+    # A context and the exit-time solver take scipy's LAPACK wrappers without
+    # importing the scipy.linalg package, and they are the ones that package
+    # exports.
+    code = ("import sys; import numpy as np; from landscaper import inference, numerics; "
+            "c = inference.TargetContext(np.zeros(3), np.ones(3), np.ones(3), "
+            "np.linspace(-1, 1, 4), 0.0); "
+            "routines = (c._potrf, c._trtri, c._trtrs) + numerics.lapack('dgtsv'); "
+            "print('scipy.linalg' in sys.modules); "
+            "from scipy.linalg import lapack; "
+            "expected = (lapack.dpotrf, lapack.dtrtri, lapack.dtrtrs, lapack.dgtsv); "
+            "print(routines == expected, numerics.lapack('dgtsv') == (lapack.dgtsv,))")
+    assert run_fresh(code).split() == ["False", "True", "True"]
+
+
+def test_only_numerics_imports_scipy():
+    # numerics is the package's one entry to scipy; every other module stays
+    # free of it, so that no command pays for importing scipy.linalg.
+    importers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(n == "scipy" or n.startswith("scipy.") for n in names):
+                importers.append(path.name)
+    assert set(importers) <= {"numerics.py"}, importers
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 50, 4001])

@@ -20,6 +20,7 @@ from landscaper.tsdata import (
     number,
     read_document,
     read_observations_csv,
+    read_wide_csv,
     text,
     to_transitions,
     write_observations_csv,
@@ -295,6 +296,18 @@ class TestCsvAndJson:
         back = read_observations_csv(path)
         assert [s.unit_id for s in back.series] == ["b", "a"]
         np.testing.assert_array_equal(back.series[0].values, [1.0, 2.0])
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # Spreadsheet "CSV UTF-8" exports start with a UTF-8 byte-order mark.
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        for text, read in (
+            ("unit_id,time,value\na,0.0,1.0\na,1.0,2.0\n", read_observations_csv),
+            ("unit_id,time,x,y\na,0.0,1.0,3.0\na,1.0,2.0,4.0\n",
+             lambda path: read_wide_csv(path, "y", False)),
+        ):
+            plain.write_bytes(text.encode())
+            marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+            assert read(marked) == read(plain)
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "obs.csv"

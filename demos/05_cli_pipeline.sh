@@ -13,7 +13,8 @@ cat > "$WORK/fit.json" <<'JSON'
 {"n_chains": 4, "n_iterations": 1000, "seed": 5}
 JSON
 
-# Chains run serially by default (a thread pool over them is slower).
+# The chains run in lockstep groups, one forked process per usable CPU by
+# default (`--threads N` sets the group count); the output is the same for any.
 landscaper fit --data "$WORK/data/dataset.csv" --config "$WORK/fit.json" \
     --allow-nonconverged --out "$WORK/fit"
 

@@ -246,8 +246,9 @@ def cmd_fit(args, argv) -> int:
     _write_manifest(out, "fit", argv, posterior.config.seed, config,
                     [Path(args.data)] + ([Path(args.config)] if args.config else []),
                     [post_path, summary_path, diag_path], started, timings)
-    if not posterior.converged and not args.allow_nonconverged:
-        print(f"error: chains did not converge (max Rhat > 1.05); "
+    problem = posterior.convergence_problem()
+    if problem and not args.allow_nonconverged:
+        print(f"error: chains not shown to converge ({problem}); "
               f"divergences={posterior.divergences}", file=sys.stderr)
         return EXIT_CONVERGENCE
     return EXIT_OK

@@ -10,13 +10,12 @@ import numpy as np
 from .derived import multistability_posterior
 from .errors import LandscaperError, PreconditionError
 from .inference import FitConfig, fit
-from .numerics import cumulative_trapezoid, density_from_drift_diffusion, seed_sequence
+from .numerics import seed_sequence
 from .sim import (
     INTERNAL_DT,
     SdeModel,
-    _stationary_start,
+    _reference_path,
     estimate_timescale,
-    euler_maruyama,
     generate_short_series,
     step_from_fraction,
 )
@@ -71,16 +70,6 @@ def kl_divergence(p, q, dx: float = 1.0) -> float:
     return float(np.sum(pf * np.log(pf / qf)) * dx)
 
 
-def _reference_density(m: SdeModel, n_grid: int = 2001):
-    grid = np.linspace(m.state_range[0], m.state_range[1], n_grid)
-    f = np.asarray(m.drift(grid), dtype=float)
-    g = np.maximum(np.asarray(m.diffusion(grid), dtype=float), 1e-30)
-    pdf = density_from_drift_diffusion(grid, f, g)
-    cdf = cumulative_trapezoid(pdf, grid)
-    cdf /= cdf[-1]
-    return grid, pdf, cdf
-
-
 def coverage_experiment(
     model: SdeModel,
     total_time: float = 250.0,
@@ -94,12 +83,15 @@ def coverage_experiment(
     same total simulation time. At each whole-unit budget the observed values
     so far are histogrammed in COVERAGE_BINS bins and compared to the
     stationary density by KL divergence; agreement is 1 - KL/maxKL with maxKL
-    taken over both conditions and all budgets within the replicate.
+    taken over both conditions and all budgets within the replicate. The
+    density is the model's stationary table, the one its series start from.
     Both conditions observe every step of INTERNAL_DT.
     """
     if replicates < 1 or not 1 <= total_time < np.inf:
         raise PreconditionError("replicates must be >= 1 and total_time finite and >= 1")
-    grid, _, cdf = _reference_density(model)
+    if model.stationary is None:
+        raise PreconditionError(f"model {model.name!r} has no stationary table to score against")
+    grid, cdf = model.stationary
     lo = float(np.interp(5e-4, cdf, grid))
     hi = float(np.interp(1.0 - 5e-4, cdf, grid))
     edges = np.linspace(lo, hi, COVERAGE_BINS + 1)
@@ -109,7 +101,6 @@ def coverage_experiment(
     budgets = np.arange(1, int(total_time) + 1)
     span = (COVERAGE_POINTS_PER_SERIES - 1) * INTERNAL_DT
     n_short = int(np.floor(total_time / span))
-    steps_long = int(round(total_time / INTERNAL_DT))
 
     agree_s = np.empty((replicates, len(budgets)))
     agree_l = np.empty((replicates, len(budgets)))
@@ -118,9 +109,7 @@ def coverage_experiment(
         ds = generate_short_series(model, n_short, COVERAGE_POINTS_PER_SERIES, INTERNAL_DT,
                                    short_seed)
         short_values = np.concatenate([s.values for s in ds.collection.series])
-        x0 = _stationary_start(model, np.random.default_rng(long_seed))
-        long_values = euler_maruyama(model, x0, INTERNAL_DT, steps_long,
-                                     long_seed.spawn(1)[0]).values
+        long_values = _reference_path(model, long_seed, total_time)
 
         kl_s = np.empty(len(budgets))
         kl_l = np.empty(len(budgets))

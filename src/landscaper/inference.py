@@ -30,7 +30,8 @@ from . import hmc
 from .diagnostics import ess, rhat
 from .errors import ConvergenceWarning, DegenerateDataError, IngestError, PreconditionError
 from .numerics import lapack
-from .tsdata import TimeSeriesCollection, TransitionSet, integer, read_document, to_transitions
+from .tsdata import (TimeSeriesCollection, TransitionSet, integer, list_of, number, read_document,
+                     to_transitions)
 
 __all__ = [
     "ModelState",
@@ -146,13 +147,13 @@ class _Factors(NamedTuple):
     """The constrained hypers and anchor factors of k states (see `_factors`)."""
 
     sig: np.ndarray
-    consts: list
     v_q: np.ndarray
     v_b: np.ndarray
     v_l: np.ndarray
     scale: np.ndarray
     corr: np.ndarray
     chol_t: np.ndarray
+    dv: np.ndarray
     failed: set
 
 
@@ -212,28 +213,28 @@ class TargetContext:
         """The constrained hypers and anchor factors of k states' log hypers
         `etas` (k, 6).
 
-        sig is exp(etas), in `HYPER_NAMES` order. consts lists per state the
-        Python floats (v_qf, v_qg, v_b, v_l, l_f^2, l_g^2), the kernel
-        variances and squared length scales, computed as one state always
-        was (float ** 2 calls libm pow, which does not always round like
-        x * x). The stacks of 2k rows hold state i's drift row at 2i and its
-        diffusion row at 2i + 1: v_q the EQ variances, scale -1 / (2 l^2),
-        corr the EQ correlation blocks of the anchors, and chol_t the lower
-        Cholesky factors L of the anchor covariances, stored transposed:
-        chol_t[j].T is L, Fortran-ordered with a zero upper triangle. v_b and
-        v_l (k,) are the constant and linear kernel variances. failed holds
-        the states whose covariance is not numerically positive definite;
-        their factors are NaN.
+        sig is exp(etas), in `HYPER_NAMES` order. The kernel constants are
+        computed on Python floats, as one state always was (float ** 2 calls
+        libm pow, which does not always round like x * x). The stacks of 2k
+        rows hold state i's drift row at 2i and its diffusion row at 2i + 1:
+        v_q the EQ variances, scale -1 / (2 l^2), corr the EQ correlation
+        blocks of the anchors, and chol_t the lower Cholesky factors L of the
+        anchor covariances, stored transposed: chol_t[j].T is L,
+        Fortran-ordered with a zero upper triangle. v_b and v_l (k,) are the
+        constant and linear kernel variances, and dv (k, 6) each log hyper's
+        gradient factor: d(sigma^2)/d(log sigma) = 2 v for an amplitude, and
+        v / l^2 for a length scale. failed holds the states whose covariance
+        is not numerically positive definite; their factors are NaN.
         """
         k, m = len(etas), self.m
         sig = np.exp(etas)
-        consts, rows = [], []
+        rows = []
         for s_qf, l_f, s_b, s_l, s_qg, l_g in sig.tolist():
             v_qf, v_b, v_l, v_qg = s_qf**2, s_b**2, s_l**2, s_qg**2
             l2_f, l2_g = l_f * l_f, l_g * l_g
-            consts.append((v_qf, v_qg, v_b, v_l, l2_f, l2_g))
             rows.append((v_qf, v_qg, -0.5 / l2_f, -0.5 / l2_g, v_b, v_l,
-                         JITTER_REL * (v_qf + v_b + v_l * self.mean_ls2), JITTER_REL * v_qg))
+                         JITTER_REL * (v_qf + v_b + v_l * self.mean_ls2), JITTER_REL * v_qg,
+                         2.0 * v_qf, v_qf / l2_f, 2.0 * v_b, 2.0 * v_l, 2.0 * v_qg, v_qg / l2_g))
         table = np.array(rows)
         v_q, scale, jitter = table[:, 0:2].ravel(), table[:, 2:4].ravel(), table[:, 6:8].ravel()
         v_b, v_l = table[:, 4], table[:, 5]
@@ -257,7 +258,7 @@ class TargetContext:
                 c[...] = np.nan
             elif chol is not c:
                 c[...] = chol
-        return _Factors(sig, consts, v_q, v_b, v_l, scale, corr, cov, failed)
+        return _Factors(sig, v_q, v_b, v_l, scale, corr, cov, table[:, 8:], failed)
 
     def _block(self, rows):
         """The (rows, n, m) scratch array."""
@@ -310,20 +311,18 @@ class TargetContext:
     def _evaluate(self, theta):
         # The k states of `theta`. As in `_factors`, stacks of 2k rows hold
         # state i's drift row at 2i and its diffusion row at 2i + 1, so the
-        # latents z are theta's first 2m columns as they stand. `red` gathers
-        # the row reductions that the per-state arithmetic at the end reads.
+        # latents z are theta's first 2m columns as they stand.
         k, m, n = len(theta), self.m, self.x.size
         eta = theta[:, 2 * m:].copy()
         fac = self._factors(eta)
         v_q, v_b, v_l = fac.v_q, fac.v_b, fac.v_l
         z = np.ascontiguousarray(theta[:, : 2 * m]).reshape(2 * k, m)
-        red = np.empty((15, 2 * k))
         # After a successful dpotrf the factor's diagonal is positive, so the
         # triangular solves and inverses below cannot fail; a NaN factor gives
         # NaNs, which the finiteness check in `batch` rejects.
         chols = [c.T for c in fac.chol_t]
         w = np.array([self._trtrs(c, zj, lower=1, trans=1)[0] for c, zj in zip(chols, z)])
-        sum_w, ls_w = w.sum(axis=1, out=red[0]), np.vecdot(self.ls, w, out=red[1])
+        sum_wf, ls_wf = w[0::2].sum(axis=1), np.vecdot(self.ls, w[0::2])
 
         # The data-anchor blocks are the only n x m arrays per state.
         xs = self._block(2 * k)
@@ -331,7 +330,7 @@ class TargetContext:
         np.exp(xs, out=xs)
         pows = xs @ (self.ls_pows * w[:, :, None])
         eq_x = v_q[:, None] * pows[:, :, 0]
-        f_x = eq_x[0::2] + (v_b * sum_w[0::2])[:, None] + (v_l * ls_w[0::2])[:, None] * self.lx
+        f_x = eq_x[0::2] + (v_b * sum_wf)[:, None] + (v_l * ls_wf)[:, None] * self.lx
         ghat_x = eq_x[1::2]
 
         # Increment variance is exp(ghat) dt. adj holds the adjoints of the
@@ -344,17 +343,16 @@ class TargetContext:
         np.multiply(0.5, r2_var, out=b_vec)
         b_vec -= 0.5
         exp_neg = np.exp(-eta)
-        sum_adj, lx_adj = adj.sum(axis=1, out=red[2]), np.vecdot(self.lx, adj, out=red[3])
-        eq_x.sum(axis=1, out=red[4])
-        r2_var.sum(axis=1, out=red[5, 0::2])
-        np.vecdot(z, z, out=red[6])
-        np.vecdot(PRIOR_SHAPE, eta, out=red[7, 0::2])
-        np.vecdot(PRIOR_SCALE, exp_neg, out=red[7, 1::2])
+        sum_af, lx_af = a_vec.sum(axis=1), np.vecdot(self.lx, a_vec)
+        half_zz = 0.5 * np.vecdot(z, z)
+        logp = (self.log_norm - 0.5 * ghat_x.sum(axis=1) - 0.5 * r2_var.sum(axis=1)
+                - half_zz[0::2] - half_zz[1::2] - np.vecdot(PRIOR_SHAPE, eta)
+                - np.vecdot(PRIOR_SCALE, exp_neg))
 
         r = v_q[:, None] * (xs.swapaxes(1, 2) @ adj[:, :, None])[:, :, 0]
         r_f = r[0::2]
-        r_f += (v_b * sum_adj[0::2])[:, None]
-        r_f += (v_l * lx_adj[0::2])[:, None] * self.ls
+        r_f += (v_b * sum_af)[:, None]
+        r_f += (v_l * lx_af)[:, None] * self.ls
         p = np.array([self._trtrs(c, rj, lower=1)[0] for c, rj in zip(chols, r)])
         # S = L^-T phi(L^T w p^T) L^-1, the K-space adjoint of d(L^-T z): L^T w
         # is z itself, and phi keeps the lower triangle with its diagonal
@@ -374,39 +372,24 @@ class TargetContext:
         for c in range(3):
             np.multiply(self.d2_coef[c], adj, out=adj_d2[:, :, c])
         flat = (2 * k, -1)
-        np.vecdot(adj, pows[:, :, 0], out=red[8])
-        np.vecdot(adj_d2.reshape(flat), pows.reshape(flat), out=red[9])
-        (fac.corr * s).reshape(flat).sum(axis=1, out=red[10])
-        (fac.corr * self.d2_ss * s).reshape(flat).sum(axis=1, out=red[11])
-        s.trace(axis1=1, axis2=2, out=red[12])
-        s.reshape(flat).sum(axis=1, out=red[13])
-        np.vecdot(self.ls @ s, self.ls, out=red[14])
+        tr_s = s.trace(axis1=1, axis2=2)
 
-        # Per state, in Python floats: the log density, and the gradient wrt
-        # the log hypers. Amplitude entries are log sigma, so the kernel
-        # variance contributes d(sigma^2)/d(eta) = 2 sigma^2.
-        logp, hyper_grads = [], []
-        cols = red.T.tolist()
-        for (v_qf, v_qg, v_b, v_l, l2_f, l2_g), (
-                sum_wf, ls_wf, sum_a, lx_a, _, r2_sum, zz_f, shape_eta, data_f, data_d2_f,
-                corr_s_f, corr_d2_s_f, tr_sf, sum_sf, ls_sf_ls), (
-                _, _, _, _, ghat_sum, _, zz_g, scale_exp, data_g, data_d2_g,
-                corr_s_g, corr_d2_s_g, tr_sg, _, _) in zip(fac.consts, cols[0::2], cols[1::2]):
-            logp.append(self.log_norm - 0.5 * ghat_sum - 0.5 * r2_sum - 0.5 * zz_f
-                        - 0.5 * zz_g - shape_eta - scale_exp)
-            hyper_grads.append((
-                2.0 * v_qf * (data_f - corr_s_f - JITTER_REL * tr_sf),
-                (v_qf / l2_f) * (data_d2_f - corr_d2_s_f),
-                2.0 * v_b * (sum_a * sum_wf - sum_sf - JITTER_REL * tr_sf),
-                2.0 * v_l * (lx_a * ls_wf - ls_sf_ls - JITTER_REL * self.mean_ls2 * tr_sf),
-                2.0 * v_qg * (data_g - corr_s_g - JITTER_REL * tr_sg),
-                (v_qg / l2_g) * (data_d2_g - corr_d2_s_g),
-            ))
-        hyper_grads = np.array(hyper_grads)
-        hyper_grads += PRIOR_SCALE * exp_neg - PRIOR_SHAPE
-        p -= z
-        grad = np.concatenate([p.reshape(k, 2 * m), hyper_grads], axis=1)
-        logp = np.array(logp)
+        # The gradient wrt the log hypers: each column's sum of adjoint terms
+        # times its factor in dv. The EQ amplitude and length scale sums have
+        # one form in the drift and diffusion rows, so each fills two columns.
+        grad = np.empty((k, 2 * m + N_HYPERS))
+        np.subtract(p.reshape(k, 2 * m), theta[:, : 2 * m], out=grad[:, : 2 * m])
+        hyper = grad[:, 2 * m:]
+        hyper[:, 0::4] = (np.vecdot(adj, pows[:, :, 0]) - (fac.corr * s).reshape(flat).sum(axis=1)
+                          - JITTER_REL * tr_s).reshape(k, 2)
+        hyper[:, 1::4] = (np.vecdot(adj_d2.reshape(flat), pows.reshape(flat))
+                          - (fac.corr * self.d2_ss * s).reshape(flat).sum(axis=1)).reshape(k, 2)
+        s_f, tr_sf = s[0::2], tr_s[0::2]
+        hyper[:, 2] = sum_af * sum_wf - s_f.reshape(k, -1).sum(axis=1) - JITTER_REL * tr_sf
+        hyper[:, 3] = (lx_af * ls_wf - np.vecdot(self.ls @ s_f, self.ls)
+                       - JITTER_REL * self.mean_ls2 * tr_sf)
+        hyper *= fac.dv
+        hyper += PRIOR_SCALE * exp_neg - PRIOR_SHAPE
         if fac.failed:
             logp[list(fac.failed)] = np.nan
         return logp, grad
@@ -538,6 +521,14 @@ class Posterior:
         worst = max(self.diagnostics["rhat"].values())
         return bool(np.isfinite(worst) and worst <= MAX_RHAT)
 
+    def convergence_problem(self) -> str | None:
+        """Why the fit is not `converged`, or None when it is."""
+        if self.converged:
+            return None
+        if self.chain_draws.shape[0] < 2:
+            return "Rhat needs at least 2 chains"
+        return f"max Rhat {max(self.diagnostics['rhat'].values()):.3f} exceeds {MAX_RHAT}"
+
     @property
     def n_draws(self) -> int:
         return self.drift_draws.shape[0]
@@ -564,11 +555,19 @@ class Posterior:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Posterior":
-        """The posterior of a `to_json` document. Keys it does not read, such
-        as the `diagnostics`, `converged`, `grid`, `anchors` and `center` that
-        older files stored, are ignored; an older config's RETIRED_CONFIG key
-        is dropped if it holds its fixed value, and refused otherwise."""
+        """The posterior of a `to_json` document, whose `divergences` is a JSON
+        integer >= 0 and `data_range` two finite numbers. Keys it does not
+        read, such as the `diagnostics`, `converged`, `grid`, `anchors` and
+        `center` that older files stored, are ignored; an older config's
+        RETIRED_CONFIG key is dropped if it holds its fixed value, and refused
+        otherwise."""
         try:
+            saved = read_document({key: doc[key] for key in ("divergences", "data_range")},
+                                  {"divergences": integer, "data_range": list_of(number)},
+                                  "posterior")
+            if saved["divergences"] < 0 or len(saved["data_range"]) != 2:
+                raise IngestError(f"divergences {saved['divergences']} must be >= 0 and "
+                                  f"data_range {saved['data_range']} two numbers")
             config = doc["config"]
             if isinstance(config, dict):
                 for key, fixed in RETIRED_CONFIG.items():
@@ -578,8 +577,8 @@ class Posterior:
                 config = {k: v for k, v in config.items() if k not in RETIRED_CONFIG}
             return cls(
                 chain_draws=np.asarray(doc["chain_draws"], dtype=float),
-                divergences=int(doc["divergences"]),
-                data_range=tuple(doc["data_range"]),
+                divergences=saved["divergences"],
+                data_range=tuple(saved["data_range"]),
                 config=FitConfig.from_json(config),
             )
         except KeyError as exc:
@@ -633,10 +632,9 @@ def fit(c: TimeSeriesCollection, cfg: FitConfig = FitConfig(), *,
     )
 
     posterior = Posterior(chains.draws, chains.divergences, c.value_range, cfg)
-    if not posterior.converged:
-        worst = max(posterior.diagnostics["rhat"].values())
-        warnings.warn(f"max Rhat {worst:.3f} exceeds {MAX_RHAT}", ConvergenceWarning,
-                      stacklevel=2)
+    problem = posterior.convergence_problem()
+    if problem:
+        warnings.warn(problem, ConvergenceWarning, stacklevel=2)
     n_draws = posterior.n_draws
     if chains.divergences > 0.01 * n_draws:
         warnings.warn(

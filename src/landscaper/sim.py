@@ -3,14 +3,15 @@
 Provides the cusp catastrophe family (polynomial drift, constant noise) and a
 bimodal-but-unistable model with state-dependent noise, plus Euler-Maruyama
 integration and generation of labeled collections of short series for model
-validation. Every built-in model carries a table of its stationary density,
-computed by quadrature, and every simulation starts from an inverse-transform
-draw of it. Single-walker paths (euler_maruyama and the reference run of
-estimate_timescale) use a scalar loop on Python floats; collections of series
-use a vectorized loop over the batch of walkers. Both do the same arithmetic
-in the same order, so a path does not depend on which loop made it. Every
-trajectory is driven by a seeded generator stream derived from (seed, series
-index), so parallel generation is reproducible regardless of scheduling.
+validation. Every built-in model carries one quadrature table of its
+stationary distribution: every simulation starts from an inverse-transform
+draw of it, and the coverage study scores against it. Single-walker paths
+(euler_maruyama and _reference_path) use a scalar loop on Python floats;
+collections of series use a vectorized loop over the batch of walkers. Both
+do the same arithmetic in the same order, so a path does not depend on which
+loop made it. Every trajectory is driven by a seeded generator stream derived
+from (seed, series index), so parallel generation is reproducible regardless
+of scheduling.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ __all__ = [
     "cusp_model",
     "custom_bimodal_unistable",
     "euler_maruyama",
-    "cusp_stationary_density",
     "generate_short_series",
     "estimate_timescale",
     "step_from_fraction",
@@ -59,20 +59,16 @@ class CuspParams:
             raise PreconditionError(f"cusp parameters must be finite, and r and epsilon "
                                     f"positive; got {self}")
 
-    def quadrature_grid(self) -> np.ndarray:
-        # Truncation half-width 5*max(1, sqrt(beta)) keeps the quartic tails negligible.
-        half = 5.0 * max(1.0, math.sqrt(max(self.beta, 0.0)))
-        return np.linspace(self.lam - half, self.lam + half, QUADRATURE_POINTS)
-
 
 @dataclass(frozen=True)
 class SdeModel:
     """A 1-D SDE dx = drift(x) dt + sqrt(diffusion(x)) dW with optional ground truth.
 
     ``diffusion`` is the squared noise intensity g (non-negative). ``label``
-    is the true number of stable states when known. ``stationary_icdf`` maps
-    uniforms in (0,1) to stationary draws; every built-in model has one, and
-    a model without it can be integrated from a given state but not started.
+    is the true number of stable states when known. ``stationary`` is the
+    table (grid, cdf) of the stationary distribution (see _stationary_table);
+    every built-in model has one, and a model without it can be integrated
+    from a given state but not started.
     """
 
     drift: Callable
@@ -80,10 +76,9 @@ class SdeModel:
     name: str
     params: dict = field(default_factory=dict)
     label: int | None = None
-    state_range: tuple[float, float] = (-5.0, 5.0)
     stable_points: tuple[float, ...] = ()
     tipping_points: tuple[float, ...] = ()
-    stationary_icdf: Callable | None = None
+    stationary: tuple[np.ndarray, np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -123,19 +118,19 @@ def cusp_model(p: CuspParams) -> SdeModel:
     stable = tuple(float(x) for x, s in zip(real, slope) if s < 0)
     tipping = tuple(float(x) for x, s in zip(real, slope) if s > 0)
 
-    grid, pdf = cusp_stationary_density(p)
-    icdf = _build_icdf(grid, pdf)
-
+    # Truncation half-width 5*max(1, sqrt(beta)) keeps the quartic tails negligible.
+    half = 5.0 * max(1.0, math.sqrt(max(beta, 0.0)))
+    grid = np.linspace(lam - half, lam + half, QUADRATURE_POINTS)
     return SdeModel(
         drift=drift,
         diffusion=diffusion,
         name="cusp",
         params={"alpha": alpha, "beta": beta, "lam": lam, "r": r, "epsilon": eps},
         label=len(stable),
-        state_range=(float(grid[0]), float(grid[-1])),
         stable_points=stable,
         tipping_points=tipping,
-        stationary_icdf=icdf,
+        stationary=_stationary_table(
+            grid, r * (alpha + beta * (grid - lam) - (grid - lam) ** 3), np.full_like(grid, eps)),
     )
 
 
@@ -164,20 +159,16 @@ def custom_bimodal_unistable() -> SdeModel:
         out = 0.844 * np.exp(-((2.0 * x - 0.6) ** 2))
         return out if out.ndim else float(out)
 
-    root = math.sqrt(0.1)
-    state_range = (-2.0, 2.5)
-    grid = np.linspace(*state_range, QUADRATURE_POINTS)
-    pdf = density_from_drift_diffusion(grid, drift(grid), diffusion(grid))
+    grid = np.linspace(-2.0, 2.5, QUADRATURE_POINTS)
     return SdeModel(
         drift=drift,
         diffusion=diffusion,
         name="bimodal-unistable",
         params={},
         label=1,
-        state_range=state_range,
-        stable_points=(root,),
+        stable_points=(math.sqrt(0.1),),
         tipping_points=(),
-        stationary_icdf=_build_icdf(grid, pdf),
+        stationary=_stationary_table(grid, drift(grid), diffusion(grid)),
     )
 
 
@@ -231,26 +222,13 @@ def _simulate_batch(m: SdeModel, x0: np.ndarray, dt: float, z: np.ndarray) -> np
     return out
 
 
-def cusp_stationary_density(p: CuspParams) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature of the cusp's analytic stationary density on its quadrature
-    grid; returns (grid, pdf)."""
-    grid = p.quadrature_grid()
-    f = p.r * (p.alpha + p.beta * (grid - p.lam) - (grid - p.lam) ** 3)
-    return grid, density_from_drift_diffusion(grid, f, np.full_like(grid, p.epsilon))
-
-
-def _build_icdf(grid: np.ndarray, pdf: np.ndarray) -> Callable:
-    cdf = cumulative_trapezoid(pdf, grid)
+def _stationary_table(grid: np.ndarray, f, g) -> tuple[np.ndarray, np.ndarray]:
+    """(grid, cdf) of the stationary distribution of drift f and squared noise
+    intensity g on `grid`: the quadrature density, its running trapezoid
+    integral, normalized to end at 1."""
+    cdf = cumulative_trapezoid(density_from_drift_diffusion(grid, f, g), grid)
     cdf /= cdf[-1]
-
-    def icdf(u):
-        u_arr = np.asarray(u, dtype=float)
-        if np.any(u_arr <= 0.0) or np.any(u_arr >= 1.0):
-            raise PreconditionError("u must lie strictly inside (0, 1)")
-        out = np.interp(u_arr, cdf, grid)
-        return out if out.ndim else float(out)
-
-    return icdf
+    return grid, cdf
 
 
 def generate_short_series(
@@ -298,7 +276,7 @@ def generate_short_series(
         "label": m.label,
         "stable_points": list(m.stable_points),
         "tipping_points": list(m.tipping_points),
-        "state_range": list(m.state_range),
+        "state_range": [float(m.stationary[0][0]), float(m.stationary[0][-1])],
         "internal_dt": INTERNAL_DT,
         "dt_target": stride * INTERNAL_DT,
         "n_series": n_series,
@@ -311,12 +289,19 @@ def generate_short_series(
 def estimate_timescale(m: SdeModel, seed=0, total_time: float = 1000.0):
     """Characteristic time scale of a model, measured on one long reference run
     at the internal step INTERNAL_DT."""
+    path = _reference_path(m, seed, total_time)
+    ts = TimeSeries("reference", np.arange(len(path)) * INTERNAL_DT, path)
+    return characteristic_timescale(TimeSeriesCollection((ts,)))
+
+
+def _reference_path(m: SdeModel, seed, total_time: float) -> np.ndarray:
+    """One long single-walker run of `total_time` at INTERNAL_DT from a
+    stationary start, the values at every step; the reference run of
+    estimate_timescale and the long series of the coverage study."""
     n_steps = int(round(total_time / INTERNAL_DT))
     rng = np.random.default_rng(seed_sequence(seed).spawn(1)[0])
     x0 = _stationary_start(m, rng)
-    path = _simulate_path(m, x0, INTERNAL_DT, rng.standard_normal(n_steps))
-    ts = TimeSeries("reference", np.arange(n_steps + 1) * INTERNAL_DT, path)
-    return characteristic_timescale(TimeSeriesCollection((ts,)))
+    return _simulate_path(m, x0, INTERNAL_DT, rng.standard_normal(n_steps))
 
 
 def step_from_fraction(frac: float, t_c: float) -> float:
@@ -333,9 +318,10 @@ def _stationary_start(m: SdeModel, rng) -> float:
     """One stationary initial state, drawn by inverse transform of the model's
     stationary table from one uniform of `rng`; the one place a simulation
     starts."""
-    if m.stationary_icdf is None:
+    if m.stationary is None:
         raise PreconditionError(f"model {m.name!r} has no stationary table to start from")
-    return float(m.stationary_icdf(_open_uniform(rng)))
+    grid, cdf = m.stationary
+    return float(np.interp(_open_uniform(rng), cdf, grid))
 
 
 def _open_uniform(rng) -> float:

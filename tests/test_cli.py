@@ -187,6 +187,17 @@ class TestFit:
                         "--seed", 3, "--allow-nonconverged", "--out", tmp_path / "w"])
         assert code == 0
 
+    def test_one_chain_fit_says_rhat_needs_two_chains(self, tmp_path, dataset, capsys):
+        cfg = tmp_path / "cfg.json"
+        dump_json({"n_chains": 1, "n_iterations": 100, "max_leapfrog": 4}, cfg)
+        with pytest.warns(ConvergenceWarning, match="Rhat needs at least 2 chains"):
+            code = run(["fit", "--data", dataset / "dataset.csv", "--config", cfg,
+                        "--out", tmp_path / "one"])
+        assert code == cli.EXIT_CONVERGENCE
+        err = capsys.readouterr().err
+        assert "Rhat needs at least 2 chains" in err and "nan" not in err
+        assert not Posterior.from_json(load_json(tmp_path / "one" / "posterior.json")).converged
+
 
 class TestWideCsvAndClr:
     def make_wide(self, path):

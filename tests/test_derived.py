@@ -16,8 +16,8 @@ from landscaper.derived import (
     tipping_region,
 )
 from landscaper.errors import DegenerateDataError, PreconditionError
-from landscaper.numerics import nearest_rank
-from landscaper.sim import CuspParams, cusp_stationary_density
+from landscaper.numerics import cumulative_trapezoid, nearest_rank
+from landscaper.sim import CuspParams, cusp_model
 
 from oracles import first_passage_times
 
@@ -56,12 +56,14 @@ class TestStationaryDensity:
         np.testing.assert_allclose(sd.density, sd.density[::-1], atol=1e-9)
 
     def test_matches_simulation_quadrature(self):
-        # same cumulative-trapezoid scheme on the same grid, to 1e-9
+        # same cumulative-trapezoid scheme on the same grid as the simulator's
+        # stationary table, to 1e-9
         p = CuspParams(alpha=0.1, beta=1.2, lam=-0.2, r=0.8, epsilon=0.6)
-        grid, pdf_sim = cusp_stationary_density(p)
+        grid, cdf_sim = cusp_model(p).stationary
         f = p.r * (p.alpha + p.beta * (grid - p.lam) - (grid - p.lam) ** 3)
         sd = stationary_density(CurvePair(grid, f, np.full_like(grid, p.epsilon)))
-        np.testing.assert_allclose(sd.density, pdf_sim, atol=1e-9)
+        cdf = cumulative_trapezoid(sd.density, grid)
+        np.testing.assert_allclose(cdf / cdf[-1], cdf_sim, atol=1e-9)
 
     def test_normalization_within_tolerance(self):
         sd = stationary_density(ou_pair())

@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
+from landscaper import experiments, sim
 from landscaper.errors import PreconditionError
 from landscaper.experiments import coverage_experiment, kl_divergence, tpr_grid
 from landscaper.inference import FitConfig
@@ -68,6 +70,25 @@ class TestCoverageExperiment:
                                   replicates=3, seed=3)
         assert res.agreement_short[-1] >= 0.9
         assert res.agreement_long[-1] >= 0.9
+
+    def test_scores_against_the_models_table_and_reference_path(self, bistable_cusp,
+                                                                 monkeypatch):
+        # The reference histogram is read from whatever table the model
+        # carries, here that of a cusp shifted by 0.25, and the long series
+        # is the model's reference path from the replicate's long seed.
+        grid, cdf = cusp_model(CuspParams(lam=0.25, epsilon=0.5)).stationary
+        model = replace(bistable_cusp, stationary=(grid, cdf))
+        scored = []
+        histogram_kl = experiments._histogram_kl
+        monkeypatch.setattr(experiments, "_histogram_kl",
+                            lambda *a: scored.append(a) or histogram_kl(*a))
+        coverage_experiment(model, total_time=2.0, replicates=1, seed=4)
+        values, edges, width, ref = scored[-1]
+        assert edges[0] == np.interp(5e-4, cdf, grid)
+        assert edges[-1] == np.interp(1.0 - 5e-4, cdf, grid)
+        np.testing.assert_array_equal(ref, np.diff(np.interp(edges, grid, cdf)) / width)
+        long_seed = np.random.SeedSequence(4).spawn(1)[0].spawn(2)[1]
+        np.testing.assert_array_equal(values, sim._reference_path(model, long_seed, 2.0))
 
     def test_replicates_validated(self, bistable_cusp):
         with pytest.raises(PreconditionError):

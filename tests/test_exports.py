@@ -123,10 +123,12 @@ def test_readme_fit_config_keys_are_the_config_fields():
 
 def test_benchmark_tracer_targets_resolve():
     # perfbench/trace.py replaces each (module, attribute) of its PATCHES by
-    # name, and perfbench/run.py calls cli._resolve_threads and reads the
-    # `threads` keyword of hmc.sample. A rename in the program would otherwise
-    # only show in the benchmark's own self-test, which is too slow for this
-    # suite. The tracer is loaded, not installed: nothing is patched.
+    # name, perfbench/run.py calls cli._resolve_threads and reads the
+    # `threads` keyword of hmc.sample, and perfbench/sweep.py times
+    # inference.log_posterior on a ModelState built by keyword from
+    # tsdata.to_transitions of a simulated cusp. A rename in the program would
+    # otherwise only show in the benchmark's own self-test, which is too slow
+    # for this suite. The tracer is loaded, not installed: nothing is patched.
     path = Path(__file__).resolve().parent.parent / "perfbench" / "trace.py"
     spec = importlib.util.spec_from_file_location("perfbench_trace", path)
     trace = importlib.util.module_from_spec(spec)
@@ -142,6 +144,14 @@ def test_benchmark_tracer_targets_resolve():
     assert "threads" in inspect.signature(hmc.sample).parameters
     assert callable(inference.TargetContext.curves_on)
     assert "from_json" in inference.Posterior.__dict__
+    sim = importlib.import_module("landscaper.sim")
+    tsdata = importlib.import_module("landscaper.tsdata")
+    assert callable(inference.log_posterior) and callable(tsdata.to_transitions)
+    assert {"z_f", "z_g", "drift_hypers", "diff_hypers"} <= set(
+        inspect.signature(inference.ModelState).parameters)
+    assert {"alpha", "beta", "lam", "r", "epsilon"} <= set(
+        inspect.signature(sim.CuspParams).parameters)
+    assert callable(sim.cusp_model) and callable(sim.generate_short_series)
 
 
 def test_traced_fit_writes_the_plain_fit_outputs(tmp_path):

@@ -412,9 +412,15 @@ class TestFit:
             Posterior.from_json(json.loads(json.dumps({**doc, "chain_draws": nan.tolist()})))
         with pytest.raises(PreconditionError, match="shape"):
             dataclasses.replace(post, chain_draws=post.chain_draws[0])
-        for data_range in ([1.0, 1.0], [1.0], [0.0, "x"]):
+        for data_range in ([1.0, 1.0], [1.0], [0.0, "x"], [True, 2.5], [0.0, 1.0, 2.0],
+                           [math.nan, 1.0], "01", {"lo": 0.0, "hi": 1.0}):
             with pytest.raises(IngestError, match="malformed posterior document"):
                 Posterior.from_json({**doc, "data_range": data_range})
+        # Counts are JSON integers: not a decimal, a string or a boolean.
+        for divergences in (2.9, "7", True, -1, None):
+            with pytest.raises(IngestError, match="malformed posterior document.*divergences"):
+                Posterior.from_json({**doc, "divergences": divergences})
+        assert Posterior.from_json({**doc, "divergences": 7}).divergences == 7
         # The anchors-at-observations layout is gone.
         refit = {**doc, "config": {**doc["config"], "anchors_at_observations": True}}
         with pytest.raises(IngestError, match="anchors_at_observations.*re-fitted"):
@@ -466,6 +472,7 @@ class TestFit:
         assert all(math.isnan(v) for kind in ("rhat", "ess")
                    for v in back.diagnostics[kind].values())
         assert not back.converged
+        assert back.convergence_problem() == "Rhat needs at least 2 chains"
         assert np.array_equal(back.chain_draws, post.chain_draws)
 
 

@@ -7,12 +7,12 @@ from scipy.stats import ks_2samp
 
 from landscaper import sim
 from landscaper.errors import DegenerateDataError, PreconditionError, SimulationDiverged
+from landscaper.experiments import coverage_experiment
 from landscaper.numerics import density_from_drift_diffusion
 from landscaper.sim import (
     CuspParams,
     SdeModel,
     cusp_model,
-    cusp_stationary_density,
     custom_bimodal_unistable,
     estimate_timescale,
     euler_maruyama,
@@ -108,11 +108,12 @@ class TestCustomBimodalUnistable:
 
     def test_stationary_table_is_grid_converged(self):
         m = custom_bimodal_unistable()
-        fine = np.linspace(*m.state_range, 10 * sim.QUADRATURE_POINTS)
-        fine_icdf = sim._build_icdf(
-            fine, density_from_drift_diffusion(fine, m.drift(fine), m.diffusion(fine)))
+        grid, cdf = m.stationary
+        fine = np.linspace(grid[0], grid[-1], 10 * sim.QUADRATURE_POINTS)
+        fine_grid, fine_cdf = sim._stationary_table(fine, m.drift(fine), m.diffusion(fine))
         us = np.linspace(0.001, 0.999, 999)
-        np.testing.assert_allclose(m.stationary_icdf(us), fine_icdf(us), rtol=0, atol=1e-3)
+        np.testing.assert_allclose(np.interp(us, cdf, grid), np.interp(us, fine_cdf, fine_grid),
+                                   rtol=0, atol=1e-3)
 
     def test_wide_range_density_is_refused(self):
         # On (-3, 3) the running integral of 2f/g reaches about 2.4e17 before
@@ -165,10 +166,7 @@ class TestEulerMaruyama:
     def test_long_run_histogram_matches_analytic_density(self, bistable_cusp):
         # Invariant: EM at dt=0.01 converges to the quadrature stationary density.
         traj = euler_maruyama(bistable_cusp, -1.0, 0.01, 1_000_000, seed=7)
-        grid, pdf = cusp_stationary_density(
-            CuspParams(alpha=0, beta=1, lam=0, r=1, epsilon=0.5))
-        cdf = np.concatenate(([0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(grid))))
-        cdf /= cdf[-1]
+        grid, cdf = bistable_cusp.stationary
         edges = np.linspace(-2.5, 2.5, 61)
         width = edges[1] - edges[0]
         counts, _ = np.histogram(traj.values, bins=edges)
@@ -182,34 +180,45 @@ class TestEulerMaruyama:
 
 
 class TestStationarySampling:
+    @staticmethod
+    def icdf(model, u):
+        grid, cdf = model.stationary
+        return np.interp(u, cdf, grid)
+
+    def test_table_is_a_cdf_on_the_quadrature_grid(self):
+        p = CuspParams(alpha=0.2, beta=2.0, lam=0.3, r=1, epsilon=0.5)
+        grid, cdf = cusp_model(p).stationary
+        half = 5.0 * math.sqrt(2.0)
+        np.testing.assert_array_equal(
+            grid, np.linspace(0.3 - half, 0.3 + half, sim.QUADRATURE_POINTS))
+        assert cdf[0] == 0.0 and cdf[-1] == 1.0
+        assert np.all(np.diff(cdf) >= 0)
+
     def test_symmetric_median_is_zero(self):
         p = CuspParams(alpha=0, beta=1, lam=0, r=1, epsilon=0.5)
-        assert cusp_model(p).stationary_icdf(0.5) == pytest.approx(0.0, abs=5e-3)
+        assert self.icdf(cusp_model(p), 0.5) == pytest.approx(0.0, abs=5e-3)
 
     def test_monotone(self):
         p = CuspParams(alpha=0.2, beta=1, lam=0.3, r=1, epsilon=0.5)
-        us = np.linspace(0.01, 0.99, 99)
-        vals = cusp_model(p).stationary_icdf(us)
+        vals = self.icdf(cusp_model(p), np.linspace(0.01, 0.99, 99))
         assert np.all(np.diff(vals) >= 0)
 
-    def test_rejects_boundary_u(self):
-        icdf = cusp_model(CuspParams(alpha=0, beta=1, lam=0, r=1, epsilon=0.5)).stationary_icdf
-        for u in (0.0, 1.0, -0.1, 1.1):
-            with pytest.raises(PreconditionError):
-                icdf(u)
-
     def test_draw_histogram_matches_quadrature(self):
+        # Inverse-transform draws from the table against the cusp's analytic
+        # unnormalized density exp((2 / eps)(u^2 / 2 - u^4 / 4)), integrated on
+        # a grid of its own.
         p = CuspParams(alpha=0, beta=1, lam=0, r=1, epsilon=0.5)
         rng = np.random.default_rng(3)
-        draws = cusp_model(p).stationary_icdf(rng.uniform(1e-12, 1 - 1e-12, 100_000))
-        grid, pdf = cusp_stationary_density(p)
-        cdf = np.concatenate(([0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(grid))))
+        draws = self.icdf(cusp_model(p), rng.uniform(1e-12, 1 - 1e-12, 100_000))
+        fine = np.linspace(-4.0, 4.0, 16_001)
+        pdf = np.exp((2.0 / p.epsilon) * (fine**2 / 2 - fine**4 / 4))
+        cdf = np.concatenate(([0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(fine))))
         cdf /= cdf[-1]
         edges = np.linspace(-2.5, 2.5, 81)
         width = edges[1] - edges[0]
         counts, _ = np.histogram(draws, bins=edges)
         hist = counts / (draws.size * width)
-        ref = np.diff(np.interp(edges, grid, cdf)) / width
+        ref = np.diff(np.interp(edges, fine, cdf)) / width
         kl = float(np.sum(np.maximum(hist, 1e-12)
                           * np.log(np.maximum(hist, 1e-12) / np.maximum(ref, 1e-12))) * width)
         assert kl < 0.01
@@ -238,6 +247,8 @@ class TestGenerateShortSeries:
         assert gt["model"] == "cusp"
         assert gt["label"] == 2
         assert gt["stable_points"] == [-1.0, 1.0]
+        # The two ends of the model's stationary table.
+        assert gt["state_range"] == [-5.0, 5.0]
         assert gt["dt_target"] == pytest.approx(0.1)
 
     def test_invalid_counts(self, bistable_cusp):
@@ -270,13 +281,16 @@ class TestGenerateShortSeries:
             generate_short_series(m, 3, 2, 0.01, seed=0)
         with pytest.raises(PreconditionError, match="no stationary table"):
             estimate_timescale(m, seed=0, total_time=1.0)
+        with pytest.raises(PreconditionError, match="'ou' has no stationary table"):
+            coverage_experiment(m, total_time=2.0, replicates=1)
 
 
 def batch_of_one_timescale(m, seed, total_time, internal_dt=0.01):
     """estimate_timescale's reference run on the vectorized integrator."""
     n_steps = int(round(total_time / internal_dt))
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    x0 = m.stationary_icdf(sim._open_uniform(rng))
+    grid, cdf = m.stationary
+    x0 = np.interp(sim._open_uniform(rng), cdf, grid)
     path = sim._simulate_batch(m, np.array([x0]), internal_dt,
                                rng.standard_normal((1, n_steps)))
     ts = TimeSeries("reference", np.arange(n_steps + 1) * internal_dt, path[0])

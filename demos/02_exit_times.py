@@ -9,7 +9,7 @@ Monte Carlo first-passage simulation.
 import numpy as np
 
 from landscaper.derived import CurvePair, exit_time
-from landscaper.sim import CuspParams, cusp_model, euler_maruyama
+from landscaper.sim import CuspParams, cusp_model
 
 params = CuspParams(alpha=0.0, beta=1.0, lam=0.0, r=1.0, epsilon=0.5)
 model = cusp_model(params)

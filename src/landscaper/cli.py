@@ -181,8 +181,6 @@ def cmd_simulate(args, argv) -> int:
             raise PreconditionError(f"--dt-frac must be finite and positive, got {args.dt_frac}")
         dt = step_from_fraction(args.dt_frac, estimate_timescale(model, seed=tc_seed).t_c)
     else:
-        if args.dt is None:
-            raise PreconditionError("one of --dt or --dt-frac is required")
         dt = args.dt
     ds = generate_short_series(model, args.n_series, args.points, dt, data_seed)
     csv_path = out / f"{args.name}.csv"
@@ -389,9 +387,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(f"--{f.name}", type=float, help=f"cusp parameter (default {f.default})")
     p.add_argument("--n-series", type=int, required=True)
     p.add_argument("--points", type=int, required=True)
-    p.add_argument("--dt", type=float, default=None, help="sampling step (time units)")
-    p.add_argument("--dt-frac", type=float, default=None,
-                   help="sampling step as a fraction of the model's t_c")
+    step = p.add_mutually_exclusive_group(required=True)
+    step.add_argument("--dt", type=float, help="sampling step (time units)")
+    step.add_argument("--dt-frac", type=float,
+                      help="sampling step as a fraction of the model's t_c")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--name", default="dataset")
     p.add_argument("--out", required=True)

@@ -14,6 +14,10 @@ sampled on log scale with Inverse-Gamma priors on the constrained scale
 (shape/scale 2,2 on the kernel amplitudes sigma, 5,5 on length scales) and
 the log-scale Jacobian included. The gradient of the log posterior is computed analytically
 (including the hyperparameter dependence through the Cholesky factor).
+
+The support is the states whose six log hypers all lie in [-HYPER_BOUND,
+HYPER_BOUND] (`_in_support`): `TargetContext.batch` gives any other state log
+density -inf, so the sampler never keeps one, and `Posterior` refuses draws outside it.
 """
 
 from __future__ import annotations
@@ -144,9 +148,8 @@ class FitConfig:
 
 
 class _Factors(NamedTuple):
-    """The constrained hypers and anchor factors of k states (see `_factors`)."""
+    """The kernel constants and anchor factors of k states (see `_factors`)."""
 
-    sig: np.ndarray
     v_q: np.ndarray
     v_b: np.ndarray
     v_l: np.ndarray
@@ -210,12 +213,13 @@ class TargetContext:
         return np.concatenate([np.zeros(2 * self.m), hypers])
 
     def _factors(self, etas) -> _Factors:
-        """The constrained hypers and anchor factors of k states' log hypers
-        `etas` (k, 6).
+        """The kernel constants and anchor factors of k states' log hypers
+        `etas` (k, 6), each row in the support.
 
-        sig is exp(etas), in `HYPER_NAMES` order. The kernel constants are
-        computed on Python floats, as one state always was (float ** 2 calls
-        libm pow, which does not always round like x * x). The stacks of 2k
+        The kernel constants are computed on Python floats, as one state
+        always was (float ** 2 calls libm pow, which does not always round
+        like x * x), so a row outside the support can raise
+        ZeroDivisionError or OverflowError. The stacks of 2k
         rows hold state i's drift row at 2i and its diffusion row at 2i + 1:
         v_q the EQ variances, scale -1 / (2 l^2), corr the EQ correlation
         blocks of the anchors, and chol_t the lower Cholesky factors L of the
@@ -227,9 +231,8 @@ class TargetContext:
         is not numerically positive definite; their factors are NaN.
         """
         k, m = len(etas), self.m
-        sig = np.exp(etas)
         rows = []
-        for s_qf, l_f, s_b, s_l, s_qg, l_g in sig.tolist():
+        for s_qf, l_f, s_b, s_l, s_qg, l_g in np.exp(etas).tolist():
             v_qf, v_b, v_l, v_qg = s_qf**2, s_b**2, s_l**2, s_qg**2
             l2_f, l2_g = l_f * l_f, l_g * l_g
             rows.append((v_qf, v_qg, -0.5 / l2_f, -0.5 / l2_g, v_b, v_l,
@@ -258,7 +261,7 @@ class TargetContext:
                 c[...] = np.nan
             elif chol is not c:
                 c[...] = chol
-        return _Factors(sig, v_q, v_b, v_l, scale, corr, cov, table[:, 8:], failed)
+        return _Factors(v_q, v_b, v_l, scale, corr, cov, table[:, 8:], failed)
 
     def _block(self, rows):
         """The (rows, n, m) scratch array."""
@@ -285,27 +288,19 @@ class TargetContext:
         across rows only where each row stays its own computation: elementwise
         operations, stacked matrix products, row sums, and `np.vecdot`, one
         BLAS dot per row, where a (k, L) @ (L,) product would be one
-        matrix-vector product with other bits. A row whose log hypers leave
-        [-HYPER_BOUND, HYPER_BOUND], whose anchor covariance is not
-        numerically positive definite, or whose value or gradient is not
-        finite gets (-inf, zeros).
+        matrix-vector product with other bits. A row outside the support,
+        whose anchor covariance is not numerically positive definite, or
+        whose value or gradient is not finite gets (-inf, zeros).
         """
         thetas = np.asarray(thetas, dtype=float)
-        # A row with a NaN ends at (-inf, zeros) whether or not it passes here:
-        # max() compares it either way round.
-        rows = [i for i, eta in enumerate(thetas[:, 2 * self.m:].tolist())
-                if max(map(abs, eta)) <= HYPER_BOUND]
-        if rows:
-            with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-                lp, g = self._evaluate(thetas[rows] if len(rows) < len(thetas) else thetas)
-                ok = np.isfinite(lp) & np.isfinite(g).all(axis=1)
-            if len(rows) == len(thetas) and ok.all():
-                return lp, g
-            rows = np.asarray(rows)[ok]
-        logp = np.full(len(thetas), -np.inf)
-        grad = np.zeros_like(thetas)
-        if len(rows):
-            logp[rows], grad[rows] = lp[ok], g[ok]
+        inside = _in_support(thetas[:, 2 * self.m:])
+        # A row outside the support is evaluated at the origin, where the
+        # kernel constants cannot overflow or divide by zero, and discarded.
+        with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+            logp, grad = self._evaluate(np.where(inside[:, None], thetas, 0.0))
+        ok = inside & np.isfinite(logp) & np.isfinite(grad).all(axis=1)
+        if not ok.all():  # rare; unguarded, the masked stores would slow every call
+            logp[~ok], grad[~ok] = -np.inf, 0.0
         return logp, grad
 
     def _evaluate(self, theta):
@@ -401,15 +396,14 @@ class TargetContext:
         fac = self._factors(theta[None, 2 * m :])
         if fac.failed:
             raise np.linalg.LinAlgError("an anchor covariance is not positive definite")
-        s_qf, l_f, s_b, s_l, s_qg, l_g = fac.sig[0].tolist()
-        chol_f, chol_g = fac.chol_t[0].T, fac.chol_t[1].T
-        w_f = _lapack(self._trtrs(chol_f, theta[:m], lower=1, trans=1))
-        w_g = _lapack(self._trtrs(chol_g, theta[m : 2 * m], lower=1, trans=1))
-        d2_gs = (grid[:, None] - self.anchors[None, :]) ** 2
-        f_grid = (s_qf**2 * (_eq(d2_gs, l_f) @ w_f) + s_b**2 * float(w_f.sum())
-                  + s_l**2 * float(self.ls @ w_f) * (grid - self.center))
-        ghat_grid = s_qg**2 * (_eq(d2_gs, l_g) @ w_g)
-        return f_grid, np.exp(ghat_grid)
+        # As in `_evaluate`, row 0 of each stack is the drift's, row 1 the diffusion's.
+        w_f, w_g = (self._trtrs(c.T, zj, lower=1, trans=1)[0]
+                    for c, zj in zip(fac.chol_t, (theta[:m], theta[m : 2 * m])))
+        corr = (grid[:, None] - self.anchors[None, :]) ** 2 * fac.scale[:, None, None]
+        np.exp(corr, out=corr)
+        f_grid = (fac.v_q[0] * (corr[0] @ w_f) + fac.v_b[0] * float(w_f.sum())
+                  + fac.v_l[0] * float(self.ls @ w_f) * (grid - self.center))
+        return f_grid, np.exp(fac.v_q[1] * (corr[1] @ w_g))
 
 
 @lru_cache
@@ -421,19 +415,11 @@ def _half_tril(m):
     return mask
 
 
-def _eq(d2, length):
-    """exp(-d2 / (2 length^2)), the EQ correlation, built in one new array."""
-    out = d2 * (-0.5 / (length * length))
-    return np.exp(out, out=out)
-
-
-def _lapack(result):
-    """The array of a LAPACK (array, info) pair; LinAlgError on nonzero info."""
-    out, info = result
-    if info:
-        raise np.linalg.LinAlgError(f"LAPACK info {info}")
-    return out
-
+def _in_support(eta) -> np.ndarray:
+    """Whether each row of log hypers `eta` (..., 6) is in the posterior's
+    support: every entry within [-HYPER_BOUND, HYPER_BOUND], which a NaN is
+    not."""
+    return (np.abs(eta) <= HYPER_BOUND).all(axis=-1)
 
 
 def log_posterior(state: ModelState, transitions: TransitionSet, anchors):
@@ -459,10 +445,11 @@ class Posterior:
 
     `chain_draws` (chains, draws per chain, 2m+6) holds the whitened drift and
     diffusion latents at the m anchors, then the log hypers in `HYPER_NAMES`
-    order; it is the only copy of the draws that is saved. The `grid`,
-    `anchors` and `center` are `config.layout(*data_range)`, and the curves
-    `drift_draws` and `diffusion_draws` (n_draws, len(grid)) are recomputed
-    from the draws; all five are set when the posterior is made or loaded.
+    order, each draw in the support; it is the only copy of the draws that
+    is saved. The `grid`, `anchors` and `center` are
+    `config.layout(*data_range)`, and the curves `drift_draws` and
+    `diffusion_draws` (n_draws, len(grid)) are recomputed from the draws;
+    all five are set when the posterior is made or loaded.
     `diagnostics` and `converged` are computed from the draws the first time
     they are read. A `posterior.json` without `chain_draws`, or fitted with a
     retired config key away from its fixed value, must be re-fitted.
@@ -481,6 +468,10 @@ class Posterior:
             raise PreconditionError(
                 f"chain_draws must be finite, of shape (chains, draws, {dim}) for "
                 f"{anchors.size} anchors; got shape {draws.shape}")
+        if not _in_support(draws[:, :, 2 * anchors.size:]).all():
+            raise PreconditionError("chain_draws log hypers must lie within [-HYPER_BOUND, "
+                                    f"HYPER_BOUND] = [{-HYPER_BOUND}, {HYPER_BOUND}], the "
+                                    "sampler's support")
         # The curves depend on the anchors alone, so a context without data
         # gives the same bits as the one the sampler ran on.
         ctx = TargetContext((), (), (), anchors, center)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -261,13 +262,16 @@ def read_observations_csv(path) -> TimeSeriesCollection:
 def read_wide_csv(path, column: str, clr: bool) -> TimeSeriesCollection:
     """Read one variable of the wide CSV format (unit_id, time, then one column
     per variable). With `clr`, each row is first given a pseudocount and a
-    centred log-ratio transform. Units with fewer than two points are dropped."""
+    centred log-ratio transform. Units with fewer than two points are dropped.
+    A cell it uses, the column's or with `clr` any variable's, that is NaN or
+    infinite is an IngestError."""
     header, lines = _csv_lines(path)
     if len(header) < 3 or header[0].strip() != "unit_id" or header[1].strip() != "time":
         raise IngestError(f"{path}: line 1: expected header unit_id,time,<variables...>")
     names = [h.strip() for h in header[2:]]
     if column not in names:
         raise IngestError(f"{path}: column {column!r} not present")
+    used = range(len(names)) if clr else [names.index(column)]
     units, times, rows = [], [], []
     for lineno, row in lines:
         if len(row) != len(header):
@@ -277,6 +281,9 @@ def read_wide_csv(path, column: str, clr: bool) -> TimeSeriesCollection:
             rows.append([float(v) for v in row[2:]])
         except ValueError as exc:
             raise IngestError(f"{path}: line {lineno}: {exc}") from None
+        for j in used:
+            if not math.isfinite(rows[-1][j]):
+                raise IngestError(f"{path}: line {lineno}: {names[j]} is {rows[-1][j]}, not finite")
         units.append(row[0].strip())
     matrix = np.asarray(rows, dtype=float)
     if clr:

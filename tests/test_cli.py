@@ -101,6 +101,16 @@ class TestSimulate:
         truth = load_json(out / "dataset_truth.json")
         assert truth["dt_target"] > 0.01
 
+    @pytest.mark.parametrize("steps", [[], ["--dt", 0.1, "--dt-frac", 0.01]])
+    def test_step_flags_other_than_exactly_one_are_a_usage_error(self, tmp_path, steps):
+        args = simulate_args(tmp_path / "o")
+        i = args.index("--dt")
+        args[i : i + 2] = steps
+        with pytest.raises(SystemExit) as exit_info:
+            run(args)
+        assert exit_info.value.code == cli.EXIT_PARSE
+        assert not (tmp_path / "o" / "dataset.csv").exists()
+
 
 class TestFit:
     @pytest.fixture(scope="class")
@@ -224,6 +234,21 @@ class TestWideCsvAndClr:
                     "--config", cfg, "--allow-nonconverged", "--out", tmp_path / "o"])
         assert code == 0
 
+    @pytest.mark.parametrize("clr", [False, True])
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_cell_is_parse_error(self, tmp_path, capsys, cell, clr):
+        # taxa_a is fitted without --clr; with it, taxa_b is, and every
+        # variable goes into the transform.
+        wide = tmp_path / "wide.csv"
+        self.make_wide(wide)
+        lines = wide.read_text().splitlines()
+        unit, time, _, *rest = lines[5].split(",")
+        lines[5] = ",".join([unit, time, cell, *rest])
+        wide.write_text("\n".join(lines) + "\n")
+        args = ["--clr", "--column", "taxa_b"] if clr else ["--column", "taxa_a"]
+        assert run(["fit", "--data", wide, *args, "--out", tmp_path / "o"]) == cli.EXIT_PARSE
+        assert "line 6: taxa_a" in capsys.readouterr().err
+
     def test_missing_column_is_parse_error(self, tmp_path, capsys):
         wide = tmp_path / "wide.csv"
         self.make_wide(wide)
@@ -328,6 +353,20 @@ class TestMalformedJson:
         assert run(["derive", "--posterior", post_path, "--out", tmp_path / "o"]) == cli.EXIT_PARSE
         err = capsys.readouterr().err
         assert "chain_draws" in err and "re-fitted" in err
+
+    @pytest.mark.parametrize("column, value", [(-5, -400.0), (-6, 400.0),
+                                               (-1, inference.HYPER_BOUND + 1.0)])
+    def test_derive_on_log_hyper_outside_the_bound(self, tmp_path, capsys, column, value):
+        # A log length scale of -400 (drift) and a log amplitude of +400
+        # (drift EQ) overflow the kernel constants; a log length scale
+        # (diffusion) just past HYPER_BOUND is outside the sampler's support.
+        doc = synthetic_posterior(bistable=True).to_json()
+        doc["chain_draws"][1][3][column] = value
+        post_path = tmp_path / "posterior.json"
+        dump_json(doc, post_path)
+        assert run(["derive", "--posterior", post_path, "--out", tmp_path / "o"]) == cli.EXIT_PARSE
+        assert "HYPER_BOUND" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "manifest.json").exists()
 
     @pytest.mark.parametrize("argv", [
         ["fit", "--data", "data.csv", "--config", "{bad}"],

@@ -109,6 +109,8 @@ class TestLogPosterior:
     def test_batch_rows_are_independent(self, rng, monkeypatch):
         # One batch mixes finite states with NaN, +-inf, a log hyper beyond
         # HYPER_BOUND and an anchor covariance that LAPACK does not factor.
+        # A log length scale of -400 or log amplitude of +400 makes the
+        # kernel constants raise, so those rows must not reach `_factors`.
         # Every good row is bit-equal to the same state evaluated alone and
         # through `log_posterior`; every bad row is (-inf, zeros).
         ctx = synthetic_context(rng)
@@ -128,7 +130,8 @@ class TestLogPosterior:
         bad = []
         for index, value in [(0, np.nan), (m, np.inf), (amplitude, -np.inf),
                              (length_scale, np.nan), (amplitude, HYPER_BOUND + 0.5),
-                             (length_scale, -HYPER_BOUND - 0.5), (amplitude, 4.0)]:
+                             (length_scale, -HYPER_BOUND - 0.5), (amplitude, 4.0),
+                             (length_scale, -400.0), (amplitude, 400.0)]:
             theta = random_state(rng, m)
             theta[index] = value
             bad.append(theta)
@@ -224,6 +227,27 @@ class TestLogPosterior:
         sample_cov = np.cov(draws.T)
         scale = float(np.max(np.diag(k_true)))
         assert np.max(np.abs(sample_cov - k_true)) < 0.05 * scale
+
+    def test_curves_match_direct_gp_formulas(self, rng):
+        # The curves on a grid inside the anchors are the GP conditional means
+        # given the whitened anchor values, here by explicit inverses, with
+        # the linear drift kernel centred away from the origin and the drift
+        # and diffusion length scales apart.
+        anchors, center = np.linspace(0.5, 3.5, 7), 2.0
+        grid = np.linspace(0.6, 3.4, 23)
+        ctx = TargetContext(np.empty(0), np.empty(0), np.empty(0), anchors, center)
+        s_qf, l_f, s_b, s_l, s_qg, l_g = 1.3, 0.7, 0.6, 0.8, 0.9, 1.4
+        for _ in range(5):
+            z_f, z_g = rng.standard_normal(7), rng.standard_normal(7)
+            theta = np.concatenate([z_f, z_g, np.log([s_qf, l_f, s_b, s_l, s_qg, l_g])])
+            drift, diffusion = ctx.curves_on(grid, theta)
+            f_direct = whitened_values_direct(
+                anchors, grid, z_f,
+                lambda a, b: drift_kernel(a, b, s_qf, l_f, s_b, s_l, c=center), JITTER_REL)
+            ghat_direct = whitened_values_direct(
+                anchors, grid, z_g, lambda a, b: eq_kernel(a, b, s_qg, l_g), JITTER_REL)
+            for got, want in ((drift, f_direct), (np.log(diffusion), ghat_direct)):
+                assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max()
 
 
 class TestReferenceKernels:
@@ -412,6 +436,10 @@ class TestFit:
             Posterior.from_json(json.loads(json.dumps({**doc, "chain_draws": nan.tolist()})))
         with pytest.raises(PreconditionError, match="shape"):
             dataclasses.replace(post, chain_draws=post.chain_draws[0])
+        beyond = post.chain_draws.copy()
+        beyond[0, 2, -1] = HYPER_BOUND + 1.0
+        with pytest.raises(PreconditionError, match="HYPER_BOUND"):
+            dataclasses.replace(post, chain_draws=beyond)
         for data_range in ([1.0, 1.0], [1.0], [0.0, "x"], [True, 2.5], [0.0, 1.0, 2.0],
                            [math.nan, 1.0], "01", {"lo": 0.0, "hi": 1.0}):
             with pytest.raises(IngestError, match="malformed posterior document"):

@@ -53,9 +53,6 @@ HYPER_BOUND = 30.0
 MAX_RHAT = 1.05
 PADDING = 0.1
 GRID_SIZE = 200
-# Config keys that older posterior files store, each with the value now fixed.
-RETIRED_CONFIG = {"anchors_at_observations": False, "target_accept": hmc.TARGET_ACCEPT,
-                  "padding": PADDING, "grid_size": GRID_SIZE}
 
 # Inverse-Gamma prior shapes/scales: variances and length scales.
 VAR_PRIOR = (2.0, 2.0)
@@ -203,9 +200,6 @@ class TargetContext:
             -0.5 * self.x.size * LOG_2PI - 0.5 * float(np.log(self.dt).sum())
             - m * LOG_2PI + PRIOR_LOG_NORM
         )
-        # The data-anchor blocks of a batch, kept between calls: a fresh
-        # (2k, n, m) array on every call costs page faults.
-        self._scratch = np.empty((0, self.x.size, m))
 
     def initial_vector(self) -> np.ndarray:
         hypers = [math.log(2.0), math.log(1.25), math.log(2.0), math.log(2.0),
@@ -263,12 +257,6 @@ class TargetContext:
                 c[...] = chol
         return _Factors(v_q, v_b, v_l, scale, corr, cov, table[:, 8:], failed)
 
-    def _block(self, rows):
-        """The (rows, n, m) scratch array."""
-        if len(self._scratch) < rows:
-            self._scratch = np.empty((rows, self.x.size, self.m))
-        return self._scratch[:rows]
-
     # -- forward + gradient ------------------------------------------------
 
     def log_posterior_and_grad(self, theta):
@@ -320,7 +308,7 @@ class TargetContext:
         sum_wf, ls_wf = w[0::2].sum(axis=1), np.vecdot(self.ls, w[0::2])
 
         # The data-anchor blocks are the only n x m arrays per state.
-        xs = self._block(2 * k)
+        xs = np.empty((2 * k, n, m))
         np.multiply(self.d2_xs, fac.scale[:, None, None], out=xs)
         np.exp(xs, out=xs)
         pows = xs @ (self.ls_pows * w[:, :, None])
@@ -395,7 +383,7 @@ class TargetContext:
         m = self.m
         fac = self._factors(theta[None, 2 * m :])
         if fac.failed:
-            raise np.linalg.LinAlgError("an anchor covariance is not positive definite")
+            raise PreconditionError("an anchor covariance is not positive definite")
         # As in `_evaluate`, row 0 of each stack is the drift's, row 1 the diffusion's.
         w_f, w_g = (self._trtrs(c.T, zj, lower=1, trans=1)[0]
                     for c, zj in zip(fac.chol_t, (theta[:m], theta[m : 2 * m])))
@@ -438,6 +426,19 @@ def log_posterior(state: ModelState, transitions: TransitionSet, anchors):
     return lp, grad
 
 
+# The keys `Posterior.to_json` writes.
+POSTERIOR_KEYS = ("chain_draws", "divergences", "data_range", "config")
+
+
+def _chain_draws(value) -> np.ndarray:
+    """`chain_draws` as a float array: nested JSON arrays of finite numbers,
+    every chain of one length and every draw of one length."""
+    chains = list_of(list_of(list_of(number)))(value)
+    if len({len(c) for c in chains}) > 1 or len({len(d) for c in chains for d in c}) > 1:
+        raise TypeError("expected chains of one length holding draws of one length")
+    return np.array(chains)
+
+
 @dataclass(frozen=True)
 class Posterior:
     """The sampler's latent draws, plus the divergence count, data range and
@@ -451,8 +452,8 @@ class Posterior:
     `diffusion_draws` (n_draws, len(grid)) are recomputed from the draws;
     all five are set when the posterior is made or loaded.
     `diagnostics` and `converged` are computed from the draws the first time
-    they are read. A `posterior.json` without `chain_draws`, or fitted with a
-    retired config key away from its fixed value, must be re-fitted.
+    they are read. `to_json` writes the four fields and nothing else, and
+    `from_json` reads that layout alone.
     """
 
     chain_draws: np.ndarray
@@ -461,6 +462,9 @@ class Posterior:
     config: FitConfig
 
     def __post_init__(self):
+        if self.divergences < 0 or len(self.data_range) != 2:
+            raise PreconditionError(f"divergences {self.divergences} must be >= 0 and "
+                                    f"data_range {list(self.data_range)} two numbers [lo, hi]")
         grid, anchors, center = self.config.layout(*self.data_range)
         dim = 2 * anchors.size + N_HYPERS
         draws = self.chain_draws
@@ -545,41 +549,32 @@ class Posterior:
         }
 
     @classmethod
-    def from_json(cls, doc: dict) -> "Posterior":
-        """The posterior of a `to_json` document, whose `divergences` is a JSON
-        integer >= 0 and `data_range` two finite numbers. Keys it does not
-        read, such as the `diagnostics`, `converged`, `grid`, `anchors` and
-        `center` that older files stored, are ignored; an older config's
-        RETIRED_CONFIG key is dropped if it holds its fixed value, and refused
-        otherwise."""
-        try:
-            saved = read_document({key: doc[key] for key in ("divergences", "data_range")},
-                                  {"divergences": integer, "data_range": list_of(number)},
-                                  "posterior")
-            if saved["divergences"] < 0 or len(saved["data_range"]) != 2:
-                raise IngestError(f"divergences {saved['divergences']} must be >= 0 and "
-                                  f"data_range {saved['data_range']} two numbers")
-            config = doc["config"]
+    def from_json(cls, doc) -> "Posterior":
+        """The posterior of a `to_json` document, read with `read_document`
+        and its config with `FitConfig.from_json`. A document without one of
+        the four keys, or with any other key, top-level or in its config, is
+        in a layout this version does not read: the IngestError names the
+        key and says the file must be re-fitted. A value that `read_document`
+        or the constructor refuses, such as a negative `divergences` or a
+        draw outside the support, is an IngestError naming the problem."""
+        what = "malformed posterior document"
+        if isinstance(doc, dict):
+            config = doc.get("config")
+            layout = ([f"no {key}" for key in POSTERIOR_KEYS if key not in doc]
+                      + [f"unknown key {key}" for key in sorted(set(doc) - set(POSTERIOR_KEYS))])
             if isinstance(config, dict):
-                for key, fixed in RETIRED_CONFIG.items():
-                    value = config.get(key, fixed)
-                    if type(value) is not type(fixed) or value != fixed:
-                        raise IngestError(f"config {key} is {value!r}, not {fixed!r}")
-                config = {k: v for k, v in config.items() if k not in RETIRED_CONFIG}
-            return cls(
-                chain_draws=np.asarray(doc["chain_draws"], dtype=float),
-                divergences=saved["divergences"],
-                data_range=tuple(saved["data_range"]),
-                config=FitConfig.from_json(config),
-            )
-        except KeyError as exc:
-            problem = f"missing key {exc}"
-        except (AttributeError, TypeError, ValueError, IngestError, PreconditionError,
-                DegenerateDataError) as exc:
-            problem = str(exc)
-        raise IngestError(f"malformed posterior document ({problem}); a posterior.json "
-                          "without chain draws, or fitted with a setting that is now "
-                          "fixed, must be re-fitted")
+                fitted = {f.name for f in fields(FitConfig)}
+                layout += [f"unknown config key {key}" for key in sorted(set(config) - fitted)]
+            if layout:
+                raise IngestError(f"{what}: {', '.join(layout)}; a posterior.json holds exactly "
+                                  f"{', '.join(POSTERIOR_KEYS)} (FitConfig's fields), and "
+                                  "one in any other layout must be re-fitted")
+        try:
+            return cls(**read_document(doc, {"chain_draws": _chain_draws, "divergences": integer,
+                                             "data_range": lambda v: tuple(list_of(number)(v)),
+                                             "config": FitConfig.from_json}, what))
+        except (PreconditionError, DegenerateDataError) as exc:
+            raise IngestError(f"{what}: {exc}") from None
 
     def summary_rows(self):
         """Rows of (grid, drift mean/50%/95% bands, diffusion likewise) for CSV."""

@@ -264,7 +264,7 @@ def read_wide_csv(path, column: str, clr: bool) -> TimeSeriesCollection:
     per variable). With `clr`, each row is first given a pseudocount and a
     centred log-ratio transform. Units with fewer than two points are dropped.
     A cell it uses, the column's or with `clr` any variable's, that is NaN or
-    infinite is an IngestError."""
+    infinite, or with `clr` negative, is an IngestError."""
     header, lines = _csv_lines(path)
     if len(header) < 3 or header[0].strip() != "unit_id" or header[1].strip() != "time":
         raise IngestError(f"{path}: line 1: expected header unit_id,time,<variables...>")
@@ -282,8 +282,10 @@ def read_wide_csv(path, column: str, clr: bool) -> TimeSeriesCollection:
         except ValueError as exc:
             raise IngestError(f"{path}: line {lineno}: {exc}") from None
         for j in used:
-            if not math.isfinite(rows[-1][j]):
-                raise IngestError(f"{path}: line {lineno}: {names[j]} is {rows[-1][j]}, not finite")
+            v = rows[-1][j]
+            problem = "not finite" if not math.isfinite(v) else "negative" if clr and v < 0 else ""
+            if problem:
+                raise IngestError(f"{path}: line {lineno}: {names[j]} is {v}, {problem}")
         units.append(row[0].strip())
     matrix = np.asarray(rows, dtype=float)
     if clr:

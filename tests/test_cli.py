@@ -12,7 +12,7 @@ from landscaper import cli, inference
 from landscaper.derived import CurvePair
 from landscaper.errors import ConvergenceWarning, PreconditionError
 from landscaper.inference import FitConfig, HYPER_NAMES, Posterior, TargetContext
-from landscaper.tsdata import dump_json, load_json
+from landscaper.tsdata import dump_json, load_json, read_wide_csv
 
 
 def run(args):
@@ -57,6 +57,34 @@ def synthetic_posterior(bistable: bool, n_draws=40) -> Posterior:
                              np.linalg.solve(chol_g, ghat.T).T,
                              np.tile(eta, (n_draws, 1))])
     return Posterior(theta.reshape(2, n_draws // 2, -1), 0, (-2.0, 2.0), config)
+
+
+# The key that marks each layout earlier versions wrote: stored diagnostics,
+# a stored grid, anchors and centre, each config key that has been retired,
+# and stored curves without the chain draws.
+OLDER_LAYOUT_KEYS = ("diagnostics", "grid", "anchors_at_observations", "target_accept",
+                     "padding", "grid_size", "chain_draws")
+
+
+def older_layout(post: Posterior, key: str) -> dict:
+    """`post` as a document in the older layout that `key` marks, the retired
+    config keys at the values they were fixed to."""
+    doc = post.to_json()
+    retired = {"anchors_at_observations": False, "target_accept": 0.8, "padding": 0.1,
+               "grid_size": 200}
+    if key in retired:
+        return {**doc, "config": {**doc["config"], key: retired[key]}}
+    if key == "diagnostics":
+        stored = {kind: {name: v if math.isfinite(v) else None for name, v in values.items()}
+                  for kind, values in post.diagnostics.items()}
+        return {**doc, "diagnostics": stored, "converged": post.converged}
+    layout = {**doc, "grid": post.grid.tolist(), "anchors": post.anchors.tolist(),
+              "center": post.center}
+    if key == "grid":
+        return layout
+    del layout["chain_draws"]
+    return {**layout, "drift_draws": post.drift_draws.tolist(),
+            "diffusion_draws": post.diffusion_draws.tolist()}
 
 
 class TestSimulate:
@@ -210,13 +238,18 @@ class TestFit:
 
 
 class TestWideCsvAndClr:
-    def make_wide(self, path):
+    def make_wide(self, path, cell=None):
+        """A wide CSV of three positive variables; `cell`, if given, is
+        taxa_a on line 6."""
         rows = ["unit_id,time,taxa_a,taxa_b,taxa_c"]
         rng = np.random.default_rng(5)
         for u in range(8):
             for t in range(4):
                 a, b, c = rng.uniform(1, 10, 3)
                 rows.append(f"u{u},{t},{a:.4f},{b:.4f},{c:.4f}")
+        if cell is not None:
+            unit, time, _, *rest = rows[5].split(",")
+            rows[5] = ",".join([unit, time, cell, *rest])
         Path(path).write_text("\n".join(rows) + "\n")
 
     def test_clr_requires_column(self, tmp_path, capsys):
@@ -240,14 +273,20 @@ class TestWideCsvAndClr:
         # taxa_a is fitted without --clr; with it, taxa_b is, and every
         # variable goes into the transform.
         wide = tmp_path / "wide.csv"
-        self.make_wide(wide)
-        lines = wide.read_text().splitlines()
-        unit, time, _, *rest = lines[5].split(",")
-        lines[5] = ",".join([unit, time, cell, *rest])
-        wide.write_text("\n".join(lines) + "\n")
+        self.make_wide(wide, cell)
         args = ["--clr", "--column", "taxa_b"] if clr else ["--column", "taxa_a"]
         assert run(["fit", "--data", wide, *args, "--out", tmp_path / "o"]) == cli.EXIT_PARSE
         assert "line 6: taxa_a" in capsys.readouterr().err
+
+    def test_negative_cell_is_parse_error_under_clr(self, tmp_path, capsys):
+        # With --clr every variable is an abundance; without it, a negative
+        # value of the fitted column is an ordinary value.
+        wide = tmp_path / "wide.csv"
+        self.make_wide(wide, "-1")
+        code = run(["fit", "--data", wide, "--clr", "--column", "taxa_b", "--out", tmp_path / "o"])
+        assert code == cli.EXIT_PARSE
+        assert f"{wide}: line 6: taxa_a is -1.0, negative" in capsys.readouterr().err
+        assert -1.0 in read_wide_csv(wide, "taxa_a", clr=False).all_values()
 
     def test_missing_column_is_parse_error(self, tmp_path, capsys):
         wide = tmp_path / "wide.csv"
@@ -290,31 +329,16 @@ class TestDerive:
         for name in outputs:
             assert read_bytes(loaded / name) == read_bytes(in_memory / name), name
 
-    def test_posterior_in_the_older_layout_derives_the_same_bytes(self, tmp_path, capsys):
-        # Files written while the posterior stored its grid, anchors and
-        # centre, and its config the anchor-layout switch and the sampler
-        # target, padding and grid size that are now fixed, derive as before.
-        post = synthetic_posterior(bistable=True)
-        doc = post.to_json()
-        retired = {"anchors_at_observations": False, "target_accept": 0.8,
-                   "padding": 0.1, "grid_size": 200}
-        old = {**doc, "grid": post.grid.tolist(), "anchors": post.anchors.tolist(),
-               "center": post.center, "config": {**doc["config"], **retired}}
-        assert len(old["config"]) == 9  # eight config fields and the older switch
-        outputs = []
-        for name, d in (("new", doc), ("old", old)):
-            dump_json(d, tmp_path / f"{name}.json")
-            assert run(["derive", "--posterior", tmp_path / f"{name}.json",
-                        "--out", tmp_path / name]) == 0
-            outputs.append(load_json(tmp_path / name / "manifest.json")["outputs"])
-        assert len(outputs[0]) == 12 and outputs[1] == outputs[0]
-        for key, value in (("anchors_at_observations", True), ("grid_size", 100)):
-            dump_json({**old, "config": {**old["config"], key: value}},
-                      tmp_path / "refit.json")
-            assert run(["derive", "--posterior", tmp_path / "refit.json",
-                        "--out", tmp_path / "refit"]) == cli.EXIT_PARSE
-            err = capsys.readouterr().err
-            assert key in err and "re-fitted" in err
+    @pytest.mark.parametrize("key", OLDER_LAYOUT_KEYS)
+    def test_posterior_in_an_older_layout_exits_parse(self, tmp_path, capsys, key):
+        post_path = tmp_path / "posterior.json"
+        dump_json(older_layout(synthetic_posterior(bistable=True), key), post_path)
+        out = tmp_path / "o"
+        assert run(["derive", "--posterior", post_path, "--out", out]) == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1  # one line, no traceback
+        assert key in err and "re-fitted" in err
+        assert not (out / "manifest.json").exists()
 
     def test_derive_computes_no_diagnostics(self, tmp_path, monkeypatch):
         def refuse(series):

@@ -80,6 +80,43 @@ def test_demo_keywords_are_parameters():
     assert unknown == []
 
 
+def test_readme_python_calls_resolve():
+    # The README's Python session is not run by the suite either. Each
+    # `module.attr(...)` call on a module it imports `from landscaper` must
+    # name an attribute that exists and pass only keywords that are its
+    # parameters, as the demos' calls must.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    checked, unknown = set(), []
+    for block in blocks:
+        tree = ast.parse(block)
+        modules = {
+            alias.asname or alias.name: getattr(landscaper, alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "landscaper"
+            for alias in node.names
+            if inspect.ismodule(getattr(landscaper, alias.name, None))
+        }
+        for node in ast.walk(tree):
+            func = getattr(node, "func", None)
+            if not (isinstance(node, ast.Call) and isinstance(func, ast.Attribute)
+                    and isinstance(func.value, ast.Name) and func.value.id in modules):
+                continue
+            name = f"{func.value.id}.{func.attr}"
+            target = getattr(modules[func.value.id], func.attr, None)
+            if not callable(target):
+                unknown.append(name)
+                continue
+            checked.add(name)
+            params = inspect.signature(target).parameters
+            if any(p.kind is p.VAR_KEYWORD for p in params.values()):
+                continue
+            unknown += [f"{name}({kw.arg}=)" for kw in node.keywords
+                        if kw.arg and kw.arg not in params]
+    assert unknown == []
+    assert "sim.generate_short_series" in checked and "inference.fit" in checked
+
+
 def test_cli_demo_commands_parse():
     # The `landscaper ...` commands of the shell demo and of the README's bash
     # blocks must still parse: a removed flag or subcommand would otherwise

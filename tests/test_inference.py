@@ -26,6 +26,7 @@ from landscaper.tsdata import (TimeSeries, TimeSeriesCollection, TransitionSet, 
                                to_transitions)
 
 from oracles import drift_kernel, eq_kernel, increments_loglik, whitened_values_direct
+from test_cli import OLDER_LAYOUT_KEYS, older_layout
 
 
 def synthetic_context(rng, n=40, m=10, offset=0.0):
@@ -152,6 +153,20 @@ class TestLogPosterior:
             for other_lp, other_grad in (alone, public):
                 assert lp == other_lp
                 np.testing.assert_array_equal(grad, other_grad)
+
+    def test_batch_keeps_no_state(self, rng):
+        # Every attribute is the same object, holding the same values, after
+        # batches of 1 and 4 rows: no buffer is kept or grown between calls.
+        ctx = synthetic_context(rng)
+        before = dict(vars(ctx))
+        values = {name: v.copy() for name, v in before.items() if isinstance(v, np.ndarray)}
+        for k in (1, 4):
+            ctx.batch(np.array([random_state(rng, ctx.m) for _ in range(k)]))
+        assert vars(ctx).keys() == before.keys()
+        for name, value in before.items():
+            assert vars(ctx)[name] is value, name
+        for name, value in values.items():
+            np.testing.assert_array_equal(vars(ctx)[name], value)
 
     def test_prior_only_when_no_data(self, rng):
         anchors = np.linspace(-1, 1, 8)
@@ -399,26 +414,27 @@ class TestFit:
         assert back.diagnostics == post.diagnostics
         assert back.converged == post.converged
 
-    def test_posterior_with_stored_diagnostics_still_loads(self, small_posterior):
-        # The layouts before diagnostics were computed from the draws: Rhat and
-        # ESS stored per parameter (null where not finite), and `converged`;
-        # and before the layout rule: the grid, anchors and centre, and the
-        # config's anchor-layout switch, off; and the config's sampler target,
-        # padding and grid size, at the values now fixed.
+    @pytest.mark.parametrize("key", OLDER_LAYOUT_KEYS)
+    def test_posterior_in_an_older_layout_is_refused(self, small_posterior, key):
         post, _ = small_posterior
-        stored = {kind: {name: v if math.isfinite(v) else None for name, v in values.items()}
-                  for kind, values in post.diagnostics.items()}
-        doc = post.to_json()
-        doc.update(diagnostics=stored, converged=post.converged, grid=post.grid.tolist(),
-                   anchors=post.anchors.tolist(), center=post.center,
-                   config={**doc["config"], "anchors_at_observations": False,
-                           "target_accept": 0.8, "padding": 0.1, "grid_size": 200})
-        back = Posterior.from_json(json.loads(json.dumps(doc)))
-        assert back.diagnostics == post.diagnostics
-        assert back.converged == post.converged
-        assert back.config == post.config
-        assert np.array_equal(back.drift_draws, post.drift_draws)
-        assert np.array_equal(back.diffusion_draws, post.diffusion_draws)
+        doc = json.loads(json.dumps(older_layout(post, key)))
+        with pytest.raises(IngestError, match=f"{key}.*re-fitted"):
+            Posterior.from_json(doc)
+
+    @pytest.mark.parametrize("change, problem", [
+        ({"divergences": -1}, "divergences"),
+        ({"data_range": [1.0, 1.0]}, "range"),
+        ({"config": {"n_chains": 0}}, "n_chains"),
+        ({"config": {"n_chains": "2"}}, "n_chains"),
+        ({"chain_draws": [[[0.0]]]}, "shape"),
+        ({"chain_draws": [[[0.0], [0.0, 1.0]]]}, "one length"),
+        ({"chain_draws": "draws"}, "list"),
+    ])
+    def test_bad_value_is_refused_without_a_refit_hint(self, small_posterior, change, problem):
+        post, _ = small_posterior
+        with pytest.raises(IngestError, match=problem) as refused:
+            Posterior.from_json({**post.to_json(), **change})
+        assert "re-fitted" not in str(refused.value)
 
     def test_malformed_posterior_document_rejected(self, small_posterior):
         post, _ = small_posterior

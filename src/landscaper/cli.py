@@ -5,9 +5,10 @@ stable formatting (sorted JSON keys, repr floats) and drops a manifest.json
 recording argv, input digests, output digests, config hash, seed and tool
 version, so any run can be replayed bit-identically. The `timings` field of
 the manifest is the only part that varies between identical runs: the total
-seconds, and for `fit` also `chain_groups`, the number of chain groups run
-in parallel (which follows the machine's CPU count), and `fit_seconds`, the
-wall time of the `inference.fit` call.
+seconds; for `fit` also `chain_groups`, the number of chain groups run in
+parallel (which follows the machine's CPU count), and `fit_seconds`, the
+wall time of the `inference.fit` call; and for `experiment` also `workers`,
+the number of processes its replicates ran in (which follows it too).
 """
 
 from __future__ import annotations
@@ -256,7 +257,11 @@ def cmd_derive(args, argv) -> int:
     started = time.perf_counter()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    posterior = Posterior.from_json(load_json(args.posterior))
+    doc = load_json(args.posterior)
+    try:
+        posterior = Posterior.from_json(doc)
+    except IngestError as exc:
+        raise IngestError(f"posterior {args.posterior}: {exc}") from None
     grid = posterior.grid
     mean_cp = derived.CurvePair(grid, posterior.drift_mean(), posterior.diffusion_mean())
     outputs: list[Path] = []
@@ -325,9 +330,12 @@ def cmd_experiment(args, argv) -> int:
         kw["seed"] = args.seed
     # Both experiments default to seed 0; the manifest records the seed used.
     seed = kw.setdefault("seed", 0)
+    # One replicate process per usable CPU, as `fit` runs its chain groups.
+    workers = _resolve_threads(None)
 
     if args.name == "coverage":
-        result = coverage_experiment(model, **kw)
+        result = coverage_experiment(model, workers=workers, **kw)
+        jobs = result.replicates
         table = out / "coverage.csv"
         _write_csv(table, ["budget", "agreement_short", "agreement_long"],
                    _float_rows([result.budgets, result.agreement_short,
@@ -338,7 +346,8 @@ def cmd_experiment(args, argv) -> int:
     else:
         if "fit" in kw:
             kw["cfg"] = kw.pop("fit")
-        result = tpr_grid(model, **kw)
+        result = tpr_grid(model, workers=workers, **kw)
+        jobs = len(result.series_counts) * len(result.timesteps) * result.replicates
         table = out / "tpr.csv"
         _write_csv(table, ["n_series"] + [repr(t) for t in result.timesteps],
                    [[n] + row for n, row in zip(result.series_counts, result.tpr.tolist())])
@@ -347,7 +356,7 @@ def cmd_experiment(args, argv) -> int:
     meta_path = table.with_suffix(".json")
     dump_json(meta, meta_path)
     _write_manifest(out, "experiment", argv, seed, doc, [Path(args.config)],
-                    [table, meta_path], started)
+                    [table, meta_path], started, {"workers": min(workers, jobs)})
     return EXIT_OK
 
 

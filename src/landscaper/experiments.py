@@ -10,7 +10,7 @@ import numpy as np
 from .derived import multistability_posterior
 from .errors import LandscaperError, PreconditionError
 from .inference import FitConfig, fit
-from .numerics import seed_sequence
+from .numerics import fork_map, seed_sequence
 from .sim import (
     INTERNAL_DT,
     SdeModel,
@@ -75,6 +75,7 @@ def coverage_experiment(
     total_time: float = 250.0,
     replicates: int = 50,
     seed=0,
+    workers: int = 1,
 ) -> CoverageResult:
     """Expanding-window agreement between data histograms and the true density.
 
@@ -85,7 +86,9 @@ def coverage_experiment(
     stationary density by KL divergence; agreement is 1 - KL/maxKL with maxKL
     taken over both conditions and all budgets within the replicate. The
     density is the model's stationary table, the one its series start from.
-    Both conditions observe every step of INTERNAL_DT.
+    Both conditions observe every step of INTERNAL_DT. The replicates run in
+    up to `workers` processes (`numerics.fork_map`), with the same results
+    for any count.
     """
     if replicates < 1 or not 1 <= total_time < np.inf:
         raise PreconditionError("replicates must be >= 1 and total_time finite and >= 1")
@@ -102,9 +105,7 @@ def coverage_experiment(
     span = (COVERAGE_POINTS_PER_SERIES - 1) * INTERNAL_DT
     n_short = int(np.floor(total_time / span))
 
-    agree_s = np.empty((replicates, len(budgets)))
-    agree_l = np.empty((replicates, len(budgets)))
-    for r, child in enumerate(seed_sequence(seed).spawn(replicates)):
+    def replicate(child):
         short_seed, long_seed = child.spawn(2)
         ds = generate_short_series(model, n_short, COVERAGE_POINTS_PER_SERIES, INTERNAL_DT,
                                    short_seed)
@@ -120,8 +121,11 @@ def coverage_experiment(
             kl_s[i] = _histogram_kl(vals_s, edges, width, ref)
             kl_l[i] = _histogram_kl(vals_l, edges, width, ref)
         max_kl = max(kl_s.max(), kl_l.max())
-        agree_s[r] = 1.0 - kl_s / max_kl
-        agree_l[r] = 1.0 - kl_l / max_kl
+        return 1.0 - kl_s / max_kl, 1.0 - kl_l / max_kl
+
+    rows = fork_map(replicate, seed_sequence(seed).spawn(replicates), workers)
+    agree_s = np.array([short for short, _ in rows])
+    agree_l = np.array([long for _, long in rows])
 
     return CoverageResult(
         budgets=budgets.astype(float),
@@ -149,6 +153,7 @@ def tpr_grid(
     replicates: int = 20,
     cfg: FitConfig = FitConfig(),
     seed=0,
+    workers: int = 1,
 ) -> TprGrid:
     """Fraction of replicate fits whose modal stable-state count is correct.
 
@@ -156,7 +161,9 @@ def tpr_grid(
     a fraction of the model's characteristic time scale (measured on a long
     reference run), rounded to a whole number of INTERNAL_DT steps; each
     series has TPR_POINTS_PER_SERIES points. Fit failures count as misses,
-    never as positives.
+    never as positives. The replicates of every cell run in up to `workers`
+    processes (`numerics.fork_map`), each fit in one, with the same results
+    for any count.
     """
     if replicates < 1:
         raise PreconditionError("replicates must be >= 1")
@@ -173,25 +180,28 @@ def tpr_grid(
     t_c = estimate_timescale(true_model, seed=tc_seed).t_c
     steps = {frac: step_from_fraction(frac, t_c) for frac in timesteps}
 
-    tpr = np.zeros((len(series_counts), len(timesteps)))
-    failures = np.zeros_like(tpr, dtype=int)
-    cells = data_seed.spawn(len(series_counts) * len(timesteps))
-    for i, n_series in enumerate(series_counts):
-        for j, frac in enumerate(timesteps):
-            cell_seed = cells[i * len(timesteps) + j]
-            hits = 0
-            for rep_seed in cell_seed.spawn(replicates):
-                data_child, fit_child = rep_seed.spawn(2)
-                try:
-                    ds = generate_short_series(true_model, n_series, TPR_POINTS_PER_SERIES,
-                                               steps[frac], data_child)
-                    rep_cfg = replace(cfg, seed=int(fit_child.generate_state(1)[0]))
-                    post = fit(ds.collection, rep_cfg)
-                    if multistability_posterior(post).mode == true_model.label:
-                        hits += 1
-                except LandscaperError:
-                    failures[i, j] += 1
-            tpr[i, j] = hits / replicates
+    cells = [(i, j) for i in range(len(series_counts)) for j in range(len(timesteps))]
+    jobs = [(cell, rep_seed) for cell, cell_seed in zip(cells, data_seed.spawn(len(cells)))
+            for rep_seed in cell_seed.spawn(replicates)]
+
+    def replicate(job):
+        # (hit, failed) of one replicate fit.
+        (i, j), rep_seed = job
+        data_child, fit_child = rep_seed.spawn(2)
+        try:
+            ds = generate_short_series(true_model, series_counts[i], TPR_POINTS_PER_SERIES,
+                                       steps[timesteps[j]], data_child)
+            post = fit(ds.collection, replace(cfg, seed=int(fit_child.generate_state(1)[0])))
+            return multistability_posterior(post).mode == true_model.label, False
+        except LandscaperError:
+            return False, True
+
+    hits = np.zeros((len(series_counts), len(timesteps)), dtype=int)
+    failures = np.zeros_like(hits)
+    for ((i, j), _), (hit, failed) in zip(jobs, fork_map(replicate, jobs, workers)):
+        hits[i, j] += hit
+        failures[i, j] += failed
+    tpr = hits / replicates
 
     return TprGrid(
         series_counts=series_counts,

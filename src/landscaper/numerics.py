@@ -1,9 +1,12 @@
-"""Small shared numerical routines, and the package's one entry to scipy.
+"""Small shared numerical routines, the package's one entry to scipy, and its
+one way to run work in parallel processes.
 
 `cumulative_trapezoid` is scipy's formula written out in numpy, so importing
 the package (and every CLI start) does not load `scipy.integrate`. `lapack`
 is the only place the package touches scipy: it hands out scipy's compiled
-LAPACK wrappers without importing `scipy.linalg`.
+LAPACK wrappers without importing `scipy.linalg`. `fork_map` maps a function
+over items in forked child processes; the sampler's chain groups and the
+simulation studies' replicates both run through it.
 """
 
 from __future__ import annotations
@@ -11,13 +14,15 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import os
+import pickle
 import sys
+import warnings
 
 import numpy as np
 
-from .errors import DegenerateDataError, PreconditionError
+from .errors import DegenerateDataError, PreconditionError, SamplerError
 
-__all__ = ["cumulative_trapezoid", "density_from_drift_diffusion", "lapack",
+__all__ = ["cumulative_trapezoid", "density_from_drift_diffusion", "fork_map", "lapack",
            "nearest_rank", "seed_sequence"]
 
 # Largest rounding error density_from_drift_diffusion accepts in its exponent:
@@ -109,3 +114,79 @@ def lapack(*names) -> tuple:
             spec.loader.exec_module(module)
             sys.modules[name] = module
     return tuple(getattr(module, n) for n in names)
+
+
+def fork_map(fn, items, workers: int = 1) -> list:
+    """`[fn(item) for item in items]`, run in up to `workers` processes.
+
+    The items are split into `min(workers, len(items))` contiguous shares.
+    The first share runs here, and each other one in a child process forked
+    here, which sends back its results or exception and the warnings it
+    issued. The children's warnings are re-issued here in item order, with
+    their category, message, file and line, and the exception of the first
+    failing item in item order is raised. One that does not survive
+    pickling comes back as a SamplerError that names it, as does a child
+    that dies without sending anything, with its exit code. Every child is
+    killed and reaped before this returns or raises. With one share, or
+    without the `fork` start method, every item runs here.
+    """
+    if workers < 1:
+        raise PreconditionError(f"need workers >= 1; got {workers}")
+    items = list(items)
+    shares = np.array_split(np.arange(len(items)), max(1, min(workers, len(items))))
+    # Forked, not spawned: a child shares `fn` and the items as they are,
+    # with nothing to pickle, and the CLI process runs no threads.
+    if len(shares) > 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            context = multiprocessing.get_context("fork")
+            return _fork_shares(lambda share: [fn(items[i]) for i in share], shares, context)
+    return [fn(item) for item in items]
+
+
+def _fork_shares(run, shares, context):
+    children = []
+    try:
+        for share in shares[1:]:
+            receiver, sender = context.Pipe(duplex=False)
+            child = context.Process(target=_run_child, args=(run, share, sender), daemon=True)
+            child.start()
+            sender.close()
+            children.append((child, receiver))
+        results = run(shares[0])
+        for child, receiver in children:
+            try:
+                error, value, caught = receiver.recv()
+            except EOFError:
+                child.join()
+                raise SamplerError(f"a forked process exited with code {child.exitcode} "
+                                   "before sending its results") from None
+            for message, category, filename, lineno in caught:
+                warnings.warn_explicit(message, category, filename, lineno)
+            if error is not None:
+                raise error
+            results += value
+        return results
+    finally:
+        for child, receiver in children:
+            child.kill()
+            child.join()
+            receiver.close()
+
+
+def _run_child(run, share, sender):
+    # The body of a forked child. Its warnings are recorded as they pass the
+    # filters it inherited from the caller.
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            error, value = None, run(share)
+        except Exception as exc:
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:
+                exc = SamplerError(f"a forked process raised {type(exc).__name__}: {exc}")
+            error, value = exc, None
+    sender.send((error, value,
+                 [(str(w.message), w.category, w.filename, w.lineno) for w in caught]))
+    sender.close()

@@ -337,7 +337,7 @@ class TestDerive:
         assert run(["derive", "--posterior", post_path, "--out", out]) == cli.EXIT_PARSE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1  # one line, no traceback
-        assert key in err and "re-fitted" in err
+        assert key in err and "re-fitted" in err and str(post_path) in err
         assert not (out / "manifest.json").exists()
 
     def test_derive_computes_no_diagnostics(self, tmp_path, monkeypatch):
@@ -424,6 +424,41 @@ class TestExperimentCommand:
         lines = (out / "tpr.csv").read_text().strip().splitlines()
         assert len(lines) == 3  # header + 2 series-count rows
         assert len(lines[1].split(",")) == 3  # n_series + 2 timestep columns
+
+    @pytest.mark.parametrize("name, doc, jobs", [
+        ("coverage", {"model": CUSP_SPEC, "total_time": 20, "replicates": 3, "seed": 6}, 3),
+        ("tpr-grid", {"model": CUSP_SPEC, "series_counts": [12, 30], "timesteps": [0.1],
+                      "replicates": 3, "seed": 3,
+                      "fit": {"n_chains": 2, "n_iterations": 150, "max_leapfrog": 8,
+                              "n_anchors": 12}}, 6),
+    ])
+    def test_outputs_independent_of_cpu_count(self, tmp_path, monkeypatch, name, doc, jobs):
+        # One replicate process per usable CPU; the manifest records the
+        # count under `timings`, and the outputs are the same for any count.
+        cfg = tmp_path / "exp.json"
+        dump_json(doc, cfg)
+        manifests = []
+        for cpus in (1, 4):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+            out = tmp_path / f"cpus{cpus}"
+            assert run(["experiment", "--name", name, "--config", cfg, "--out", out]) == 0
+            manifest = load_json(out / "manifest.json")
+            assert manifest["timings"]["workers"] == min(cpus, jobs)
+            manifests.append(manifest)
+        assert manifests[0]["outputs"] == manifests[1]["outputs"]
+
+    def test_replay_identical_outside_timings(self, tmp_path):
+        cfg = tmp_path / "exp.json"
+        dump_json({"model": CUSP_SPEC, "total_time": 10, "replicates": 2, "seed": 4}, cfg)
+        out = tmp_path / "cov"
+        assert run(["experiment", "--name", "coverage", "--config", cfg, "--out", out]) == 0
+        first = (out / "manifest.json").read_text()
+        recorded = tmp_path / "manifest.json"
+        recorded.write_text(first)
+        assert run(["replay", "--manifest", recorded]) == 0
+        untimed = [{k: v for k, v in json.loads(m).items() if k != "timings"}
+                   for m in (first, (out / "manifest.json").read_text())]
+        assert untimed[0] == untimed[1]
 
     def test_unknown_name_usage_error(self, tmp_path):
         cfg = tmp_path / "exp.json"
@@ -693,7 +728,7 @@ class TestReplayAndThreads:
         assert read_bytes(outs[0] / "posterior.json") == read_bytes(outs[1] / "posterior.json")
         assert read_bytes(outs[0] / "summary.csv") == read_bytes(outs[1] / "summary.csv")
 
-    def test_chains_run_serially_by_default(self):
+    def test_chain_groups_default_to_one_per_usable_cpu(self):
         # The default is one chain group per usable CPU.
         assert cli._resolve_threads(None) == len(os.sched_getaffinity(0))
         assert cli._resolve_threads(3) == 3

@@ -1,4 +1,6 @@
 import math
+import os
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -94,6 +96,13 @@ class TestCoverageExperiment:
         with pytest.raises(PreconditionError):
             coverage_experiment(bistable_cusp, replicates=0)
 
+    def test_worker_count_does_not_change_the_bits(self, bistable_cusp):
+        runs = [coverage_experiment(bistable_cusp, total_time=20.0, replicates=3, seed=6,
+                                    workers=workers) for workers in (1, 2, 4)]
+        for other in runs[1:]:
+            np.testing.assert_array_equal(runs[0].per_replicate_short, other.per_replicate_short)
+            np.testing.assert_array_equal(runs[0].per_replicate_long, other.per_replicate_long)
+
     @pytest.mark.parametrize("kw", [{"total_time": 0.5}, {"total_time": math.nan},
                                     {"total_time": math.inf}])
     def test_ranges_validated(self, bistable_cusp, kw):
@@ -145,3 +154,28 @@ class TestTprGrid:
         a = tpr_grid(bistable_cusp, [12], [0.1], replicates=1, cfg=cfg, seed=19)
         b = tpr_grid(bistable_cusp, [12], [0.1], replicates=1, cfg=cfg, seed=19)
         np.testing.assert_array_equal(a.tpr, b.tpr)
+
+    def test_worker_count_does_not_change_the_bits(self, bistable_cusp):
+        # Seed 3 gives a grid whose TPR is neither all 0 nor all 1.
+        cfg = FitConfig(n_chains=2, n_iterations=150, max_leapfrog=8, n_anchors=12)
+        runs = [tpr_grid(bistable_cusp, [12, 30], [0.1], replicates=3, cfg=cfg, seed=3,
+                         workers=workers) for workers in (1, 2, 4)]
+        assert np.any(runs[0].tpr > 0) and np.any(runs[0].tpr < 1)
+        for other in runs[1:]:
+            np.testing.assert_array_equal(runs[0].tpr, other.tpr)
+            np.testing.assert_array_equal(runs[0].failures, other.failures)
+
+    def test_replicate_warning_from_a_child_reaches_the_caller(self, bistable_cusp,
+                                                               monkeypatch):
+        here = os.getpid()
+        fit = experiments.fit
+
+        def warns_in_child(*args, **kwargs):
+            if os.getpid() != here:
+                warnings.warn("replicate fit in a forked process", UserWarning)
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "fit", warns_in_child)
+        cfg = FitConfig(n_chains=2, n_iterations=100, max_leapfrog=8, n_anchors=12)
+        with pytest.warns(UserWarning, match="replicate fit in a forked process"):
+            tpr_grid(bistable_cusp, [12], [0.1], replicates=2, cfg=cfg, seed=1, workers=2)

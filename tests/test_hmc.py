@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -190,6 +191,18 @@ class TestSampler:
         with pytest.raises(ValueError, match="first group failed"):
             hmc.sample(FailsHere([0.0], [1.0]), np.zeros(1), n_chains=3, n_iterations=2000,
                        seed=0, threads=3)
+        assert multiprocessing.active_children() == []
+
+    def test_child_group_warning_reaches_the_caller(self):
+        class WarnsInChild(BatchedGaussian):
+            def batch(self, qs):
+                if os.getpid() != self.pid:
+                    warnings.warn("warned in a chain group's process", RuntimeWarning)
+                return super().batch(qs)
+
+        with pytest.warns(RuntimeWarning, match="warned in a chain group's process"):
+            hmc.sample(WarnsInChild([0.0], [1.0]), np.zeros(1), n_chains=2, n_iterations=100,
+                       seed=0, threads=2)
         assert multiprocessing.active_children() == []
 
     def test_groups_run_in_process_without_fork(self, monkeypatch):

@@ -1,7 +1,11 @@
 import ast
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +13,8 @@ import pytest
 from scipy import integrate
 
 import landscaper
-from landscaper.errors import DegenerateDataError
-from landscaper.numerics import cumulative_trapezoid, density_from_drift_diffusion
+from landscaper.errors import DegenerateDataError, PreconditionError, SamplerError
+from landscaper.numerics import cumulative_trapezoid, density_from_drift_diffusion, fork_map
 from landscaper.tsdata import dump_json
 
 from test_cli import synthetic_posterior
@@ -97,3 +101,84 @@ def test_density_refused_when_rounding_decides_it(drift_sign):
     grid = np.linspace(-1.0, 1.0, 4001)
     with pytest.raises(DegenerateDataError, match="2f/g"):
         density_from_drift_diffusion(grid, drift_sign * grid, np.full_like(grid, 1e-16))
+
+
+class ItemWarning(UserWarning):
+    pass
+
+
+def test_fork_map_returns_results_in_item_order():
+    # 7 items in 3 shares: items 0-2 run here, 3-4 and 5-6 in two children.
+    results = fork_map(lambda x: (x * x, os.getpid()), range(7), workers=3)
+    assert [r[0] for r in results] == [x * x for x in range(7)]
+    pids = [r[1] for r in results]
+    assert pids[:3] == [os.getpid()] * 3
+    assert pids[3] == pids[4] and pids[5] == pids[6]
+    assert len({os.getpid(), pids[3], pids[5]}) == 3
+    assert multiprocessing.active_children() == []
+
+
+def test_fork_map_raises_the_first_failing_item():
+    # Items 3 and 4 fail, in different children; item 3's error is raised.
+    def fn(x):
+        if x in (3, 4):
+            raise ValueError(f"item {x} failed")
+        return x
+
+    with pytest.raises(ValueError, match="item 3 failed"):
+        fork_map(fn, range(6), workers=3)
+    assert multiprocessing.active_children() == []
+
+
+def test_fork_map_error_here_kills_the_children():
+    # The first share fails at once while the children would sleep for a
+    # minute: they are killed and reaped, not waited for.
+    def fn(x):
+        if x == 0:
+            raise ValueError("first share failed")
+        time.sleep(60)
+
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match="first share failed"):
+        fork_map(fn, range(3), workers=3)
+    assert time.perf_counter() - started < 30
+    assert multiprocessing.active_children() == []
+
+
+def test_fork_map_child_killed_by_a_signal():
+    here = os.getpid()
+
+    def fn(x):
+        if os.getpid() != here:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return x
+
+    with pytest.raises(SamplerError, match="exited with code -9 before sending"):
+        fork_map(fn, range(2), workers=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_fork_map_reissues_child_warnings_in_item_order():
+    # Every item warns; the children's warnings come back with their
+    # category, message, file and line, after those of the first share.
+    def fn(x):
+        warnings.warn(f"item {x}", ItemWarning)
+        return x
+
+    line = fn.__code__.co_firstlineno + 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert fork_map(fn, range(5), workers=3) == list(range(5))
+    assert [str(w.message) for w in caught] == [f"item {x}" for x in range(5)]
+    assert {(w.category, w.filename, w.lineno) for w in caught} == {(ItemWarning, __file__, line)}
+
+
+def test_fork_map_runs_here_without_fork(monkeypatch):
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert fork_map(lambda x: os.getpid(), range(3), workers=3) == [os.getpid()] * 3
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_fork_map_needs_a_worker(workers):
+    with pytest.raises(PreconditionError, match="workers"):
+        fork_map(abs, [1], workers=workers)

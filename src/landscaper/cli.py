@@ -322,9 +322,7 @@ def cmd_experiment(args, argv) -> int:
         raise IngestError(f"unknown experiment name {args.name!r}")
     doc = load_json(args.config)
     what = f"{args.name} config {args.config}"
-    kw = read_document(doc, EXPERIMENT_CONFIGS[args.name], what)
-    if "model" not in kw:
-        raise IngestError(f"{what}: needs a model spec")
+    kw = read_document(doc, EXPERIMENT_CONFIGS[args.name], what, required=("model",))
     model = kw.pop("model")
     if args.seed is not None:
         kw["seed"] = args.seed

@@ -180,20 +180,27 @@ def _leapfrog(q, p, grad, eps, n_steps, inv_mass):
     return q, p, logp, grad
 
 
+def _kinetic(inv_mass, p) -> float:
+    """The kinetic energy of momentum p. A momentum too large to square gives
+    inf, which rejects the move, or counts it divergent, without a warning."""
+    with np.errstate(over="ignore"):
+        return float(0.5 * (inv_mass * p * p).sum())
+
+
 def _find_step_size(q, logp, grad, rng, inv_mass, sqrt_mass):
     """Crude doubling/halving search for a step size with ~50% acceptance."""
     eps = 1.0
     p = rng.standard_normal(q.shape) * sqrt_mass
-    h0 = -logp + 0.5 * (inv_mass * p * p).sum()
+    h0 = -logp + _kinetic(inv_mass, p)
     q1, p1, logp1, _ = yield from _leapfrog(q, p, grad, eps, 1, inv_mass)
-    log_ratio = -(-logp1 + 0.5 * (inv_mass * p1 * p1).sum()) + h0
+    log_ratio = -(-logp1 + _kinetic(inv_mass, p1)) + h0
     direction = 1 if log_ratio > math.log(0.5) else -1
     for _ in range(60):
         eps *= 2.0**direction
         if not (1e-10 < eps < 1e10):
             break
         q1, p1, logp1, _ = yield from _leapfrog(q, p, grad, eps, 1, inv_mass)
-        log_ratio = -(-logp1 + 0.5 * (inv_mass * p1 * p1).sum()) + h0
+        log_ratio = -(-logp1 + _kinetic(inv_mass, p1)) + h0
         if direction * log_ratio <= direction * math.log(0.5):
             break
     return float(min(max(eps, 1e-10), 1e10))
@@ -254,11 +261,11 @@ def _run_chain(init, rng, *, n_iterations, warmup, max_leapfrog, jitter_first):
         adapting = it < warmup
         p = rng.standard_normal(dim) * sqrt_mass
         n_steps = min(1 + int(rng.uniform() * max_leapfrog), max_leapfrog)
-        h0 = -logp + 0.5 * (inv_mass * p * p).sum()
+        h0 = -logp + _kinetic(inv_mass, p)
         q1, p1, logp1, grad1 = yield from _leapfrog(q, p, grad, eps, n_steps, inv_mass)
 
         if math.isfinite(logp1):
-            h1 = -logp1 + 0.5 * (inv_mass * p1 * p1).sum()
+            h1 = -logp1 + _kinetic(inv_mass, p1)
             energy_error = h1 - h0
         else:
             energy_error = np.inf

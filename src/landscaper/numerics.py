@@ -90,7 +90,7 @@ def nearest_rank(n: int, q: float) -> int:
 
 
 def lapack(*names) -> tuple:
-    """scipy's LAPACK wrappers of the given names, such as "dpotrf", in order.
+    """scipy's LAPACK wrappers of the given names, such as "dgtsv", in order.
 
     Loaded on first use rather than at import, so that importing the package
     (and so every CLI start) does not load scipy. Importing

@@ -355,17 +355,23 @@ def load_json(path):
             raise IngestError(f"{path}: not a JSON document: {exc}") from None
 
 
-def read_document(doc, converters: dict, what: str) -> dict:
+def read_document(doc, converters: dict, what: str, required=(), hint=None) -> dict:
     """The keys present in the JSON object `doc`, each value passed through its
     converter, which raises TypeError (IngestError for a nested document) for
-    a value it refuses. That, a key without a converter or a `doc` that is not
-    an object is an IngestError naming `what`: neither a misspelt key nor a
-    wrong-typed value falls back to a default."""
+    a value it refuses. That, a key without a converter, a missing key of
+    `required` or a `doc` that is not an object is an IngestError naming
+    `what`: neither a misspelt key nor a wrong-typed value falls back to a
+    default. The error for an unknown or missing key ends with `hint`, if
+    given."""
     if not isinstance(doc, dict):
         raise IngestError(f"{what} must be a JSON object, not {type(doc).__name__}")
     unknown = sorted(set(doc) - set(converters))
-    if unknown:
-        raise IngestError(f"{what}: unknown keys {unknown}; it takes {', '.join(converters)}")
+    missing = [key for key in required if key not in doc]
+    if unknown or missing:
+        keys = [f"{name} keys {found}" for name, found in (("unknown", unknown),
+                                                          ("missing", missing)) if found]
+        raise IngestError(f"{what}: {', '.join(keys)}; it takes {', '.join(converters)}"
+                          + (f"; {hint}" if hint else ""))
     out = {}
     for key, value in doc.items():
         try:

@@ -1,7 +1,7 @@
 """Independent oracle implementations used only by tests.
 
 These deliberately avoid the library's code paths: brute-force scans, the
-kernels written out from their formulas, direct matrix-inverse GP formulas,
+kernels and the reduced-rank basis written out from their formulas,
 plain-python density sums, a batch Monte Carlo first-passage simulator, and
 stationary states reached by a long Euler-Maruyama burn-in.
 They exist so that library results are checked against something that cannot
@@ -62,17 +62,21 @@ def increments_loglik(x, dx, dt, f_at_x, ghat_at_x):
     return total
 
 
-def whitened_values_direct(anchors, x, z, kernel, jitter_rel):
-    """Latent values at x implied by whitened anchors, via explicit inverses;
-    `kernel(a, b)` is a broadcasting covariance function."""
-    anchors = np.asarray(anchors, dtype=float)
-    k_ss = kernel(anchors[:, None], anchors[None, :])
-    delta = jitter_rel * float(np.mean(np.diag(k_ss)))
-    k_ss = k_ss + delta * np.eye(len(anchors))
-    chol = np.linalg.cholesky(k_ss)
-    f_anchor = chol @ np.asarray(z, dtype=float)
-    k_xs = kernel(np.asarray(x, dtype=float)[:, None], anchors[None, :])
-    return k_xs @ np.linalg.inv(k_ss) @ f_anchor
+def sine_basis(x, center, boundary, count):
+    """The Hilbert-space basis of Solin & Sarkka (2020) on [c - L, c + L] at
+    the points x, (len(x), count): phi_j(x) = sin(pi j (x - c + L) / 2L) /
+    sqrt(L) for j = 1..count, one value at a time."""
+    return np.array([[math.sin(math.pi * j * (xi - center + boundary) / (2.0 * boundary))
+                      / math.sqrt(boundary) for j in range(1, count + 1)]
+                     for xi in np.asarray(x, dtype=float)])
+
+
+def eq_spectral_sd(sigma_q, l, boundary, count):
+    """Square roots of the EQ kernel's spectral density S(w) = s_q^2 sqrt(2 pi)
+    l exp(-l^2 w^2 / 2) at the basis frequencies w_j = pi j / 2L, j = 1..count."""
+    return np.array([math.sqrt(sigma_q**2 * math.sqrt(2.0 * math.pi) * l
+                               * math.exp(-0.5 * (l * math.pi * j / (2.0 * boundary)) ** 2))
+                     for j in range(1, count + 1)])
 
 
 def first_passage_times(drift, diffusion, x0, barrier, dt, n_walkers, seed):

@@ -41,29 +41,33 @@ CUSP_SPEC = {"name": "cusp", "alpha": 0, "beta": 1, "lam": 0, "r": 1, "epsilon":
 
 def synthetic_posterior(bistable: bool, n_draws=40) -> Posterior:
     """Latent draws whose curves follow a cusp-like (or linear) drift and a
-    near-constant diffusion on data over [-2, 2]: each latent is
-    z = L^-1 (target values at the anchors), with L the anchor Cholesky factor
-    at fixed hyperparameters. The default layout puts the anchors and grid on
-    [-2.4, 2.4] with centre 0."""
+    near-constant diffusion on data over [-2, 2]: the latents are the least
+    squares fit of the target curves on the grid at fixed hyperparameters,
+    where each latent's curve is `curves_on` of its unit vector. The
+    default layout puts the grid on [-2.4, 2.4] with centre 0."""
     config = FitConfig()
-    _, anchors, center = config.layout(-2.0, 2.0)
+    m = config.n_anchors
+    grid, center, half_width = config.layout(-2.0, 2.0)
     rng = np.random.default_rng(8)
-    base = anchors - anchors**3 if bistable else -anchors
-    drift = base + 0.02 * rng.standard_normal((n_draws, anchors.size))
-    ghat = np.log(0.5 + 0.05 * rng.random((n_draws, anchors.size)))
+    base = grid - grid**3 if bistable else -grid
+    drift = base + 0.02 * rng.standard_normal((n_draws, grid.size))
+    ghat = np.log(0.5 + 0.05 * rng.random((n_draws, grid.size)))
     eta = np.log([2.0, 1.0, 2.0, 2.0, 2.0, 1.0])
-    chol_f, chol_g = (c.T for c in TargetContext((), (), (), anchors, center)._factors(eta[None]).chol_t)
-    theta = np.column_stack([np.linalg.solve(chol_f, drift.T).T,
-                             np.linalg.solve(chol_g, ghat.T).T,
+    units = np.column_stack([np.eye(2 * m), np.tile(eta, (2 * m, 1))])
+    unit_drift, unit_diffusion = TargetContext((), (), (), m, center, half_width).curves_on(
+        grid, units)
+    theta = np.column_stack([np.linalg.lstsq(unit_drift[:m].T, drift.T, rcond=None)[0].T,
+                             np.linalg.lstsq(np.log(unit_diffusion[m:]).T, ghat.T,
+                                             rcond=None)[0].T,
                              np.tile(eta, (n_draws, 1))])
     return Posterior(theta.reshape(2, n_draws // 2, -1), 0, (-2.0, 2.0), config)
 
 
 # The key that marks each layout earlier versions wrote: stored diagnostics,
 # a stored grid, anchors and centre, each config key that has been retired,
-# and stored curves without the chain draws.
+# the anchor model's draws, and stored curves without the draws.
 OLDER_LAYOUT_KEYS = ("diagnostics", "grid", "anchors_at_observations", "target_accept",
-                     "padding", "grid_size", "chain_draws")
+                     "padding", "grid_size", "chain_draws", "drift_draws")
 
 
 def older_layout(post: Posterior, key: str) -> dict:
@@ -78,11 +82,16 @@ def older_layout(post: Posterior, key: str) -> dict:
         stored = {kind: {name: v if math.isfinite(v) else None for name, v in values.items()}
                   for kind, values in post.diagnostics.items()}
         return {**doc, "diagnostics": stored, "converged": post.converged}
-    layout = {**doc, "grid": post.grid.tolist(), "anchors": post.anchors.tolist(),
-              "center": post.center}
+    if key == "chain_draws":
+        # The anchor model's latents, of the same shape as the basis's.
+        doc["chain_draws"] = doc.pop("basis_draws")
+        return doc
+    anchors = np.linspace(post.grid[0], post.grid[-1], post.config.n_anchors)
+    layout = {**doc, "grid": post.grid.tolist(), "anchors": anchors.tolist(),
+              "center": 0.5 * sum(post.data_range)}
     if key == "grid":
         return layout
-    del layout["chain_draws"]
+    del layout["basis_draws"]
     return {**layout, "drift_draws": post.drift_draws.tolist(),
             "diffusion_draws": post.diffusion_draws.tolist()}
 
@@ -370,13 +379,14 @@ class TestMalformedJson:
         assert str(post_path) in capsys.readouterr().err
 
     def test_derive_on_posterior_without_chain_draws(self, tmp_path, capsys):
-        doc = synthetic_posterior(bistable=True).to_json()
-        del doc["chain_draws"]
+        # The anchor model stored its draws as chain_draws, in the same shape
+        # and with another meaning: such a file must be re-fitted.
+        doc = older_layout(synthetic_posterior(bistable=True), "chain_draws")
         post_path = tmp_path / "posterior.json"
         dump_json(doc, post_path)
         assert run(["derive", "--posterior", post_path, "--out", tmp_path / "o"]) == cli.EXIT_PARSE
         err = capsys.readouterr().err
-        assert "chain_draws" in err and "re-fitted" in err
+        assert "chain_draws" in err and "basis_draws" in err and "re-fitted" in err
 
     @pytest.mark.parametrize("column, value", [(-5, -400.0), (-6, 400.0),
                                                (-1, inference.HYPER_BOUND + 1.0)])
@@ -385,7 +395,7 @@ class TestMalformedJson:
         # (drift EQ) overflow the kernel constants; a log length scale
         # (diffusion) just past HYPER_BOUND is outside the sampler's support.
         doc = synthetic_posterior(bistable=True).to_json()
-        doc["chain_draws"][1][3][column] = value
+        doc["basis_draws"][1][3][column] = value
         post_path = tmp_path / "posterior.json"
         dump_json(doc, post_path)
         assert run(["derive", "--posterior", post_path, "--out", tmp_path / "o"]) == cli.EXIT_PARSE

@@ -1,3 +1,4 @@
+import hashlib
 import multiprocessing
 import os
 import warnings
@@ -211,6 +212,24 @@ class TestSampler:
         chains = hmc.sample(target, np.zeros(2), n_chains=2, n_iterations=100, seed=0,
                             threads=2)
         assert chains.draws.shape == (2, 50, 2)
+
+    def test_stiff_target_warns_nothing_and_keeps_its_draws(self):
+        # A Gaussian of precision 1e200: momenta too large to square give an
+        # infinite kinetic energy, which rejects the move or counts it
+        # divergent, without a numpy overflow warning. The step sizes and the
+        # draws (sha256 of their bytes) are those the sampler gave when that
+        # warning still escaped.
+        def target(q):
+            with np.errstate(over="ignore", invalid="ignore"):
+                return -0.5 * 1e200 * float(q @ q), -1e200 * q
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            chains = hmc.sample(target, np.zeros(1), n_chains=2, n_iterations=100, seed=3)
+        assert chains.step_sizes.tolist() == [4.000612624682274e-13] * 2
+        assert chains.divergences == 100
+        assert hashlib.sha256(chains.draws.tobytes()).hexdigest() == (
+            "c80e713e616f116bda8461935a8befc7be58b39689345f91eef83ebcb1c126a5")
 
     def test_correlated_scale_adaptation(self):
         # widely different scales exercise the mass-matrix adaptation

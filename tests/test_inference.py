@@ -5,13 +5,14 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.stats import invgamma
 
 from landscaper import derived, inference
 from landscaper.errors import DegenerateDataError, IngestError, PreconditionError
 from landscaper.inference import (
+    BOUNDARY_FACTOR,
     HYPER_BOUND,
     HYPER_NAMES,
-    JITTER_REL,
     FitConfig,
     ModelState,
     Posterior,
@@ -25,7 +26,7 @@ from landscaper.sim import generate_short_series
 from landscaper.tsdata import (TimeSeries, TimeSeriesCollection, TransitionSet, dump_json,
                                to_transitions)
 
-from oracles import drift_kernel, eq_kernel, increments_loglik, whitened_values_direct
+from oracles import drift_kernel, eq_kernel, eq_spectral_sd, increments_loglik, sine_basis
 from test_cli import OLDER_LAYOUT_KEYS, older_layout
 
 
@@ -33,8 +34,17 @@ def synthetic_context(rng, n=40, m=10, offset=0.0):
     x = rng.uniform(-2, 2, n) + offset
     dx = rng.normal(0, 0.3, n)
     dt = rng.uniform(0.05, 0.5, n)
-    anchors = np.linspace(-2.4, 2.4, m) + offset
-    return TargetContext(x, dx, dt, anchors, center=offset)
+    return TargetContext(x, dx, dt, m, center=offset, half_width=2.4)
+
+
+def unit_curves(ctx, grid, eta):
+    """The drift and log-diffusion curves on `grid` of each latent's unit
+    vector at log hypers `eta`, (m, len(grid)) each: the curves are linear
+    in the latents, so these are the rows of the maps from z_f and z_g."""
+    m = ctx.m
+    units = np.column_stack([np.eye(2 * m), np.tile(eta, (2 * m, 1))])
+    drift, diffusion = ctx.curves_on(grid, units)
+    return drift[:m], np.log(diffusion[m:])
 
 
 def random_state(rng, m):
@@ -80,17 +90,18 @@ class TestLogPosterior:
                     assert rel.max() < 1e-5
 
     def test_gradient_is_shift_invariant_far_from_origin(self, rng):
-        # Shifting states, anchors and center together leaves the density
-        # unchanged. At 1e4 the length-scale terms cancel catastrophically
-        # unless (x - s)^2 is expanded in centred coordinates.
+        # The basis depends on x - c alone: shifting the states and the
+        # centre by 100 leaves the log density and gradient the same to
+        # rounding.
         ctx = synthetic_context(rng)
-        shift = 1e4
-        far = TargetContext(ctx.x + shift, ctx.dx, ctx.dt, ctx.anchors + shift, center=shift)
+        shift = 100.0
+        far = TargetContext(ctx.x + shift, ctx.dx, ctx.dt, ctx.m, center=shift, half_width=2.4)
         for _ in range(20):
             theta = random_state(rng, ctx.m)
-            grad = ctx.log_posterior_and_grad(theta)[1]
-            grad_far = far.log_posterior_and_grad(theta)[1]
-            assert np.abs(grad_far - grad).max() < 1e-7 * np.abs(grad).max()
+            lp, grad = ctx.log_posterior_and_grad(theta)
+            lp_far, grad_far = far.log_posterior_and_grad(theta)
+            assert lp_far == pytest.approx(lp, rel=1e-9, abs=0)
+            assert np.abs(grad_far - grad).max() <= 1e-9 * np.abs(grad).max()
 
     def test_nonfinite_state_gives_minus_inf(self, rng):
         ctx = synthetic_context(rng)
@@ -107,32 +118,21 @@ class TestLogPosterior:
             assert lp == -np.inf
             np.testing.assert_array_equal(grad, np.zeros_like(theta))
 
-    def test_batch_rows_are_independent(self, rng, monkeypatch):
-        # One batch mixes finite states with NaN, +-inf, a log hyper beyond
-        # HYPER_BOUND and an anchor covariance that LAPACK does not factor.
-        # A log length scale of -400 or log amplitude of +400 makes the
-        # kernel constants raise, so those rows must not reach `_factors`.
-        # Every good row is bit-equal to the same state evaluated alone and
-        # through `log_posterior`; every bad row is (-inf, zeros).
+    def test_batch_rows_are_independent(self, rng):
+        # One batch mixes finite states with NaN, +-inf and log hypers beyond
+        # HYPER_BOUND. A log length scale of -400 or log amplitude of +400
+        # would overflow the weight scales, so those rows must not be
+        # evaluated as they stand. Every good row is bit-equal to the same
+        # state evaluated alone and through `log_posterior`; every bad row
+        # is (-inf, zeros).
         ctx = synthetic_context(rng)
         m = ctx.m
         amplitude, length_scale = 2 * m, 2 * m + 1
-        # A drift amplitude no random state reaches marks the covariance whose
-        # factorisation is made to fail; the state itself is finite.
-        assert math.isfinite(ctx.log_posterior_and_grad(np.r_[np.zeros(2 * m), 4.0, np.zeros(5)])[0])
-        potrf = ctx._potrf
-
-        def failing_potrf(a, **kwargs):
-            marked = a[0, 0] > 1e3
-            c, info = potrf(a, **kwargs)
-            return c, (1 if marked else info)
-
-        monkeypatch.setattr(ctx, "_potrf", failing_potrf)
         bad = []
         for index, value in [(0, np.nan), (m, np.inf), (amplitude, -np.inf),
                              (length_scale, np.nan), (amplitude, HYPER_BOUND + 0.5),
-                             (length_scale, -HYPER_BOUND - 0.5), (amplitude, 4.0),
-                             (length_scale, -400.0), (amplitude, 400.0)]:
+                             (length_scale, -HYPER_BOUND - 0.5), (length_scale, -400.0),
+                             (amplitude, 400.0)]:
             theta = random_state(rng, m)
             theta[index] = value
             bad.append(theta)
@@ -148,8 +148,9 @@ class TestLogPosterior:
                 np.testing.assert_array_equal(grad, np.zeros_like(theta))
                 continue
             alone = ctx.log_posterior_and_grad(theta)
-            state = ModelState(theta[:m], theta[m:2 * m], theta[2 * m:2 * m + 4], theta[2 * m + 4:])
-            public = log_posterior(state, transitions, ctx.anchors)
+            state = ModelState(theta[:m], theta[m:2 * m], theta[2 * m:2 * m + 4],
+                               theta[2 * m + 4:])
+            public = log_posterior(state, transitions, np.linspace(-2.4, 2.4, m))
             for other_lp, other_grad in (alone, public):
                 assert lp == other_lp
                 np.testing.assert_array_equal(grad, other_grad)
@@ -169,8 +170,7 @@ class TestLogPosterior:
             np.testing.assert_array_equal(vars(ctx)[name], value)
 
     def test_prior_only_when_no_data(self, rng):
-        anchors = np.linspace(-1, 1, 8)
-        ctx = TargetContext(np.empty(0), np.empty(0), np.empty(0), anchors, center=0.0)
+        ctx = TargetContext(np.empty(0), np.empty(0), np.empty(0), 8, center=0.0, half_width=1.0)
         theta = random_state(rng, 8)
         lp, grad = ctx.log_posterior_and_grad(theta)
         np.testing.assert_allclose(grad[:16], -theta[:16], atol=1e-12)
@@ -187,30 +187,29 @@ class TestLogPosterior:
         theta = random_state(rng, 9)
         z_f, z_g = theta[:9], theta[9:18]
         s_qf, l_f, s_b, s_l, s_qg, l_g = np.exp(theta[18:])
-        f_x = whitened_values_direct(
-            ctx.anchors, ctx.x, z_f,
-            lambda a, b: drift_kernel(a, b, s_qf, l_f, s_b, s_l, c=0.0), JITTER_REL)
-        g_x = whitened_values_direct(
-            ctx.anchors, ctx.x, z_g, lambda a, b: eq_kernel(a, b, s_qg, l_g),
-            JITTER_REL)
+        boundary = BOUNDARY_FACTOR * 2.4
+        phi = sine_basis(ctx.x, 0.0, boundary, 9)
+        f_x = (phi[:, :7] @ (eq_spectral_sd(s_qf, l_f, boundary, 7) * z_f[:7])
+               + s_b * z_f[7] + s_l * z_f[8] * ctx.x)
+        g_x = phi @ (eq_spectral_sd(s_qg, l_g, boundary, 9) * z_g)
 
         lp1 = ctx.log_posterior_and_grad(theta)[0]
-        prior = TargetContext(np.empty(0), np.empty(0), np.empty(0),
-                              ctx.anchors, 0.0).log_posterior_and_grad(theta)[0]
+        prior = TargetContext(np.empty(0), np.empty(0), np.empty(0), 9, 0.0,
+                              2.4).log_posterior_and_grad(theta)[0]
         expected_lik = increments_loglik(ctx.x, ctx.dx, ctx.dt, f_x, g_x)
-        assert lp1 - prior == pytest.approx(expected_lik, rel=1e-6)
+        assert lp1 - prior == pytest.approx(expected_lik, rel=1e-9)
 
         # doubling every dt changes only the likelihood term
-        ctx2 = TargetContext(ctx.x, ctx.dx, 2.0 * ctx.dt, ctx.anchors, 0.0)
+        ctx2 = TargetContext(ctx.x, ctx.dx, 2.0 * ctx.dt, 9, 0.0, 2.4)
         lp2 = ctx2.log_posterior_and_grad(theta)[0]
         expected_lik2 = increments_loglik(ctx.x, ctx.dx, 2.0 * ctx.dt, f_x, g_x)
-        assert lp2 - lp1 == pytest.approx(expected_lik2 - expected_lik, rel=1e-6)
+        assert lp2 - lp1 == pytest.approx(expected_lik2 - expected_lik, rel=1e-9)
 
     def test_permutation_invariance(self, rng):
         ctx = synthetic_context(rng)
         theta = random_state(rng, ctx.m)
         perm = rng.permutation(ctx.x.size)
-        ctx_p = TargetContext(ctx.x[perm], ctx.dx[perm], ctx.dt[perm], ctx.anchors, 0.0)
+        ctx_p = TargetContext(ctx.x[perm], ctx.dx[perm], ctx.dt[perm], ctx.m, 0.0, 2.4)
         lp1 = ctx.log_posterior_and_grad(theta)[0]
         lp2 = ctx_p.log_posterior_and_grad(theta)[0]
         assert lp1 == pytest.approx(lp2, rel=1e-12)
@@ -218,51 +217,76 @@ class TestLogPosterior:
     def test_public_wrapper_and_anchor_coverage(self, rng):
         series = TimeSeries("a", [0, 1, 2], [0.0, 0.5, -0.2])
         tset = to_transitions(TimeSeriesCollection((series,)))
-        anchors = np.linspace(-1, 1, 6)
+        domain = np.linspace(-1, 1, 6)
         state = ModelState(np.zeros(6), np.zeros(6), np.zeros(4), np.zeros(2))
-        lp, grad = log_posterior(state, tset, anchors)
+        lp, grad = log_posterior(state, tset, domain)
         assert math.isfinite(lp) and grad.shape == (18,)
         with pytest.raises(PreconditionError, match="cover"):
             log_posterior(state, tset, np.linspace(-0.1, 0.1, 6))
+        with pytest.raises(PreconditionError, match="half-width"):
+            log_posterior(state, tset, np.zeros(6))
 
-    def test_whitened_prior_covariance(self, rng):
-        # prior draws of f at anchors should have sample covariance ~ K_f
-        anchors = np.linspace(-1.5, 1.5, 8)
-        ctx = TargetContext(np.empty(0), np.empty(0), np.empty(0), anchors, 0.0)
-        eta = np.array([math.log(1.3), math.log(0.9), math.log(0.6),
-                        math.log(0.8), 0.0, 0.0])
-        k_true = drift_kernel(anchors[:, None], anchors[None, :],
-                              sigma_q=1.3, l=0.9, sigma_b=0.6, sigma_l=0.8, c=0.0)
-        draws = np.empty((10_000, 8))
-        for i in range(draws.shape[0]):
-            z = rng.standard_normal(8)
-            theta = np.concatenate([z, np.zeros(8), eta])
-            f_grid, _ = ctx.curves_on(anchors, theta)
-            draws[i] = f_grid
-        sample_cov = np.cov(draws.T)
-        scale = float(np.max(np.diag(k_true)))
-        assert np.max(np.abs(sample_cov - k_true)) < 0.05 * scale
-
-    def test_curves_match_direct_gp_formulas(self, rng):
-        # The curves on a grid inside the anchors are the GP conditional means
-        # given the whitened anchor values, here by explicit inverses, with
-        # the linear drift kernel centred away from the origin and the drift
-        # and diffusion length scales apart.
-        anchors, center = np.linspace(0.5, 3.5, 7), 2.0
-        grid = np.linspace(0.6, 3.4, 23)
-        ctx = TargetContext(np.empty(0), np.empty(0), np.empty(0), anchors, center)
+    def test_basis_prior_covariance_is_exact(self):
+        # The latents are N(0, I) and the curves linear in them, so a curve's
+        # prior covariance is J^T J, J the curves of the unit latents. It is
+        # Phi diag(S) Phi^T + sigma_b^2 + sigma_l^2 (x - c)(x' - c) for the
+        # drift (m - 2 sine functions) and Phi diag(S) Phi^T for the log
+        # diffusion (m), with the linear term centred away from the origin.
+        m, center, half_width = 12, 2.0, 1.5
+        grid = np.linspace(0.5, 3.5, 23)
+        ctx = TargetContext(np.empty(0), np.empty(0), np.empty(0), m, center, half_width)
         s_qf, l_f, s_b, s_l, s_qg, l_g = 1.3, 0.7, 0.6, 0.8, 0.9, 1.4
-        for _ in range(5):
-            z_f, z_g = rng.standard_normal(7), rng.standard_normal(7)
-            theta = np.concatenate([z_f, z_g, np.log([s_qf, l_f, s_b, s_l, s_qg, l_g])])
+        j_f, j_g = unit_curves(ctx, grid, np.log([s_qf, l_f, s_b, s_l, s_qg, l_g]))
+        boundary = BOUNDARY_FACTOR * half_width
+        phi = sine_basis(grid, center, boundary, m)
+        sd_f = eq_spectral_sd(s_qf, l_f, boundary, m - 2)
+        sd_g = eq_spectral_sd(s_qg, l_g, boundary, m)
+        k_f = ((phi[:, :m - 2] * sd_f**2) @ phi[:, :m - 2].T
+               + drift_kernel(grid[:, None], grid[None, :], 0.0, 1.0, s_b, s_l, c=center))
+        k_g = (phi * sd_g**2) @ phi.T
+        for j, k in ((j_f, k_f), (j_g, k_g)):
+            np.testing.assert_allclose(j.T @ j, k, rtol=0, atol=1e-12 * np.abs(k).max())
+
+    def test_basis_kernel_is_close_to_the_eq_kernel(self, readme_dataset):
+        # On the README data's padded range, over length scales between the
+        # IG(5, 5) prior's 1 % and 95 % quantiles, the basis covariance of
+        # the log diffusion at m and at m - 2 functions (the drift's count)
+        # is within 0.01 sigma^2 of the EQ kernel it approximates.
+        grid, center, half_width = FitConfig().layout(*readme_dataset.value_range)
+        points = np.linspace(grid[0], grid[-1], 61)
+        lo, hi = invgamma(inference.LEN_PRIOR[0], scale=inference.LEN_PRIOR[1]).ppf([0.01, 0.95])
+        for count in (FitConfig().n_anchors - 2, FitConfig().n_anchors):
+            ctx = TargetContext(np.empty(0), np.empty(0), np.empty(0), count, center, half_width)
+            for l in np.geomspace(lo, hi, 15):
+                _, j_g = unit_curves(ctx, points, np.log([1.0, 1.0, 1.0, 1.0, 1.0, l]))
+                exact = eq_kernel(points[:, None], points[None, :], 1.0, l)
+                assert np.abs(j_g.T @ j_g - exact).max() <= 0.01, (count, l)
+
+    def test_curves_match_direct_basis_formulas(self, rng):
+        # The curves are the basis written out from its formula times the
+        # weights, with the linear drift term centred away from the origin
+        # and the drift and diffusion length scales apart; a stack of states
+        # gives each state's curves.
+        m, center, half_width = 7, 2.0, 1.5
+        grid = np.linspace(0.6, 3.4, 23)
+        ctx = TargetContext(np.empty(0), np.empty(0), np.empty(0), m, center, half_width)
+        s_qf, l_f, s_b, s_l, s_qg, l_g = 1.3, 0.7, 0.6, 0.8, 0.9, 1.4
+        boundary = BOUNDARY_FACTOR * half_width
+        phi = sine_basis(grid, center, boundary, m)
+        thetas = np.array([np.concatenate([rng.standard_normal(2 * m),
+                                           np.log([s_qf, l_f, s_b, s_l, s_qg, l_g])])
+                           for _ in range(5)])
+        drifts, diffusions = ctx.curves_on(grid, thetas)
+        assert drifts.shape == diffusions.shape == (5, grid.size)
+        for theta, drift_row, diffusion_row in zip(thetas, drifts, diffusions):
+            z_f, z_g = theta[:m], theta[m:2 * m]
+            f_direct = (phi[:, :m - 2] @ (eq_spectral_sd(s_qf, l_f, boundary, m - 2) * z_f[:m - 2])
+                        + s_b * z_f[m - 2] + s_l * z_f[m - 1] * (grid - center))
+            ghat_direct = phi @ (eq_spectral_sd(s_qg, l_g, boundary, m) * z_g)
             drift, diffusion = ctx.curves_on(grid, theta)
-            f_direct = whitened_values_direct(
-                anchors, grid, z_f,
-                lambda a, b: drift_kernel(a, b, s_qf, l_f, s_b, s_l, c=center), JITTER_REL)
-            ghat_direct = whitened_values_direct(
-                anchors, grid, z_g, lambda a, b: eq_kernel(a, b, s_qg, l_g), JITTER_REL)
-            for got, want in ((drift, f_direct), (np.log(diffusion), ghat_direct)):
-                assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max()
+            for got, want in ((drift, f_direct), (np.log(diffusion), ghat_direct),
+                              (drift_row, f_direct), (np.log(diffusion_row), ghat_direct)):
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestReferenceKernels:
@@ -320,10 +344,17 @@ class TestStateAndConfig:
     def test_layout_is_the_padded_data_range(self):
         # PADDING 0.1 of the width 10 widens [-1, 9] by 1 at each end.
         assert (inference.PADDING, inference.GRID_SIZE) == (0.1, 200)
-        grid, anchors, center = FitConfig(n_anchors=5).layout(-1.0, 9.0)
+        grid, center, half_width = FitConfig(n_anchors=5).layout(-1.0, 9.0)
         np.testing.assert_array_equal(grid, np.linspace(-2.0, 10.0, 200))
-        np.testing.assert_array_equal(anchors, np.linspace(-2.0, 10.0, 5))
-        assert center == 4.0
+        assert (center, half_width) == (4.0, 6.0)
+
+    def test_layout_shifts_with_the_data(self):
+        # Data shifted by 100 shift the grid and the centre by 100 and leave
+        # the half-width, and so the basis, as it was.
+        grid, center, half_width = FitConfig().layout(-1.0, 9.0)
+        grid_far, center_far, half_far = FitConfig().layout(99.0, 109.0)
+        np.testing.assert_allclose(grid_far, grid + 100.0, rtol=0, atol=1e-12)
+        assert (center_far, half_far) == (center + 100.0, half_width)
 
     @pytest.mark.parametrize("lo, hi", [(1.0, 1.0), (2.0, 1.0), (0.0, math.inf),
                                         (math.nan, 1.0)])
@@ -377,15 +408,14 @@ class TestFit:
         span = hi - lo
         assert post.grid[0] == pytest.approx(lo - 0.1 * span)
         assert post.grid[-1] == pytest.approx(hi + 0.1 * span)
-        grid, anchors, center = post.config.layout(lo, hi)
+        grid, _, _ = post.config.layout(lo, hi)
         assert post.data_range == (lo, hi)
-        assert np.array_equal(post.grid, grid) and np.array_equal(post.anchors, anchors)
-        assert post.center == center
+        assert np.array_equal(post.grid, grid)
 
     def test_posterior_json_round_trip(self, small_posterior):
         post, _ = small_posterior
         back = Posterior.from_json(json.loads(json.dumps(post.to_json())))
-        assert np.array_equal(back.chain_draws, post.chain_draws)
+        assert np.array_equal(back.basis_draws, post.basis_draws)
         assert np.array_equal(back.drift_draws, post.drift_draws)
         assert np.array_equal(back.diffusion_draws, post.diffusion_draws)
         assert back.config == post.config
@@ -394,12 +424,12 @@ class TestFit:
     def test_loaded_posterior_rediagnoses_exactly(self, small_posterior):
         post, _ = small_posterior
         back = Posterior.from_json(json.loads(json.dumps(post.to_json())))
-        m = back.anchors.size
+        m = back.config.n_anchors
         names = [f"z_drift[{i}]" for i in range(m)] + [f"z_diff[{i}]" for i in range(m)]
         names += list(HYPER_NAMES)
-        assert back.chain_draws.shape == (2, 200, len(names))
+        assert back.basis_draws.shape == (2, 200, len(names))
         for j, name in enumerate(names):
-            series = back.chain_draws[:, :, j]
+            series = back.basis_draws[:, :, j]
             if j >= 2 * m:
                 series = np.exp(series)
             assert rhat(series) == post.diagnostics["rhat"][name], name
@@ -408,7 +438,7 @@ class TestFit:
     def test_diagnostics_are_not_stored(self, small_posterior):
         post, _ = small_posterior
         doc = post.to_json()
-        assert set(doc) == {"chain_draws", "divergences", "data_range", "config"}
+        assert set(doc) == {"basis_draws", "divergences", "data_range", "config"}
         back = Posterior.from_json(json.loads(json.dumps(doc)))
         assert "diagnostics" not in vars(back) and "converged" not in vars(back)
         assert back.diagnostics == post.diagnostics
@@ -426,9 +456,9 @@ class TestFit:
         ({"data_range": [1.0, 1.0]}, "range"),
         ({"config": {"n_chains": 0}}, "n_chains"),
         ({"config": {"n_chains": "2"}}, "n_chains"),
-        ({"chain_draws": [[[0.0]]]}, "shape"),
-        ({"chain_draws": [[[0.0], [0.0, 1.0]]]}, "one length"),
-        ({"chain_draws": "draws"}, "list"),
+        ({"basis_draws": [[[0.0]]]}, "shape"),
+        ({"basis_draws": [[[0.0], [0.0, 1.0]]]}, "one length"),
+        ({"basis_draws": "draws"}, "list"),
     ])
     def test_bad_value_is_refused_without_a_refit_hint(self, small_posterior, change, problem):
         post, _ = small_posterior
@@ -439,23 +469,23 @@ class TestFit:
     def test_malformed_posterior_document_rejected(self, small_posterior):
         post, _ = small_posterior
         doc = post.to_json()
-        old = {k: v for k, v in doc.items() if k != "chain_draws"}
+        old = {k: v for k, v in doc.items() if k != "basis_draws"}
         old["drift_draws"] = post.drift_draws.tolist()
         with pytest.raises(IngestError, match="re-fitted"):
             Posterior.from_json(old)
-        short = {**doc, "chain_draws": post.chain_draws[:, :, :-1].tolist()}
+        short = {**doc, "basis_draws": post.basis_draws[:, :, :-1].tolist()}
         with pytest.raises(IngestError, match="shape"):
             Posterior.from_json(short)
-        nan = post.chain_draws.copy()
+        nan = post.basis_draws.copy()
         nan[1, 5, -1] = np.nan
         with pytest.raises(IngestError, match="finite"):
-            Posterior.from_json(json.loads(json.dumps({**doc, "chain_draws": nan.tolist()})))
+            Posterior.from_json(json.loads(json.dumps({**doc, "basis_draws": nan.tolist()})))
         with pytest.raises(PreconditionError, match="shape"):
-            dataclasses.replace(post, chain_draws=post.chain_draws[0])
-        beyond = post.chain_draws.copy()
+            dataclasses.replace(post, basis_draws=post.basis_draws[0])
+        beyond = post.basis_draws.copy()
         beyond[0, 2, -1] = HYPER_BOUND + 1.0
         with pytest.raises(PreconditionError, match="HYPER_BOUND"):
-            dataclasses.replace(post, chain_draws=beyond)
+            dataclasses.replace(post, basis_draws=beyond)
         for data_range in ([1.0, 1.0], [1.0], [0.0, "x"], [True, 2.5], [0.0, 1.0, 2.0],
                            [math.nan, 1.0], "01", {"lo": 0.0, "hi": 1.0}):
             with pytest.raises(IngestError, match="malformed posterior document"):
@@ -477,27 +507,6 @@ class TestFit:
         with pytest.raises(PreconditionError, match="drfit"):
             post.band("drfit", 0.025, 0.975)
 
-    def test_shift_equivariance(self, bistable_cusp):
-        # Shifting all values must shift the curves' support and nothing else.
-        # Rounding at the shifted scale decoheres the chains, so the draws are
-        # compared at distribution level with an MCSE-scaled tolerance.
-        ds = generate_short_series(bistable_cusp, 30, 3, 0.1, seed=23)
-        shift = 100.0
-        shifted = TimeSeriesCollection(tuple(
-            TimeSeries(s.unit_id, s.times, s.values + shift) for s in ds.collection.series
-        ))
-        cfg = FitConfig(n_chains=2, n_iterations=1000, seed=11, max_leapfrog=48)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            a = fit(ds.collection, cfg)
-            b = fit(shifted, cfg)
-        np.testing.assert_allclose(b.grid, a.grid + shift, rtol=0, atol=1e-9)
-        assert b.center == pytest.approx(a.center + shift, abs=1e-9)
-        sd = np.maximum(a.drift_draws.std(axis=0), 1e-3)
-        assert np.max(np.abs(b.drift_draws.mean(0) - a.drift_draws.mean(0)) / sd) < 0.35
-        gsd = np.maximum(a.diffusion_draws.std(axis=0), 1e-3)
-        assert np.max(np.abs(b.diffusion_draws.mean(0) - a.diffusion_draws.mean(0)) / gsd) < 0.35
-
     def test_one_chain_posterior_is_strict_json(self, readme_dataset, tmp_path):
         # One chain has no Rhat or ESS. Neither is stored, so the file holds
         # no bare NaN, and both read back as NaN from the draws.
@@ -517,7 +526,7 @@ class TestFit:
                    for v in back.diagnostics[kind].values())
         assert not back.converged
         assert back.convergence_problem() == "Rhat needs at least 2 chains"
-        assert np.array_equal(back.chain_draws, post.chain_draws)
+        assert np.array_equal(back.basis_draws, post.basis_draws)
 
 
 class TestPaperBistableClaim:
@@ -525,10 +534,10 @@ class TestPaperBistableClaim:
     with 4 chains of 200 iterations instead of 2000. These fits do not converge
     (max Rhat stays above 1.05), so the claim is checked on the draws as they
     are, with thresholds fixed beforehand. At fit seeds 7 to 16, P(2) was
-    0.947-0.995, every interval held 0, and the mean-drift stable points lay
-    within 0.08 of -1 and +1."""
+    0.941-0.988 (0.941-0.980 at the five seeds tested), every interval held
+    0, and the mean-drift stable points lay within 0.09 of -1 and +1."""
 
-    @pytest.mark.parametrize("seed", [7, 8])
+    @pytest.mark.parametrize("seed", [7, 8, 9, 10, 11])
     def test_two_stable_states_and_tipping_at_zero(self, readme_dataset, seed):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")

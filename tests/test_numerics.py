@@ -52,18 +52,30 @@ def test_cli_import_leaves_out_scipy_integrate(tmp_path):
 
 
 def test_lapack_loads_without_scipy_linalg():
-    # A context and the exit-time solver take scipy's LAPACK wrappers without
-    # importing the scipy.linalg package, and they are the ones that package
-    # exports.
-    code = ("import sys; import numpy as np; from landscaper import inference, numerics; "
-            "c = inference.TargetContext(np.zeros(3), np.ones(3), np.ones(3), "
-            "np.linspace(-1, 1, 4), 0.0); "
-            "routines = (c._potrf, c._trtri, c._trtrs) + numerics.lapack('dgtsv'); "
+    # The exit-time solver takes scipy's LAPACK wrapper without importing the
+    # scipy.linalg package, and it is the one that package exports.
+    code = ("import sys; from landscaper import numerics; "
+            "routines = numerics.lapack('dgtsv'); "
             "print('scipy.linalg' in sys.modules); "
             "from scipy.linalg import lapack; "
-            "expected = (lapack.dpotrf, lapack.dtrtri, lapack.dtrtrs, lapack.dgtsv); "
-            "print(routines == expected, numerics.lapack('dgtsv') == (lapack.dgtsv,))")
-    assert run_fresh(code).split() == ["False", "True", "True"]
+            "print(routines == (lapack.dgtsv,))")
+    assert run_fresh(code).split() == ["False", "True"]
+
+
+def test_fit_loads_no_scipy():
+    # The sampler's target is numpy alone: a fit, its posterior and a reload
+    # of it import no scipy module.
+    code = ("import json, sys, warnings; import numpy as np; "
+            "from landscaper import inference, tsdata; "
+            "rng = np.random.default_rng(0); "
+            "c = tsdata.TimeSeriesCollection(tuple(tsdata.TimeSeries(f's{i}', np.arange(4.0), "
+            "rng.standard_normal(4)) for i in range(6))); "
+            "warnings.simplefilter('ignore'); "
+            "post = inference.fit(c, inference.FitConfig(n_chains=2, n_iterations=100, "
+            "n_anchors=6)); "
+            "inference.Posterior.from_json(json.loads(json.dumps(post.to_json()))); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert run_fresh(code).strip() == "[]"
 
 
 def test_only_numerics_imports_scipy():

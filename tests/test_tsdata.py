@@ -338,6 +338,17 @@ class TestReadDocument:
         with pytest.raises(IngestError, match=r"doc: unknown keys \['m'\]"):
             read_document({"n": 1, "m": 2}, self.CONVERTERS, "doc")
 
+    def test_rejects_a_missing_required_key_with_the_hint(self):
+        # Unknown and missing keys are one layout error, which ends with the
+        # hint; a wrong-typed value is not a layout error and has no hint.
+        with pytest.raises(IngestError, match=r"doc: unknown keys \['m'\], missing keys "
+                                              r"\['x'\]; it takes n, x, name, ns; remake it$"):
+            read_document({"n": 1, "m": 2}, self.CONVERTERS, "doc", required=("n", "x"),
+                          hint="remake it")
+        with pytest.raises(IngestError, match=r"doc: n: expected an integer, got '1'$"):
+            read_document({"n": "1", "x": 2}, self.CONVERTERS, "doc", required=("n", "x"),
+                          hint="remake it")
+
     @pytest.mark.parametrize("key, value", [
         ("n", 2.5), ("n", True), ("n", "3"), ("n", None),
         ("x", "x"), ("x", False), ("x", [1.0]), ("x", None),

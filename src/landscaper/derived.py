@@ -37,6 +37,20 @@ DENSITY_FLOOR = 1e-300
 # Fewest draws sharing the posterior-mean tipping point that an exit-time band
 # is computed from.
 MIN_RETAINED = 10
+# Fewest valid single-tipping draws that a tipping region is computed from.
+MIN_TIPPING_DRAWS = 20
+
+
+def _check_curves(grid, drift, diffusion):
+    """CurvePair's checks, on one curve or on a (draws, grid) stack of them."""
+    if grid.ndim != 1 or drift.shape != diffusion.shape or drift.shape[-1:] != grid.shape:
+        raise PreconditionError("curve arrays must have equal length")
+    if len(grid) < 3:
+        raise PreconditionError("need at least 3 grid points")
+    if np.any(np.diff(grid) <= 0):
+        raise PreconditionError("grid must be strictly increasing")
+    if np.any(diffusion <= 0):
+        raise PreconditionError("diffusion must be strictly positive")
 
 
 @dataclass(frozen=True)
@@ -51,14 +65,7 @@ class CurvePair:
         object.__setattr__(self, "grid", np.asarray(self.grid, dtype=float))
         object.__setattr__(self, "drift", np.asarray(self.drift, dtype=float))
         object.__setattr__(self, "diffusion", np.asarray(self.diffusion, dtype=float))
-        if not (len(self.grid) == len(self.drift) == len(self.diffusion)):
-            raise PreconditionError("curve arrays must have equal length")
-        if len(self.grid) < 3:
-            raise PreconditionError("need at least 3 grid points")
-        if np.any(np.diff(self.grid) <= 0):
-            raise PreconditionError("grid must be strictly increasing")
-        if np.any(self.diffusion <= 0):
-            raise PreconditionError("diffusion must be strictly positive")
+        _check_curves(self.grid, self.drift, self.diffusion)
 
 
 @dataclass(frozen=True)
@@ -146,70 +153,67 @@ def potential(cp: CurvePair) -> np.ndarray:
     return -cumulative_trapezoid(cp.drift, cp.grid)
 
 
+def _crossings(grid: np.ndarray, drift: np.ndarray):
+    """Row, location and direction (True = downward = stable), in row-major
+    order, of every sign change between consecutive nonzero values of a row
+    of a (rows, grid) drift array, located by linear interpolation."""
+    rows, cols = np.nonzero(drift != 0.0)
+    f = drift[rows, cols]
+    positive = f > 0
+    i = np.flatnonzero((positive[:-1] != positive[1:]) & (rows[:-1] == rows[1:]))
+    a, b, fa, fb = cols[i], cols[i + 1], f[i], f[i + 1]
+    return rows[i], grid[a] - fa * (grid[b] - grid[a]) / (fb - fa), positive[i]
+
+
 def classify_roots(cp: CurvePair) -> StabilityStructure:
     """Locate strict sign changes of the drift by linear interpolation.
 
     Touching zero without changing sign is not a root. The structure is valid
     when there is exactly one more stable point than tipping points.
     """
-    f = cp.drift
-    x = cp.grid
-    nz = np.flatnonzero(f != 0.0)
-    stable: list[float] = []
-    tipping: list[float] = []
-    if nz.size >= 2:
-        positive = f[nz] > 0
-        for i in np.flatnonzero(positive[:-1] != positive[1:]):
-            a, b = nz[i], nz[i + 1]
-            loc = float(x[a] - f[a] * (x[b] - x[a]) / (f[b] - f[a]))
-            (stable if f[a] > 0 else tipping).append(loc)
-    valid = len(stable) == len(tipping) + 1
-    return StabilityStructure(tuple(stable), tuple(tipping), valid)
+    _, loc, down = _crossings(cp.grid, cp.drift[None])
+    stable, tipping = tuple(loc[down].tolist()), tuple(loc[~down].tolist())
+    return StabilityStructure(stable, tipping, len(stable) == len(tipping) + 1)
 
 
-def _draw_structures(p):
-    """Each posterior draw's CurvePair and its StabilityStructure."""
-    for f, g in zip(p.drift_draws, p.diffusion_draws):
-        cp = CurvePair(p.grid, f, g)
-        yield cp, classify_roots(cp)
-
-
-def _one_tipping_point(s: StabilityStructure) -> bool:
-    return s.valid and len(s.tipping_points) == 1
+def _roots(p):
+    """Each draw's stable count, whether its root structure is valid, and its
+    tipping point if it has exactly one, i.e. is valid with two stable points."""
+    _check_curves(p.grid, p.drift_draws, p.diffusion_draws)
+    n = len(p.drift_draws)
+    rows, loc, down = _crossings(p.grid, p.drift_draws)
+    stable = np.bincount(rows[down], minlength=n)
+    valid = stable == np.bincount(rows[~down], minlength=n) + 1
+    single = ~down & (valid & (stable == 2))[rows]
+    tipping = np.full(n, np.nan)
+    tipping[rows[single]] = loc[single]
+    return stable, valid, tipping
 
 
 def multistability_posterior(p) -> MultistabilityPosterior:
     """Histogram of stable-state counts over valid posterior draws."""
-    structures = [s for _, s in _draw_structures(p)]
-    if not structures:
+    if len(p.drift_draws) == 0:
         raise PreconditionError("posterior has no draws")
-    counts: dict[int, int] = {}
-    kept = 0
-    for s in structures:
-        if not s.valid:
-            continue
-        kept += 1
-        k = len(s.stable_points)
-        counts[k] = counts.get(k, 0) + 1
+    stable, valid, _ = _roots(p)
+    kept = int(valid.sum())
     if kept == 0:
         raise DegenerateDataError("every posterior draw has an ambiguous root structure")
+    counts = np.bincount(stable[valid]).tolist()
     return MultistabilityPosterior(
-        probabilities={k: v / kept for k, v in sorted(counts.items())},
-        discarded_fraction=1.0 - kept / len(structures),
-        n_draws=len(structures),
+        probabilities={k: c / kept for k, c in enumerate(counts) if c},
+        discarded_fraction=1.0 - kept / len(valid),
+        n_draws=len(valid),
     )
 
 
 def tipping_region(p) -> TippingRegion:
-    """Mean and central 50%/95% intervals of the tipping location.
-
-    Uses draws that are valid and have exactly one tipping point; requires at
-    least 20 of them.
-    """
-    locs = [s.tipping_points[0] for _, s in _draw_structures(p) if _one_tipping_point(s)]
-    if len(locs) < 20:
-        raise PreconditionError(f"only {len(locs)} valid bistable draws; need >= 20")
-    arr = np.asarray(locs)
+    """Mean and central 50%/95% intervals of the tipping location, over the
+    valid draws with one tipping point; needs MIN_TIPPING_DRAWS of them."""
+    stable, valid, tipping = _roots(p)
+    arr = tipping[valid & (stable == 2)]
+    if len(arr) < MIN_TIPPING_DRAWS:
+        raise PreconditionError(
+            f"only {len(arr)} valid bistable draws; need >= {MIN_TIPPING_DRAWS}")
     q = np.quantile(arr, [0.025, 0.25, 0.75, 0.975])
     return TippingRegion(
         mean=float(arr.mean()),
@@ -292,32 +296,28 @@ def exit_time_band(p) -> ExitTimeBand:
     grid = p.grid
     mean_cp = CurvePair(grid, p.drift_draws.mean(axis=0), p.diffusion_draws.mean(axis=0))
     structure = classify_roots(mean_cp)
-    if not _one_tipping_point(structure):
+    if not (structure.valid and len(structure.tipping_points) == 1):
         raise DegenerateDataError("posterior-mean drift is not bistable")
     tip = structure.tipping_points[0]
-    cell = _uniform_spacing(grid)
+    stable, valid, tipping = _roots(p)
+    near = valid & (stable == 2) & (np.abs(tipping - tip) <= _uniform_spacing(grid))
 
     solutions = []
-    for cp, s in _draw_structures(p):
-        if not _one_tipping_point(s) or abs(s.tipping_points[0] - tip) > cell:
-            continue
+    for f, g in zip(p.drift_draws[near], p.diffusion_draws[near]):
         try:
-            solutions.append(exit_time(cp, tip).times)
+            solutions.append(exit_time(CurvePair(grid, f, g), tip))
         except DegenerateDataError:
             continue
     if len(solutions) < MIN_RETAINED:
-        raise DegenerateDataError(
-            f"only {len(solutions)} draws share the posterior-mean tipping point; "
-            f"need >= {MIN_RETAINED}"
-        )
-    curves = np.asarray(solutions)
+        raise DegenerateDataError(f"only {len(solutions)} draws share the posterior-mean "
+                                  f"tipping point; need >= {MIN_RETAINED}")
+    curves = np.asarray([s.times for s in solutions])
     ranked = np.sort(curves, axis=0)
-    k = int(np.argmin(np.abs(grid - tip)))
     return ExitTimeBand(
         grid=grid,
         mean=curves.mean(axis=0),
         lower60=ranked[nearest_rank(len(curves), 0.6)],
         lower40=ranked[nearest_rank(len(curves), 0.4)],
         retained=len(curves),
-        tipping=float(grid[k]),
+        tipping=solutions[0].tipping,
     )

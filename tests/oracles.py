@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's code paths: brute-force scans, the
 kernels and the reduced-rank basis written out from their formulas,
-plain-python density sums, a batch Monte Carlo first-passage simulator, and
-stationary states reached by a long Euler-Maruyama burn-in.
+plain-python density sums, a per-draw loop over drift sign changes, a batch
+Monte Carlo first-passage simulator, and stationary states reached by a long
+Euler-Maruyama burn-in.
 They exist so that library results are checked against something that cannot
 share their bugs.
 """
@@ -37,6 +38,24 @@ def sign_scan_roots(func, lo, hi, n=20001):
         root = 0.5 * (a + b)
         (stable if fs[i] > 0 else tipping).append(root)
     return sorted(stable), sorted(tipping)
+
+
+def per_draw_roots(grid, drift_draws):
+    """Each draw's (stable, tipping) sign-change locations, found one draw at
+    a time: sign changes between consecutive nonzero drift values, located by
+    linear interpolation, downward = stable."""
+    structures = []
+    for f in drift_draws:
+        nz = np.flatnonzero(f != 0.0)
+        stable, tipping = [], []
+        if nz.size >= 2:
+            positive = f[nz] > 0
+            for i in np.flatnonzero(positive[:-1] != positive[1:]):
+                a, b = nz[i], nz[i + 1]
+                loc = float(grid[a] - f[a] * (grid[b] - grid[a]) / (f[b] - f[a]))
+                (stable if f[a] > 0 else tipping).append(loc)
+        structures.append((stable, tipping))
+    return structures
 
 
 def drift_kernel(x, x2, sigma_q, l, sigma_b, sigma_l, c):

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from landscaper.derived import (
     CurvePair,
+    _crossings,
     classify_roots,
     effective_potential,
     exit_time,
@@ -19,7 +21,7 @@ from landscaper.errors import DegenerateDataError, PreconditionError
 from landscaper.numerics import cumulative_trapezoid, nearest_rank
 from landscaper.sim import CuspParams, cusp_model
 
-from oracles import first_passage_times
+from oracles import first_passage_times, per_draw_roots
 
 
 @dataclass
@@ -242,6 +244,63 @@ class TestTippingRegion:
         diffs = [np.ones_like(grid)] * 40
         with pytest.raises(PreconditionError, match="20"):
             tipping_region(curves_posterior(grid, drifts, diffs))
+
+
+def root_stack(rng):
+    """A draw stack of drift rows on one grid that stress the sign-change rule."""
+    grid = np.linspace(-2, 2, 101)
+    smooth = [sum(c * np.cos((k + 1) * grid + rng.uniform(0, 2 * np.pi))
+                  for k, c in enumerate(rng.normal(0, 1, 4))) for _ in range(15)]
+    bistable = [rng.uniform(0.5, 2.0) * ((grid - s) - (grid - s) ** 3)
+                for s in rng.uniform(-0.3, 0.3, 25)]
+    zero_run = -grid.copy()
+    zero_run[45:56] = 0.0  # the sign changes across a run of zeros
+    zero_ends = -grid.copy()
+    zero_ends[[0, -1]] = 0.0
+    tangency = (grid - grid[50]) ** 2
+    with_nan = grid - grid**3
+    with_nan[62] = np.nan  # inside a positive stretch: two extra sign changes
+    # The two `grid` rows meet with row i ending > 0 and row i + 1 starting < 0.
+    rows = smooth + bistable + [zero_run, zero_ends, tangency, np.zeros_like(grid),
+                                with_nan, grid, grid]
+    return grid, np.array(rows)
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestArrayPass:
+    """The one array pass over a draw stack against the per-draw loop."""
+
+    def test_crossings_match_the_per_draw_loop_bit_for_bit(self, rng):
+        grid, drifts = root_stack(rng)
+        rows, loc, down = _crossings(grid, drifts)
+        reference = per_draw_roots(grid, drifts)
+        assert reference[-1] == reference[-2] == ([], [pytest.approx(0.0)])
+        assert np.isnan(loc).sum() == 2  # the NaN row's two extra sign changes
+        for r, (stable, tipping) in enumerate(reference):
+            assert bits(loc[(rows == r) & down]) == bits(stable), r
+            assert bits(loc[(rows == r) & ~down]) == bits(tipping), r
+            st = classify_roots(CurvePair(grid, drifts[r], np.ones_like(grid)))
+            assert bits(st.stable_points) == bits(stable)
+            assert bits(st.tipping_points) == bits(tipping)
+            assert st.valid == (len(stable) == len(tipping) + 1)
+
+    def test_posterior_summaries_match_the_per_draw_loop(self, rng):
+        grid, drifts = root_stack(rng)
+        post = curves_posterior(grid, drifts, np.ones_like(drifts))
+        valid = [(s, t) for s, t in per_draw_roots(grid, drifts) if len(s) == len(t) + 1]
+        counts = Counter(len(s) for s, _ in valid)
+        ms = multistability_posterior(post)
+        assert list(ms.probabilities.items()) == [
+            (k, counts[k] / len(valid)) for k in sorted(counts)]
+        assert ms.discarded_fraction == 1.0 - len(valid) / len(drifts)
+        locs = np.array([t[0] for _, t in valid if len(t) == 1])
+        q = np.quantile(locs, [0.025, 0.25, 0.75, 0.975])
+        tr = tipping_region(post)
+        assert tr.n_used == len(locs) >= 20
+        assert (tr.mean, tr.interval50, tr.interval95) == (locs.mean(), (q[1], q[2]), (q[0], q[3]))
 
 
 def cusp_curve(eps=0.5, n=201, span=2.5):

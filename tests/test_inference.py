@@ -22,7 +22,7 @@ from landscaper.inference import (
     log_posterior,
     rhat,
 )
-from landscaper.sim import generate_short_series
+from landscaper.sim import custom_bimodal_unistable, generate_short_series
 from landscaper.tsdata import (TimeSeries, TimeSeriesCollection, TransitionSet, dump_json,
                                to_transitions)
 
@@ -549,3 +549,34 @@ class TestPaperBistableClaim:
         stable = derived.classify_roots(mean).stable_points
         assert len(stable) == 2
         assert abs(stable[0] + 1.0) <= 0.15 and abs(stable[1] - 1.0) <= 0.15
+
+
+@pytest.fixture(scope="module")
+def bimodal_unistable_dataset():
+    """The paper's bimodal-but-unistable example at reduced size: 100 series
+    of 5 points at dt 1.0, seed 42."""
+    return generate_short_series(custom_bimodal_unistable(), 100, 5, 1.0, seed=42).collection
+
+
+class TestPaperBimodalUnistableClaim:
+    """State-dependent noise makes the pooled observations bimodal although
+    the drift has one stable state, at sqrt(0.1). Checked at the same reduced
+    size as the bistable claim, on unconverged fits of 200 iterations, with
+    thresholds fixed beforehand. P(1) was 1.0 at fit seeds 7 to 17 and 19,
+    and 0.9975 at 18. At dt 0.3 the claim is weaker: seed 10 gives 0.892."""
+
+    def test_pooled_histogram_is_bimodal(self, bimodal_unistable_dataset):
+        counts, edges = np.histogram(bimodal_unistable_dataset.all_values(), bins=20)
+        centers = 0.5 * (edges[:-1] + edges[1:])
+        top = int(np.argmax(counts))
+        assert centers[top] < math.sqrt(0.1)
+        right = int(np.argmax(centers > math.sqrt(0.1)))
+        peak = right + int(np.argmax(counts[right:]))
+        assert counts[peak] > counts[peak - 1]
+        assert peak == len(counts) - 1 or counts[peak] >= counts[peak + 1]
+        assert counts[top + 1:peak].min() < counts[peak] / 2
+
+    @pytest.mark.parametrize("seed", [7, 8, 9, 10, 11])
+    def test_one_stable_state(self, bimodal_unistable_dataset, seed):
+        post = fit(bimodal_unistable_dataset, FitConfig(seed=seed, n_iterations=200))
+        assert derived.multistability_posterior(post).probabilities.get(1, 0.0) >= 0.9

@@ -266,9 +266,9 @@ def cmd_derive(args, argv) -> int:
     mean_cp = derived.CurvePair(grid, posterior.drift_mean(), posterior.diffusion_mean())
     outputs: list[Path] = []
 
-    def emit(name: str, header, columns, meta: dict):
+    def emit(name: str, header, rows, meta: dict):
         csv_path = out / f"{name}.csv"
-        _write_csv(csv_path, header, _float_rows(columns))
+        _write_csv(csv_path, header, rows)
         meta_path = out / f"{name}.json"
         dump_json({"quantity": name, **meta}, meta_path)
         outputs.extend([csv_path, meta_path])
@@ -279,23 +279,23 @@ def cmd_derive(args, argv) -> int:
         outputs.append(path)
 
     sd = derived.stationary_density(mean_cp)
-    emit("stationary_density", ["grid", "density"], [grid, sd.density],
+    emit("stationary_density", ["grid", "density"], _float_rows([grid, sd.density]),
          {"source": "posterior mean drift/diffusion curves"})
-    emit("potential", ["grid", "potential"], [grid, derived.potential(mean_cp)],
+    emit("potential", ["grid", "potential"], _float_rows([grid, derived.potential(mean_cp)]),
          {"anchored": "U(grid start) = 0"})
     emit("effective_potential", ["grid", "u_eff"],
-         [grid, derived.effective_potential(sd)], {})
+         _float_rows([grid, derived.effective_potential(sd)]), {})
 
     ms = derived.multistability_posterior(posterior)
-    emit("multistability", ["n_stable", "probability"],
-         [list(ms.probabilities), list(ms.probabilities.values())],
+    # The count is written as an integer, the probability as a float's repr.
+    emit("multistability", ["n_stable", "probability"], ms.probabilities.items(),
          {"discarded_fraction": ms.discarded_fraction, "n_draws": ms.n_draws})
 
     try:
         tr = derived.tipping_region(posterior)
         emit("tipping_region", ["mean", "q025", "q25", "q75", "q975"],
-             [[tr.mean], [tr.interval95[0]], [tr.interval50[0]],
-              [tr.interval50[1]], [tr.interval95[1]]],
+             [[tr.mean, tr.interval95[0], tr.interval50[0], tr.interval50[1],
+               tr.interval95[1]]],
              {"n_used": tr.n_used})
     except (PreconditionError, DegenerateDataError) as exc:
         notice("tipping_region", str(exc))
@@ -303,7 +303,7 @@ def cmd_derive(args, argv) -> int:
     try:
         band = derived.exit_time_band(posterior)
         emit("exit_time_band", ["grid", "mean", "lower60", "lower40"],
-             [grid, band.mean, band.lower60, band.lower40],
+             _float_rows([grid, band.mean, band.lower60, band.lower40]),
              {"retained": band.retained, "tipping": band.tipping,
               "boundary": "two-sided split at the tipping node; zero-slope outer rows"})
     except (PreconditionError, DegenerateDataError) as exc:

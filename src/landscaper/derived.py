@@ -178,9 +178,12 @@ def classify_roots(cp: CurvePair) -> StabilityStructure:
 
 def _roots(p):
     """Each draw's stable count, whether its root structure is valid, and its
-    tipping point if it has exactly one, i.e. is valid with two stable points."""
+    tipping point if it has exactly one, i.e. is valid with two stable points.
+    A posterior without draws is a PreconditionError."""
     _check_curves(p.grid, p.drift_draws, p.diffusion_draws)
     n = len(p.drift_draws)
+    if n == 0:
+        raise PreconditionError("posterior has no draws")
     rows, loc, down = _crossings(p.grid, p.drift_draws)
     stable = np.bincount(rows[down], minlength=n)
     valid = stable == np.bincount(rows[~down], minlength=n) + 1
@@ -192,8 +195,6 @@ def _roots(p):
 
 def multistability_posterior(p) -> MultistabilityPosterior:
     """Histogram of stable-state counts over valid posterior draws."""
-    if len(p.drift_draws) == 0:
-        raise PreconditionError("posterior has no draws")
     stable, valid, _ = _roots(p)
     kept = int(valid.sum())
     if kept == 0:
@@ -294,12 +295,12 @@ def exit_time_band(p) -> ExitTimeBand:
     percentiles.
     """
     grid = p.grid
+    stable, valid, tipping = _roots(p)
     mean_cp = CurvePair(grid, p.drift_draws.mean(axis=0), p.diffusion_draws.mean(axis=0))
     structure = classify_roots(mean_cp)
     if not (structure.valid and len(structure.tipping_points) == 1):
         raise DegenerateDataError("posterior-mean drift is not bistable")
     tip = structure.tipping_points[0]
-    stable, valid, tipping = _roots(p)
     near = valid & (stable == 2) & (np.abs(tipping - tip) <= _uniform_spacing(grid))
 
     solutions = []

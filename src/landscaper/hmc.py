@@ -3,24 +3,26 @@
 The target is a callable q -> (log density, gradient) on R^d. It may also
 have a method `batch(Q)` that maps a (k, d) stack of points to a (k,) array
 of log densities and a (k, d) array of gradients, each row as the callable
-gives it for that point. Each transition
-draws a momentum p ~ N(0, M), integrates Hamilton's equations with a leapfrog
-integrator for a per-iteration jittered number of steps (uniform on
-{1, ..., max_leapfrog}) and applies a Metropolis accept/reject on the total
-energy. During warmup the step size follows Nesterov-style dual averaging
-toward the fixed acceptance rate TARGET_ACCEPT, and the diagonal mass matrix
-is re-estimated from warmup draws in two windows (with shrinkage toward a
-small constant, and the step size re-initialized after each update).
-Transitions whose energy error exceeds ENERGY_ERROR_LIMIT, or that produce
-non-finite values, count as divergent and keep the previous draw.
+gives it for that point. Each transition draws a momentum p ~ N(0, M),
+integrates Hamilton's equations with a leapfrog integrator for a
+per-iteration jittered number of steps (uniform on {1, ..., max_leapfrog})
+and applies a Metropolis accept/reject on the total energy. During warmup
+the step size follows Nesterov-style dual averaging toward the fixed
+acceptance rate TARGET_ACCEPT, and the diagonal mass matrix is re-estimated
+from warmup draws in two windows (with shrinkage toward a small constant,
+and the step size re-initialized after each update). Transitions whose
+energy error exceeds ENERGY_ERROR_LIMIT, or that produce non-finite values,
+count as divergent and keep the previous draw.
 
 Each chain runs as a generator that yields every point it needs evaluated
-and is sent back the point's (log density, gradient). The chains are driven
-in lockstep: at each step, the points all live chains of a group wait on are
-evaluated together, with one `batch` call when the target has the method and
-with one call per point when it does not (a plain function, such as a
-wrapper that times each evaluation). A batched target shares its per-call
-overhead across the chains. Chains own independent generator streams
+and is sent back the point's (log density, gradient). The chains of a group
+are driven in lockstep through one batch path: at each step, the points all
+its live chains wait on go to one batch call, the target's `batch` if it has
+one, which shares its per-call overhead across the chains. A plain function,
+such as a wrapper that times each evaluation, is wrapped once into a batch
+function that calls it once per point. The sampler screens each batch once:
+a row whose log density or gradient is not finite is a rejection, sent to
+its chain as log density -inf. Chains own independent generator streams
 spawned from the seed by chain index, so results do not depend on how the
 chains are grouped. `threads` > 1 splits the chains into that many groups.
 For a batched target, the groups go to `numerics.fork_map`: every group but
@@ -81,12 +83,11 @@ def sample(
 
     The first `n_iterations // 2` iterations of each chain are warmup. The
     chains are split into `min(threads, n_chains)` groups, each run in
-    lockstep; at each step a group evaluates the points all its live chains
-    wait on with one `target.batch` call if the target has one, and with one
-    `target` call per point otherwise. The groups of a batched target run
-    in parallel, the first here and each other one in a forked child process
-    (see `numerics.fork_map`); the draws are the same for any number of
-    groups.
+    lockstep with one batch call per step. The groups of a batched target
+    run in parallel, the first here and each other one in a forked child
+    process (see `numerics.fork_map`); those of a plain function, which is
+    called once per point, run one after another here. The draws are the
+    same for any number of groups.
     """
     init = np.asarray(init, dtype=float)
     if n_iterations < 2:
@@ -100,15 +101,23 @@ def sample(
     warmup = n_iterations // 2
     streams = seed_sequence(seed).spawn(n_chains)
 
+    groups = np.array_split(np.arange(n_chains), min(threads, n_chains))
+    workers = len(groups)
+    batch = getattr(target, "batch", None)
+    if batch is None:  # a plain function: called once per point, in this process
+        workers = 1
+
+        def batch(points):
+            logps, grads = zip(*map(target, points))
+            return np.array(logps, dtype=float), np.array(grads, dtype=float)
+
     def run(group):
-        return _lockstep(target, [
+        return _lockstep(batch, [
             _run_chain(init, np.random.default_rng(streams[idx]), n_iterations=n_iterations,
                        warmup=warmup, max_leapfrog=max_leapfrog, jitter_first=idx > 0)
             for idx in group
         ])
 
-    groups = np.array_split(np.arange(n_chains), min(threads, n_chains))
-    workers = len(groups) if hasattr(target, "batch") else 1
     results = [r for rs in fork_map(run, groups, workers) for r in rs]
 
     draws = np.stack([r[0] for r in results])
@@ -121,38 +130,31 @@ def sample(
     )
 
 
-def _lockstep(target, chains):
+def _lockstep(batch, chains):
     """Drive chain generators to their ends and return their results in order.
 
     Each generator yields the point it needs evaluated and is sent back
-    (log density, gradient); all pending points are evaluated together.
+    (log density, gradient); all pending points go to one `batch` call, and
+    a row whose log density or gradient is not finite is sent as -inf.
     """
-    batch = getattr(target, "batch", None)
     results = [None] * len(chains)
     pending = {i: next(chain) for i, chain in enumerate(chains)}
     while pending:
-        points = list(pending.values())
-        if batch is not None:
-            logps, grads = batch(np.array(points))
-            values = zip(logps.tolist(), np.asarray(grads, dtype=float))
-        else:
-            values = [_eval(target, q) for q in points]
-        for i, value in zip(list(pending), values):
+        logps, grads = batch(np.array(list(pending.values())))
+        ok = np.isfinite(logps) & np.isfinite(grads).all(axis=1)
+        if not ok.all():  # rare; unguarded, the masked store would slow every step
+            logps = np.where(ok, logps, -np.inf)
+        for i, logp, grad in zip(list(pending), logps.tolist(), grads):
             try:
-                pending[i] = chains[i].send(value)
+                pending[i] = chains[i].send((logp, grad))
             except StopIteration as done:
                 del pending[i]
                 results[i] = done.value
     return results
 
 
-def _eval(target, q):
-    logp, grad = target(q)
-    return float(logp), np.asarray(grad, dtype=float)
-
-
 # The chain generators below yield each point they need evaluated and receive
-# its (log density, gradient), as a float and a float array.
+# its (log density, gradient), as a float, finite or -inf, and a float array.
 
 
 def _initialize(init, rng, jitter_first):
@@ -162,7 +164,7 @@ def _initialize(init, rng, jitter_first):
         else:
             q = init + rng.uniform(-INIT_JITTER, INIT_JITTER, size=init.shape)
         logp, grad = yield q
-        if math.isfinite(logp) and np.isfinite(grad).all():
+        if logp != -math.inf:
             return q, logp, grad
     raise SamplerError(f"no finite starting point after {MAX_INIT_ATTEMPTS} jittered attempts")
 
@@ -174,8 +176,8 @@ def _leapfrog(q, p, grad, eps, n_steps, inv_mass):
         p = p + half_eps * grad
         q = q + step * p
         logp, grad = yield q
-        if not (math.isfinite(logp) and np.isfinite(grad).all()):
-            return q, p, -np.inf, grad
+        if logp == -math.inf:
+            return q, p, logp, grad
         p = p + half_eps * grad
     return q, p, logp, grad
 
@@ -235,8 +237,7 @@ class _DualAveraging:
 def _regularized_variance(draws: np.ndarray) -> np.ndarray:
     # Shrink the sample variance toward 1e-3, as in windowed Stan adaptation.
     n = draws.shape[0]
-    var = np.var(draws, axis=0, ddof=1) if n > 1 else np.ones(draws.shape[1])
-    return (n / (n + 5.0)) * var + 1e-3 * (5.0 / (n + 5.0))
+    return (n / (n + 5.0)) * np.var(draws, axis=0, ddof=1) + 1e-3 * (5.0 / (n + 5.0))
 
 
 def _run_chain(init, rng, *, n_iterations, warmup, max_leapfrog, jitter_first):
@@ -264,11 +265,8 @@ def _run_chain(init, rng, *, n_iterations, warmup, max_leapfrog, jitter_first):
         h0 = -logp + _kinetic(inv_mass, p)
         q1, p1, logp1, grad1 = yield from _leapfrog(q, p, grad, eps, n_steps, inv_mass)
 
-        if math.isfinite(logp1):
-            h1 = -logp1 + _kinetic(inv_mass, p1)
-            energy_error = h1 - h0
-        else:
-            energy_error = np.inf
+        # A rejected point (logp1 = -inf) makes the energy error inf or NaN.
+        energy_error = -logp1 + _kinetic(inv_mass, p1) - h0
         divergent = not math.isfinite(energy_error) or energy_error > ENERGY_ERROR_LIMIT
         if divergent:
             accept_prob = 0.0
@@ -298,5 +296,4 @@ def _run_chain(init, rng, *, n_iterations, warmup, max_leapfrog, jitter_first):
             divergences += int(divergent)
             accept_sum += accept_prob
 
-    n_kept = n_iterations - warmup
-    return kept, divergences, eps, accept_sum / max(n_kept, 1)
+    return kept, divergences, eps, accept_sum / len(kept)

@@ -192,8 +192,8 @@ class TargetContext:
         )
 
     def initial_vector(self) -> np.ndarray:
-        hypers = [math.log(2.0), math.log(1.25), math.log(2.0), math.log(2.0),
-                  math.log(2.0), math.log(1.25)]
+        # Each hyper starts at the log of its Inverse-Gamma prior's mean.
+        hypers = [math.log(scale / (shape - 1.0)) for shape, scale in HYPER_PRIORS]
         return np.concatenate([np.zeros(2 * self.m), hypers])
 
     def _design(self, points) -> np.ndarray:
@@ -242,16 +242,16 @@ class TargetContext:
         across rows only where each row stays its own computation:
         elementwise operations, stacked matrix products, row sums, and
         `np.vecdot`, one BLAS dot per row, where a (k, L) @ (L,) product
-        would be one matrix-vector product with other bits. A row outside
-        the support, or whose value or gradient is not finite, gets (-inf,
-        zeros).
+        would be one matrix-vector product with other bits. Every row is
+        evaluated as it stands, silently even with log hypers of +-400, and
+        a row outside the support, or whose value or gradient is not finite,
+        then gets (-inf, zeros).
         """
         thetas = np.asarray(thetas, dtype=float)
-        inside = _in_support(thetas[:, 2 * self.m:])
-        # A row outside the support is evaluated at the origin and discarded.
         with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-            logp, grad = self._evaluate(np.where(inside[:, None], thetas, 0.0))
-        ok = inside & np.isfinite(logp) & np.isfinite(grad).all(axis=1)
+            logp, grad = self._evaluate(thetas)
+        ok = (_in_support(thetas[:, 2 * self.m:]) & np.isfinite(logp)
+              & np.isfinite(grad).all(axis=1))
         if not ok.all():  # rare; unguarded, the masked stores would slow every call
             logp[~ok], grad[~ok] = -np.inf, 0.0
         return logp, grad

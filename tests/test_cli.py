@@ -314,6 +314,11 @@ class TestDerive:
                      "multistability", "tipping_region", "exit_time_band"):
             assert (out / f"{name}.csv").exists(), name
             assert (out / f"{name}.json").exists(), name
+        # A stable-state count reads back as an integer.
+        with open(out / "multistability.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and all(r["n_stable"] == str(int(r["n_stable"])) for r in rows)
+        assert math.fsum(float(r["probability"]) for r in rows) == pytest.approx(1.0)
 
     def test_unistable_posterior_skips_band_with_notice(self, tmp_path):
         post_path = tmp_path / "posterior.json"

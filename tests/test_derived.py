@@ -218,6 +218,15 @@ class TestMultistability:
             multistability_posterior(curves_posterior(grid, drifts, diffs))
 
 
+def test_posterior_without_draws_is_a_precondition_error():
+    # Every per-draw function says so before it averages or counts anything.
+    grid = np.linspace(-2, 2, 11)
+    empty = FakePosterior(grid, np.empty((0, 11)), np.empty((0, 11)))
+    for function in (multistability_posterior, tipping_region, exit_time_band):
+        with pytest.raises(PreconditionError, match="posterior has no draws"):
+            function(empty)
+
+
 class TestTippingRegion:
     def test_degenerate_point_mass(self):
         grid = np.linspace(-2, 2, 401)

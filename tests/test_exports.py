@@ -193,8 +193,8 @@ def test_benchmark_tracer_targets_resolve():
 
 def test_traced_fit_writes_the_plain_fit_outputs(tmp_path):
     # perfbench/trace.py installs its wrappers and runs `fit` in-process. The
-    # sampler target it wraps is a plain function, so the traced fit takes the
-    # per-point path, and its outputs must be those of a plain fit.
+    # sampler target it wraps is a plain function, which the sampler calls once
+    # per point, and the traced fit's outputs must be those of a plain fit.
     from landscaper import cli, sim
     from landscaper.tsdata import write_observations_csv
 

@@ -22,25 +22,39 @@ def gaussian_target(mean, var):
     return target
 
 
-class BatchedGaussian:
-    """A Gaussian target with `batch`, so `hmc.sample` forks its chain
-    groups. `finite_in_children=False` makes every point non-finite in any
-    process but the one it was built in."""
+class WithBatch:
+    """Plain target `point` with a `batch` method that evaluates it row by row."""
 
-    def __init__(self, mean, var, finite_in_children=True):
-        self.point = gaussian_target(mean, var)
-        self.pid = os.getpid()
-        self.finite_in_children = finite_in_children
+    def __init__(self, point):
+        self.point = point
 
     def __call__(self, q):
         return self.point(q)
 
     def batch(self, qs):
         values = [self.point(q) for q in qs]
-        logps = np.array([v[0] for v in values])
+        return np.array([float(v[0]) for v in values]), np.array([v[1] for v in values])
+
+
+class BatchedGaussian(WithBatch):
+    """A Gaussian target with `batch`, so `hmc.sample` forks its chain
+    groups. `finite_in_children=False` makes every point non-finite in any
+    process but the one it was built in."""
+
+    def __init__(self, mean, var, finite_in_children=True):
+        super().__init__(gaussian_target(mean, var))
+        self.pid = os.getpid()
+        self.finite_in_children = finite_in_children
+
+    def batch(self, qs):
+        logps, grads = super().batch(qs)
         if not self.finite_in_children and os.getpid() != self.pid:
             logps[:] = -np.inf
-        return logps, np.array([v[1] for v in values])
+        return logps, grads
+
+
+# The sampler screens plain and batched targets alike.
+BOTH_KINDS = pytest.mark.parametrize("kind", [lambda f: f, WithBatch], ids=["plain", "batch"])
 
 
 class TestSampler:
@@ -72,7 +86,8 @@ class TestSampler:
         threaded = hmc.sample(target, np.zeros(3), n_chains=3, n_iterations=300, seed=4, threads=3)
         np.testing.assert_array_equal(serial.draws, threaded.draws)
 
-    def test_nonfinite_gradient_ends_trajectory(self):
+    @BOTH_KINDS
+    def test_nonfinite_gradient_ends_trajectory(self, kind):
         # The density stays finite for |q0| > 2 but the gradient turns NaN
         # there: the trajectory must stop at that step and count as divergent,
         # so the target is never evaluated at a non-finite point.
@@ -83,17 +98,18 @@ class TestSampler:
             grad = np.full_like(q, np.nan) if abs(q[0]) > 2.0 else -q
             return float(-0.5 * (q @ q)), grad
 
-        chains = hmc.sample(target, np.zeros(2), n_chains=2, n_iterations=600, seed=11)
+        chains = hmc.sample(kind(target), np.zeros(2), n_chains=2, n_iterations=600, seed=11)
         assert np.all(np.abs(chains.draws[..., 0]) <= 2.0)
         assert chains.divergences > 0
         assert not any(evaluated_nonfinite)
 
-    def test_initialization_failure(self):
+    @BOTH_KINDS
+    def test_initialization_failure(self, kind):
         def bad(q):
             return -np.inf, np.zeros_like(q)
 
         with pytest.raises(SamplerError, match="100"):
-            hmc.sample(bad, np.zeros(2), n_chains=1, n_iterations=200, seed=0)
+            hmc.sample(kind(bad), np.zeros(2), n_chains=1, n_iterations=200, seed=0)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(PreconditionError, match="seed"):

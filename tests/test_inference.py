@@ -120,19 +120,19 @@ class TestLogPosterior:
 
     def test_batch_rows_are_independent(self, rng):
         # One batch mixes finite states with NaN, +-inf and log hypers beyond
-        # HYPER_BOUND. A log length scale of -400 or log amplitude of +400
-        # would overflow the weight scales, so those rows must not be
-        # evaluated as they stand. Every good row is bit-equal to the same
-        # state evaluated alone and through `log_posterior`; every bad row
-        # is (-inf, zeros).
+        # HYPER_BOUND. Log hypers of +-400 or +-1e308 overflow the weight
+        # scales; those rows are evaluated as they stand and must warn
+        # nothing. Every good row is bit-equal to the same state evaluated
+        # alone and through `log_posterior`; every bad row is (-inf, zeros).
         ctx = synthetic_context(rng)
         m = ctx.m
         amplitude, length_scale = 2 * m, 2 * m + 1
+        cases = [(0, np.nan), (m, np.inf), (amplitude, -np.inf), (length_scale, np.nan),
+                 (amplitude, HYPER_BOUND + 0.5), (length_scale, -HYPER_BOUND - 0.5)]
+        cases += [(index, value) for index in (amplitude, length_scale)
+                  for value in (400.0, -400.0, 1e308, -1e308)]
         bad = []
-        for index, value in [(0, np.nan), (m, np.inf), (amplitude, -np.inf),
-                             (length_scale, np.nan), (amplitude, HYPER_BOUND + 0.5),
-                             (length_scale, -HYPER_BOUND - 0.5), (length_scale, -400.0),
-                             (amplitude, 400.0)]:
+        for index, value in cases:
             theta = random_state(rng, m)
             theta[index] = value
             bad.append(theta)

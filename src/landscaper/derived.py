@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDataError, PreconditionError
-from .numerics import cumulative_trapezoid, density_from_drift_diffusion, lapack, nearest_rank
+from .numerics import (cumulative_trapezoid, density_from_drift_diffusion, nearest_rank,
+                       solve_tridiagonal)
 
 __all__ = [
     "CurvePair",
@@ -232,87 +233,82 @@ def _uniform_spacing(grid: np.ndarray) -> float:
     return h
 
 
+def _exit_times(grid, f, g, tipping):
+    """`exit_time` of each row of a (draws, grid) stack of curves, in one solve:
+    the curves, each row's failure message or None, and the tipping node."""
+    if not (grid[0] < tipping < grid[-1]):
+        raise PreconditionError("tipping point must lie strictly inside the grid")
+    h = _uniform_spacing(grid)
+    k = int(np.argmin(np.abs(grid - tipping)))
+    if k in (0, len(grid) - 1):
+        raise PreconditionError("tipping point snaps to a boundary node")
+    if k in (1, len(grid) - 2):
+        raise PreconditionError("basin side has too few grid nodes")
+
+    # Row j is sub[j - 1] T(j-1) + main[j] T(j) + sup[j] T(j+1). The end rows
+    # are zero-slope, T(1) - T(0) = 0 and T(n-1) - T(n-2) = 0.
+    adv, dif = f[:, 1:-1] / (2.0 * h), g[:, 1:-1] / (2.0 * h * h)
+    one = np.ones((len(f), 1))
+    sub, sup = np.hstack([dif - adv, -one]), np.hstack([one, dif + adv])
+    main = np.hstack([-one, -2.0 * dif, one])
+    # Row k is T(k) = 0, and column k is empty but for it.
+    main[:, k] = 1.0
+    sub[:, k - 1] = sub[:, k] = sup[:, k - 1] = sup[:, k] = 0.0
+    rhs = np.full(main.shape, -1.0)
+    rhs[:, [0, k, -1]] = 0.0
+    times, info = solve_tridiagonal(sub, main, sup, rhs)
+
+    lowest = times.min(axis=1)
+    dips = lowest < -1e-9 * np.maximum(1.0, np.abs(times).max(axis=1))
+    failures = [
+        f"singular exit-time system: zero pivot in row {row}" if row else
+        "exit-time solve produced non-finite values" if not finite else
+        f"exit-time solution dips to {low:.3e}; grid too coarse for this drift" if dip else None
+        for row, finite, dip, low in zip(info.tolist(), np.isfinite(times).all(axis=1), dips,
+                                         lowest)]
+    return np.maximum(times, 0.0), failures, k
+
+
 def exit_time(cp: CurvePair, tipping: float) -> ExitTimeSolution:
     """Solve f T' + (g/2) T'' = -1 on each side of the tipping point.
 
     Central differences on the uniform grid, one tridiagonal system over the
-    whole grid, solved by LAPACK's dgtsv: the grid node nearest the tipping
-    location is a Dirichlet row T = 0 that no other row refers to, so the two
-    basin sides never mix, and the two outer ends are one-sided zero-slope
-    rows. A singular system is a DegenerateDataError.
+    whole grid, solved as LAPACK's dgtsv solves it: the grid node nearest the
+    tipping location is a Dirichlet row T = 0 that no other row refers to, so
+    the two basin sides never mix, and the two outer ends are one-sided
+    zero-slope rows. A system that is singular, or whose solution is not
+    finite or dips below zero, is a DegenerateDataError.
     """
-    grid, f, g = cp.grid, cp.drift, cp.diffusion
-    if not (grid[0] < tipping < grid[-1]):
-        raise PreconditionError("tipping point must lie strictly inside the grid")
-    h = _uniform_spacing(grid)
-    n = len(grid)
-    k = int(np.argmin(np.abs(grid - tipping)))
-    if k == 0 or k == n - 1:
-        raise PreconditionError("tipping point snaps to a boundary node")
-    if k == 1 or k == n - 2:
-        raise PreconditionError("basin side has too few grid nodes")
-
-    # Row j is sub[j - 1] T(j-1) + main[j] T(j) + sup[j] T(j+1).
-    adv = f[1:-1] / (2.0 * h)
-    dif = g[1:-1] / (2.0 * h * h)
-    sub = np.empty(n - 1)
-    main = np.empty(n)
-    sup = np.empty(n - 1)
-    sub[:-1] = dif - adv
-    main[1:-1] = -2.0 * dif
-    sup[1:] = dif + adv
-    # Zero-slope rows T(1) - T(0) = 0 and T(n-1) - T(n-2) = 0.
-    main[0], sup[0] = -1.0, 1.0
-    sub[-1], main[-1] = -1.0, 1.0
-    # Row k is T(k) = 0, and column k is empty but for it.
-    main[k] = 1.0
-    sub[k - 1] = sub[k] = sup[k - 1] = sup[k] = 0.0
-    rhs = np.full(n, -1.0)
-    rhs[[0, k, -1]] = 0.0
-    dgtsv, = lapack("dgtsv")
-    *_, times, info = dgtsv(sub, main, sup, rhs)
-    if info:
-        raise DegenerateDataError(f"singular exit-time system: zero pivot in row {info}")
-    if not np.all(np.isfinite(times)):
-        raise DegenerateDataError("exit-time solve produced non-finite values")
-    lowest = float(times.min())
-    if lowest < -1e-9 * max(1.0, float(np.abs(times).max())):
-        raise DegenerateDataError(
-            f"exit-time solution dips to {lowest:.3e}; grid too coarse for this drift"
-        )
-    np.maximum(times, 0.0, out=times)
-    return ExitTimeSolution(grid=grid, times=times, tipping=float(grid[k]), tipping_index=k)
+    (times,), (failure,), k = _exit_times(cp.grid, cp.drift[None], cp.diffusion[None], tipping)
+    if failure:
+        raise DegenerateDataError(failure)
+    return ExitTimeSolution(grid=cp.grid, times=times, tipping=float(cp.grid[k]),
+                            tipping_index=k)
 
 
 def exit_time_band(p) -> ExitTimeBand:
     """Exit-time posterior band from draws sharing the posterior-mean tipping point.
 
-    Draws are retained when they are valid, have exactly one tipping point,
-    and that point lies within one grid cell of the posterior-mean drift's
-    tipping point; each retained draw's BVP uses that shared anchor node, and
-    at least MIN_RETAINED draws must be retained. At each grid node, the lower
+    Draws are retained when they are valid, have exactly one tipping point
+    within one grid cell of the posterior-mean drift's tipping point, and
+    `exit_time` at that shared anchor node solves their system; at least
+    MIN_RETAINED draws must be retained. At each grid node, the lower
     curves are the retained draws' nearest-rank lower 40th and 60th
     percentiles.
     """
     grid = p.grid
     stable, valid, tipping = _roots(p)
-    mean_cp = CurvePair(grid, p.drift_draws.mean(axis=0), p.diffusion_draws.mean(axis=0))
-    structure = classify_roots(mean_cp)
-    if not (structure.valid and len(structure.tipping_points) == 1):
+    # Bistable: the mean drift changes sign downward, upward, downward.
+    _, loc, down = _crossings(grid, p.drift_draws.mean(axis=0)[None])
+    if down.tolist() != [True, False, True]:
         raise DegenerateDataError("posterior-mean drift is not bistable")
-    tip = structure.tipping_points[0]
+    tip = loc[1]
     near = valid & (stable == 2) & (np.abs(tipping - tip) <= _uniform_spacing(grid))
-
-    solutions = []
-    for f, g in zip(p.drift_draws[near], p.diffusion_draws[near]):
-        try:
-            solutions.append(exit_time(CurvePair(grid, f, g), tip))
-        except DegenerateDataError:
-            continue
-    if len(solutions) < MIN_RETAINED:
-        raise DegenerateDataError(f"only {len(solutions)} draws share the posterior-mean "
+    times, failures, k = _exit_times(grid, p.drift_draws[near], p.diffusion_draws[near], tip)
+    curves = times[[failure is None for failure in failures]]
+    if len(curves) < MIN_RETAINED:
+        raise DegenerateDataError(f"only {len(curves)} draws share the posterior-mean "
                                   f"tipping point; need >= {MIN_RETAINED}")
-    curves = np.asarray([s.times for s in solutions])
     ranked = np.sort(curves, axis=0)
     return ExitTimeBand(
         grid=grid,
@@ -320,5 +316,5 @@ def exit_time_band(p) -> ExitTimeBand:
         lower60=ranked[nearest_rank(len(curves), 0.6)],
         lower40=ranked[nearest_rank(len(curves), 0.4)],
         retained=len(curves),
-        tipping=solutions[0].tipping,
+        tipping=float(grid[k]),
     )

@@ -1,29 +1,24 @@
-"""Small shared numerical routines, the package's one entry to scipy, and its
-one way to run work in parallel processes.
+"""Shared numerical routines in numpy alone, and the package's one way to run
+work in parallel processes.
 
-`cumulative_trapezoid` is scipy's formula written out in numpy, so importing
-the package (and every CLI start) does not load `scipy.integrate`. `lapack`
-is the only place the package touches scipy: it hands out scipy's compiled
-LAPACK wrappers without importing `scipy.linalg`. `fork_map` maps a function
-over items in forked child processes; the sampler's chain groups and the
-simulation studies' replicates both run through it.
+`cumulative_trapezoid` and `solve_tridiagonal` transcribe scipy's
+cumulative_trapezoid and LAPACK's dgtsv (over a stack of systems), with the
+bits they give. `fork_map` maps a function over items in forked child
+processes; the sampler's chain groups and the simulation studies'
+replicates both run through it.
 """
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
-import os
 import pickle
-import sys
 import warnings
 
 import numpy as np
 
 from .errors import DegenerateDataError, PreconditionError, SamplerError
 
-__all__ = ["cumulative_trapezoid", "density_from_drift_diffusion", "fork_map", "lapack",
-           "nearest_rank", "seed_sequence"]
+__all__ = ["cumulative_trapezoid", "density_from_drift_diffusion", "fork_map", "nearest_rank",
+           "seed_sequence", "solve_tridiagonal"]
 
 # Largest rounding error density_from_drift_diffusion accepts in its exponent:
 # the unit roundoff times the largest magnitude of the running integral.
@@ -88,32 +83,39 @@ def nearest_rank(n: int, q: float) -> int:
     return max(1, int(np.ceil(q * n))) - 1
 
 
-
-def lapack(*names) -> tuple:
-    """scipy's LAPACK wrappers of the given names, such as "dgtsv", in order.
-
-    Loaded on first use rather than at import, so that importing the package
-    (and so every CLI start) does not load scipy. Importing
-    scipy.linalg.lapack imports all of scipy.linalg, and with it scipy's
-    array-API layer: about 0.3 s of every process, against a few milliseconds
-    for the compiled wrapper module the routines live in, which is loaded on
-    its own when nothing has imported it yet. They are the same objects that
-    scipy.linalg.lapack exports.
-    """
-    name = "scipy.linalg._flapack"
-    module = sys.modules.get(name)
-    if module is None:
-        import scipy
-
-        spec = importlib.machinery.PathFinder.find_spec(
-            name, [os.path.join(os.path.dirname(scipy.__file__), "linalg")])
-        if spec is None:
-            from scipy.linalg import lapack as module
-        else:
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-            sys.modules[name] = module
-    return tuple(getattr(module, n) for n in names)
+def solve_tridiagonal(sub, main, sup, rhs):
+    """LAPACK's dgtsv in numpy, on each row of a (systems, n) stack of
+    tridiagonal systems, n >= 2; `sub` and `sup` have n - 1 columns.
+    Partial pivoting in dgtsv's order of operations gives each system the
+    bits dgtsv gives it, overflow included. Returns the solutions and each
+    system's `info`: 0, or the 1-based row of its first zero pivot, where
+    dgtsv stops and the solution is meaningless."""
+    # Row i of each array is row i of every system.
+    dl, d, du, b = (np.array(a, dtype=float).T.copy() for a in (sub, main, sup, rhs))
+    n = len(d)
+    du2 = np.zeros_like(d)  # the second superdiagonal that pivoting fills in
+    info = np.zeros(d.shape[1:], dtype=int)
+    with np.errstate(all="ignore"):
+        for i in range(n - 1):
+            # Rows i and i + 1 change places where |sub| > |main|.
+            swap = ~(np.abs(d[i]) >= np.abs(dl[i]))
+            info[(info == 0) & ~swap & (d[i] == 0.0)] = i + 1
+            fact = np.where(swap, d[i] / dl[i], dl[i] / d[i])
+            d[i], d[i + 1], du[i] = (
+                np.where(swap, dl[i], d[i]),
+                np.where(swap, du[i] - fact * d[i + 1], d[i + 1] - fact * du[i]),
+                np.where(swap, d[i + 1], du[i]))
+            b[i], b[i + 1] = (np.where(swap, b[i + 1], b[i]),
+                              np.where(swap, b[i] - fact * b[i + 1], b[i + 1] - fact * b[i]))
+            if i < n - 2:
+                du2[i] = np.where(swap, du[i + 1], 0.0)
+                du[i + 1] = np.where(swap, -fact * du[i + 1], du[i + 1])
+        info[(info == 0) & (d[-1] == 0.0)] = n
+        b[-1] /= d[-1]
+        b[-2] = (b[-2] - du[-1] * b[-1]) / d[-2]
+        for i in range(n - 3, -1, -1):
+            b[i] = (b[i] - du[i] * b[i + 1] - du2[i] * b[i + 2]) / d[i]
+    return np.ascontiguousarray(b.T), info
 
 
 def fork_map(fn, items, workers: int = 1) -> list:
@@ -135,7 +137,7 @@ def fork_map(fn, items, workers: int = 1) -> list:
     items = list(items)
     shares = np.array_split(np.arange(len(items)), max(1, min(workers, len(items))))
     # Forked, not spawned: a child shares `fn` and the items as they are,
-    # with nothing to pickle, and the CLI process runs no threads.
+    # with nothing to pickle.
     if len(shares) > 1:
         import multiprocessing
 

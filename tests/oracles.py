@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's code paths: brute-force scans, the
 kernels and the reduced-rank basis written out from their formulas,
-plain-python density sums, a per-draw loop over drift sign changes, a batch
-Monte Carlo first-passage simulator, and stationary states reached by a long
+plain-python density sums, a per-draw loop over drift sign changes, a
+per-draw loop of scipy's banded solver for exit-time bands, a batch Monte
+Carlo first-passage simulator, and stationary states reached by a long
 Euler-Maruyama burn-in.
 They exist so that library results are checked against something that cannot
 share their bugs.
@@ -56,6 +57,43 @@ def per_draw_roots(grid, drift_draws):
                 (stable if f[a] > 0 else tipping).append(loc)
         structures.append((stable, tipping))
     return structures
+
+
+def per_draw_exit_time_band(grid, drift_draws, diffusion_draws):
+    """The exit-time band's retained curves and anchor node, one draw at a
+    time. A draw is a candidate when `per_draw_roots` finds it two stable
+    points and one tipping point within one grid cell of the posterior-mean
+    drift's; its system, in scipy's band storage, is solved by
+    `scipy.linalg.solve_banded`, and kept unless singular, not finite, or
+    dipping below -1e-9 times its largest magnitude (at least 1)."""
+    from scipy.linalg import LinAlgError, solve_banded
+
+    h = grid[1] - grid[0]
+    (_, (tip,)), = per_draw_roots(grid, drift_draws.mean(axis=0)[None])
+    k = int(np.argmin(np.abs(grid - tip)))
+    curves = []
+    for (stable, tipping), f, g in zip(per_draw_roots(grid, drift_draws), drift_draws,
+                                      diffusion_draws):
+        if len(stable) != 2 or len(tipping) != 1 or abs(tipping[0] - tip) > h:
+            continue
+        # ab[0, j + 1], ab[1, j] and ab[2, j - 1] are row j's super-, main
+        # and sub-diagonal entries; row k is T = 0 and column k is empty but
+        # for it; the end rows are zero-slope.
+        adv, dif = f[1:-1] / (2 * h), g[1:-1] / (2 * h * h)
+        ab = np.zeros((3, grid.size))
+        ab[0, 2:], ab[1, 1:-1], ab[2, :-2] = dif + adv, -2 * dif, dif - adv
+        ab[0, 1], ab[1, 0], ab[1, -1], ab[2, -2] = 1.0, -1.0, 1.0, -1.0
+        ab[:, k] = 0.0
+        ab[1, k], ab[0, k + 1], ab[2, k - 1] = 1.0, 0.0, 0.0
+        rhs = np.full(grid.size, -1.0)
+        rhs[[0, k, -1]] = 0.0
+        try:
+            times = solve_banded((1, 1), ab, rhs, check_finite=False)
+        except LinAlgError:
+            continue
+        if np.all(np.isfinite(times)) and times.min() >= -1e-9 * max(1.0, np.abs(times).max()):
+            curves.append(np.maximum(times, 0.0))
+    return np.array(curves).reshape(-1, grid.size), k
 
 
 def drift_kernel(x, x2, sigma_q, l, sigma_b, sigma_l, c):

@@ -21,7 +21,8 @@ from landscaper.errors import DegenerateDataError, PreconditionError
 from landscaper.numerics import cumulative_trapezoid, nearest_rank
 from landscaper.sim import CuspParams, cusp_model
 
-from oracles import first_passage_times, per_draw_roots
+from oracles import first_passage_times, per_draw_exit_time_band, per_draw_roots
+from test_cli import synthetic_posterior
 
 
 @dataclass
@@ -470,6 +471,49 @@ class TestExitTimeBand:
         values = np.arange(1, 11)
         assert values[nearest_rank(len(values), 0.4)] == 4
         assert values[nearest_rank(len(values), 0.6)] == 6
+
+    def assert_equals_per_draw_solves(self, post):
+        band = exit_time_band(post)
+        curves, k = per_draw_exit_time_band(post.grid, post.drift_draws, post.diffusion_draws)
+        n = len(curves)
+        ranked = np.sort(curves, axis=0)
+        assert (band.retained, band.tipping) == (n, post.grid[k])
+        np.testing.assert_array_equal(band.mean, curves.mean(axis=0))
+        np.testing.assert_array_equal(band.lower60, ranked[math.ceil(0.6 * n) - 1])
+        np.testing.assert_array_equal(band.lower40, ranked[math.ceil(0.4 * n) - 1])
+        return band
+
+    def test_equals_the_per_draw_banded_solves(self):
+        post = synthetic_posterior(bistable=True)
+        assert self.assert_equals_per_draw_solves(post).retained == 40
+
+    def test_drops_exactly_the_draws_that_fail(self, rng):
+        # Twelve solvable draws on a coarse grid, with three between them that
+        # fail: g / (2 h^2) underflows to zero, which zeroes the rows where
+        # the drift vanishes (a zero pivot); a subnormal drift and diffusion
+        # (an overflow); and advection far stronger than diffusion (a dip).
+        # Every draw has its one tipping point within a cell of the mean's.
+        grid = np.linspace(-100.0, 100.0, 21)
+
+        def cubic(center, scale=1.0):
+            x = grid - center
+            return scale * x * (1 - x**2 / 2500)
+
+        good = [(cubic(rng.uniform(-3, 3)),
+                 rng.uniform(3000, 5000) * (1 + 0.1 * np.sin(grid / 30))) for _ in range(12)]
+        failing = [(cubic(0.0), np.full_like(grid, 5e-324), "zero pivot in row 10"),
+                   (cubic(3.0, 1e-310), np.full_like(grid, 5e-324), "non-finite values"),
+                   (cubic(2.0), np.full_like(grid, 100.0), "dips to -")]
+        draws = good[:4] + failing[:1] + good[4:8] + failing[1:2] + good[8:] + failing[2:]
+        post = curves_posterior(grid, [d[0] for d in draws], [d[1] for d in draws])
+        band = self.assert_equals_per_draw_solves(post)
+        assert band.retained == 12 and band.tipping == 0.0
+        for f, g, message in failing:
+            with pytest.raises(DegenerateDataError, match=message):
+                exit_time(CurvePair(grid, f, g), 0.0)
+        kept, _ = per_draw_exit_time_band(grid, post.drift_draws, post.diffusion_draws)
+        np.testing.assert_array_equal(
+            kept, [exit_time(CurvePair(grid, f, g), 0.0).times for f, g in good])
 
     def test_non_bistable_mean_rejected(self):
         grid = np.linspace(-2, 2, 101)

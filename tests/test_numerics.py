@@ -11,10 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.linalg.lapack import dgtsv
 
 import landscaper
 from landscaper.errors import DegenerateDataError, PreconditionError, SamplerError
-from landscaper.numerics import cumulative_trapezoid, density_from_drift_diffusion, fork_map
+from landscaper.numerics import (cumulative_trapezoid, density_from_drift_diffusion, fork_map,
+                                 solve_tridiagonal)
 from landscaper.tsdata import dump_json
 
 from test_cli import synthetic_posterior
@@ -34,53 +36,28 @@ def run_fresh(code):
     return out.stdout
 
 
-def test_cli_import_leaves_out_scipy_integrate(tmp_path):
-    # Neither scipy.integrate nor scipy.linalg is loaded by importing the CLI,
-    # nor by a derive that solves exit-time systems.
-    code = ("import sys, landscaper.cli; "
-            "print([m for m in ('scipy.integrate', 'scipy.linalg') if m in sys.modules])")
-    assert run_fresh(code).strip() == "[]"
-
+def test_pipeline_runs_without_scipy(tmp_path):
+    # The package needs numpy alone: with every scipy import failing, a
+    # simulate, a small fit, and a derive that solves exit-time systems each
+    # exit 0.
     post_path, out = tmp_path / "posterior.json", tmp_path / "derived"
     dump_json(synthetic_posterior(bistable=True).to_json(), post_path)
-    code = ("import sys; from landscaper import cli; "
-            f"code = cli.main(['derive', '--posterior', {str(post_path)!r}, "
-            f"'--out', {str(out)!r}]); "
-            "print(code, [m for m in ('scipy.integrate', 'scipy.linalg') if m in sys.modules])")
-    assert run_fresh(code).strip() == "0 []"
+    (tmp_path / "fit.json").write_text('{"n_chains": 2, "n_iterations": 100, "n_anchors": 6}')
+    commands = [
+        ["simulate", "--model", "cusp", "--n-series", "6", "--points", "4", "--dt", "0.3",
+         "--out", str(tmp_path / "data")],
+        ["fit", "--data", str(tmp_path / "data" / "dataset.csv"), "--config",
+         str(tmp_path / "fit.json"), "--allow-nonconverged", "--out", str(tmp_path / "fit")],
+        ["derive", "--posterior", str(post_path), "--out", str(out)],
+    ]
+    code = ("import sys; sys.modules['scipy'] = None; from landscaper import cli; "
+            f"print([cli.main(argv) for argv in {commands!r}])")
+    assert run_fresh(code).splitlines()[-1] == "[0, 0, 0]"
     assert (out / "exit_time_band.csv").exists()
 
 
-def test_lapack_loads_without_scipy_linalg():
-    # The exit-time solver takes scipy's LAPACK wrapper without importing the
-    # scipy.linalg package, and it is the one that package exports.
-    code = ("import sys; from landscaper import numerics; "
-            "routines = numerics.lapack('dgtsv'); "
-            "print('scipy.linalg' in sys.modules); "
-            "from scipy.linalg import lapack; "
-            "print(routines == (lapack.dgtsv,))")
-    assert run_fresh(code).split() == ["False", "True"]
-
-
-def test_fit_loads_no_scipy():
-    # The sampler's target is numpy alone: a fit, its posterior and a reload
-    # of it import no scipy module.
-    code = ("import json, sys, warnings; import numpy as np; "
-            "from landscaper import inference, tsdata; "
-            "rng = np.random.default_rng(0); "
-            "c = tsdata.TimeSeriesCollection(tuple(tsdata.TimeSeries(f's{i}', np.arange(4.0), "
-            "rng.standard_normal(4)) for i in range(6))); "
-            "warnings.simplefilter('ignore'); "
-            "post = inference.fit(c, inference.FitConfig(n_chains=2, n_iterations=100, "
-            "n_anchors=6)); "
-            "inference.Posterior.from_json(json.loads(json.dumps(post.to_json()))); "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    assert run_fresh(code).strip() == "[]"
-
-
-def test_only_numerics_imports_scipy():
-    # numerics is the package's one entry to scipy; every other module stays
-    # free of it, so that no command pays for importing scipy.linalg.
+def test_no_module_imports_scipy():
+    # scipy is the tests' oracle, not a dependency of the package.
     importers = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -92,7 +69,7 @@ def test_only_numerics_imports_scipy():
                 continue
             if any(n == "scipy" or n.startswith("scipy.") for n in names):
                 importers.append(path.name)
-    assert set(importers) <= {"numerics.py"}, importers
+    assert importers == []
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 50, 4001])
@@ -102,6 +79,25 @@ def test_cumulative_trapezoid_equals_scipy(rng, n):
         y = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
         expected = integrate.cumulative_trapezoid(y, x, initial=0.0)
         np.testing.assert_array_equal(cumulative_trapezoid(y, x), expected)
+
+
+@pytest.mark.parametrize("n", [2, 3, 50])
+def test_solve_tridiagonal_equals_dgtsv(rng, n):
+    # Random systems pivot often; a twentieth of the entries are zero, so
+    # some systems hit a zero pivot, where only `info` has to agree.
+    m = 300
+    sub = rng.standard_normal((m, n - 1)) * 10.0 ** rng.uniform(-3, 3, (m, 1))
+    main, sup, rhs = rng.standard_normal((3, m, n))
+    sup = sup[:, 1:]
+    sub[rng.random(sub.shape) < 0.05] = 0.0
+    main[rng.random(main.shape) < 0.05] = 0.0
+    x, info = solve_tridiagonal(sub, main, sup, rhs)
+    assert 0 < np.count_nonzero(info) < m
+    for row in range(m):
+        *_, expected, expected_info = dgtsv(sub[row], main[row], sup[row], rhs[row])
+        assert info[row] == expected_info
+        if not expected_info:
+            np.testing.assert_array_equal(x[row], expected)
 
 
 @pytest.mark.parametrize("drift_sign", [-1.0, 1.0])

@@ -56,6 +56,39 @@ def test_pipeline_runs_without_scipy(tmp_path):
     assert (out / "exit_time_band.csv").exists()
 
 
+def test_cli_import_leaves_out_scipy_integrate(tmp_path):
+    # Neither scipy.integrate nor scipy.linalg is loaded by importing the CLI,
+    # nor by a derive that solves exit-time systems.
+    code = ("import sys, landscaper.cli; "
+            "print([m for m in ('scipy.integrate', 'scipy.linalg') if m in sys.modules])")
+    assert run_fresh(code).strip() == "[]"
+
+    post_path, out = tmp_path / "posterior.json", tmp_path / "derived"
+    dump_json(synthetic_posterior(bistable=True).to_json(), post_path)
+    code = ("import sys; from landscaper import cli; "
+            f"code = cli.main(['derive', '--posterior', {str(post_path)!r}, "
+            f"'--out', {str(out)!r}]); "
+            "print(code, [m for m in ('scipy.integrate', 'scipy.linalg') if m in sys.modules])")
+    assert run_fresh(code).strip() == "0 []"
+    assert (out / "exit_time_band.csv").exists()
+
+
+def test_fit_loads_no_scipy():
+    # The sampler's target is numpy alone: a fit, its posterior and a reload
+    # of it import no scipy module.
+    code = ("import json, sys, warnings; import numpy as np; "
+            "from landscaper import inference, tsdata; "
+            "rng = np.random.default_rng(0); "
+            "c = tsdata.TimeSeriesCollection(tuple(tsdata.TimeSeries(f's{i}', np.arange(4.0), "
+            "rng.standard_normal(4)) for i in range(6))); "
+            "warnings.simplefilter('ignore'); "
+            "post = inference.fit(c, inference.FitConfig(n_chains=2, n_iterations=100, "
+            "n_anchors=6)); "
+            "inference.Posterior.from_json(json.loads(json.dumps(post.to_json()))); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert run_fresh(code).strip() == "[]"
+
+
 def test_no_module_imports_scipy():
     # scipy is the tests' oracle, not a dependency of the package.
     importers = []

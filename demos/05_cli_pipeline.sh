@@ -13,8 +13,8 @@ cat > "$WORK/fit.json" <<'JSON'
 {"n_chains": 4, "n_iterations": 1000, "seed": 5}
 JSON
 
-# The chains run in lockstep groups, one forked process per usable CPU by
-# default (`--threads N` sets the group count); the output is the same for any.
+# The chains run in lockstep in the `fit` process, one batched log-posterior
+# call per step.
 landscaper fit --data "$WORK/data/dataset.csv" --config "$WORK/fit.json" \
     --allow-nonconverged --out "$WORK/fit"
 

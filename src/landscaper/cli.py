@@ -5,10 +5,9 @@ stable formatting (sorted JSON keys, repr floats) and drops a manifest.json
 recording argv, input digests, output digests, config hash, seed and tool
 version, so any run can be replayed bit-identically. The `timings` field of
 the manifest is the only part that varies between identical runs: the total
-seconds; for `fit` also `chain_groups`, the number of chain groups run in
-parallel (which follows the machine's CPU count), and `fit_seconds`, the
-wall time of the `inference.fit` call; and for `experiment` also `workers`,
-the number of processes its replicates ran in (which follows it too).
+seconds; for `fit` also `fit_seconds`, the wall time of the `inference.fit`
+call; and for `experiment` also `workers`, the number of processes its
+replicates ran in (which follows the machine's CPU count).
 """
 
 from __future__ import annotations
@@ -113,16 +112,12 @@ def _float_rows(columns) -> list:
     return np.column_stack([np.asarray(c, dtype=float) for c in columns]).tolist()
 
 
-def _resolve_threads(value) -> int:
-    # One lockstep group of chains per usable CPU unless --threads says otherwise.
-    if value is None:
-        try:
-            return len(os.sched_getaffinity(0))
-        except AttributeError:  # no CPU affinity on this platform
-            return os.cpu_count() or 1
-    if value < 1:
-        raise PreconditionError(f"--threads must be >= 1; got {value}")
-    return value
+def _resolve_threads(value=None) -> int:
+    # The number of usable CPUs. `value` is unused; perfbench/run.py passes None.
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
 
 
 # The keys of a model spec document and their converters. Every model takes
@@ -224,11 +219,9 @@ def cmd_fit(args, argv) -> int:
         cfg = replace(cfg, seed=args.seed)
 
     collection = _load_fit_collection(args)
-    threads = _resolve_threads(args.threads)
     fit_started = time.perf_counter()
-    posterior = fit(collection, cfg, threads=threads)
-    timings = {"chain_groups": min(threads, cfg.n_chains),
-               "fit_seconds": time.perf_counter() - fit_started}
+    posterior = fit(collection, cfg)
+    timings = {"fit_seconds": time.perf_counter() - fit_started}
 
     post_path = out / "posterior.json"
     dump_json(posterior.to_json(), post_path)
@@ -328,8 +321,8 @@ def cmd_experiment(args, argv) -> int:
         kw["seed"] = args.seed
     # Both experiments default to seed 0; the manifest records the seed used.
     seed = kw.setdefault("seed", 0)
-    # One replicate process per usable CPU, as `fit` runs its chain groups.
-    workers = _resolve_threads(None)
+    # One replicate process per usable CPU; each replicate fit runs in one.
+    workers = _resolve_threads()
 
     if args.name == "coverage":
         result = coverage_experiment(model, workers=workers, **kw)
@@ -413,10 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="apply a centred log-ratio transform (wide CSV input)")
     p.add_argument("--column", default=None, help="variable column in a wide CSV")
     p.add_argument("--allow-nonconverged", action="store_true")
-    p.add_argument("--threads", type=int, default=None,
-                   help="split the chains into up to this many groups, each in its own "
-                        "process (default: the number of usable CPUs); the output is the "
-                        "same for any value")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit)
 

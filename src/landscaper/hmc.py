@@ -15,21 +15,15 @@ energy error exceeds ENERGY_ERROR_LIMIT, or that produce non-finite values,
 count as divergent and keep the previous draw.
 
 Each chain runs as a generator that yields every point it needs evaluated
-and is sent back the point's (log density, gradient). The chains of a group
-are driven in lockstep through one batch path: at each step, the points all
-its live chains wait on go to one batch call, the target's `batch` if it has
-one, which shares its per-call overhead across the chains. A plain function,
-such as a wrapper that times each evaluation, is wrapped once into a batch
+and is sent back the point's (log density, gradient). All the chains are
+driven in lockstep in the calling process: at each step, the points all live
+chains wait on go to one batch call, the target's `batch` if it has one,
+which shares its per-call overhead across the chains. A plain function, such
+as a wrapper that times each evaluation, is wrapped once into a batch
 function that calls it once per point. The sampler screens each batch once:
 a row whose log density or gradient is not finite is a rejection, sent to
 its chain as log density -inf. Chains own independent generator streams
-spawned from the seed by chain index, so results do not depend on how the
-chains are grouped. `threads` > 1 splits the chains into that many groups.
-For a batched target, the groups go to `numerics.fork_map`: every group but
-the first runs in a forked child process, which sends its chains' results
-and warnings back through a pipe. The groups of a plain-function target, or
-on a platform without the `fork` start method, run one after another in the
-calling process.
+spawned from the seed by chain index.
 """
 
 from __future__ import annotations
@@ -40,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SamplerError
-from .numerics import fork_map, seed_sequence
+from .numerics import seed_sequence
 
 __all__ = ["Chains", "sample"]
 
@@ -81,13 +75,9 @@ def sample(
 ) -> Chains:
     """Run `n_chains` HMC chains and return their post-warmup draws.
 
-    The first `n_iterations // 2` iterations of each chain are warmup. The
-    chains are split into `min(threads, n_chains)` groups, each run in
-    lockstep with one batch call per step. The groups of a batched target
-    run in parallel, the first here and each other one in a forked child
-    process (see `numerics.fork_map`); those of a plain function, which is
-    called once per point, run one after another here. The draws are the
-    same for any number of groups.
+    The first `n_iterations // 2` iterations of each chain are warmup. All
+    the chains run in lockstep here, with one batch call per step. `threads`
+    must be 1: it stays only because the benchmark's tracer reads it.
     """
     init = np.asarray(init, dtype=float)
     if n_iterations < 2:
@@ -96,29 +86,23 @@ def sample(
         raise SamplerError(f"need max_leapfrog >= 1; got {max_leapfrog}")
     if n_chains < 1:
         raise SamplerError(f"need n_chains >= 1; got {n_chains}")
-    if threads < 1:
-        raise SamplerError(f"need threads >= 1; got {threads}")
+    if threads != 1:
+        raise SamplerError(f"need threads == 1, as all chains run in one process; got {threads}")
     warmup = n_iterations // 2
     streams = seed_sequence(seed).spawn(n_chains)
 
-    groups = np.array_split(np.arange(n_chains), min(threads, n_chains))
-    workers = len(groups)
     batch = getattr(target, "batch", None)
-    if batch is None:  # a plain function: called once per point, in this process
-        workers = 1
+    if batch is None:  # a plain function: called once per point
 
         def batch(points):
             logps, grads = zip(*map(target, points))
             return np.array(logps, dtype=float), np.array(grads, dtype=float)
 
-    def run(group):
-        return _lockstep(batch, [
-            _run_chain(init, np.random.default_rng(streams[idx]), n_iterations=n_iterations,
-                       warmup=warmup, max_leapfrog=max_leapfrog, jitter_first=idx > 0)
-            for idx in group
-        ])
-
-    results = [r for rs in fork_map(run, groups, workers) for r in rs]
+    results = _lockstep(batch, [
+        _run_chain(init, np.random.default_rng(stream), n_iterations=n_iterations,
+                   warmup=warmup, max_leapfrog=max_leapfrog, jitter_first=idx > 0)
+        for idx, stream in enumerate(streams)
+    ])
 
     draws = np.stack([r[0] for r in results])
     return Chains(

@@ -488,16 +488,12 @@ class Posterior:
         return header, np.column_stack(cols)
 
 
-def fit(c: TimeSeriesCollection, cfg: FitConfig = FitConfig(), *,
-        threads: int = 1) -> Posterior:
+def fit(c: TimeSeriesCollection, cfg: FitConfig = FitConfig()) -> Posterior:
     """End-to-end inference: the basis, HMC over the posterior, curves on a grid.
 
     The sampler's target is the `TargetContext` itself, so it evaluates the
-    points of all live chains with one `TargetContext.batch` call per step.
-    `threads` > 1 splits the chains into up to that many lockstep groups,
-    every group but the first in a forked child process, so the groups run
-    in parallel; it never changes the posterior. The default runs one group
-    in the calling process, as the simulation studies do.
+    points of all its chains with one `TargetContext.batch` call per step,
+    in the calling process.
     """
     tset = to_transitions(c)
     if len(tset) < 10:
@@ -515,7 +511,7 @@ def fit(c: TimeSeriesCollection, cfg: FitConfig = FitConfig(), *,
         n_iterations=cfg.n_iterations,
         seed=cfg.seed,
         max_leapfrog=cfg.max_leapfrog,
-        threads=threads,
+        threads=1,  # perfbench/run.py takes `max` over this keyword
     )
 
     posterior = Posterior(chains.draws, chains.divergences, c.value_range, cfg)

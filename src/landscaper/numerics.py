@@ -4,8 +4,7 @@ work in parallel processes.
 `cumulative_trapezoid` and `solve_tridiagonal` transcribe scipy's
 cumulative_trapezoid and LAPACK's dgtsv (over a stack of systems), with the
 bits they give. `fork_map` maps a function over items in forked child
-processes; the sampler's chain groups and the simulation studies'
-replicates both run through it.
+processes; the simulation studies run their replicates through it.
 """
 
 from __future__ import annotations

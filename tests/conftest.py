@@ -24,7 +24,7 @@ def rng():
 @pytest.fixture(autouse=True)
 def no_leftover_child_processes():
     """Fail any test after which a child process started through
-    multiprocessing (a forked chain group) is still alive."""
+    multiprocessing (a forked share of `numerics.fork_map`) is still alive."""
     yield
     leftover = multiprocessing.active_children()
     if leftover:

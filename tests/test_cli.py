@@ -2,6 +2,8 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -10,7 +12,7 @@ import pytest
 
 from landscaper import cli, inference
 from landscaper.derived import CurvePair
-from landscaper.errors import ConvergenceWarning, PreconditionError
+from landscaper.errors import ConvergenceWarning
 from landscaper.inference import FitConfig, HYPER_NAMES, Posterior, TargetContext
 from landscaper.tsdata import dump_json, load_json, read_wide_csv
 
@@ -156,7 +158,7 @@ class TestFit:
         cfg = tmp_path_factory.mktemp("cfg") / "cfg.json"
         dump_json({"n_chains": 2, "n_iterations": 200, "max_leapfrog": 8}, cfg)
         code = run(["fit", "--data", dataset / "dataset.csv", "--config", cfg,
-                    "--seed", 3, "--threads", 1, "--allow-nonconverged", "--out", out])
+                    "--seed", 3, "--allow-nonconverged", "--out", out])
         assert code == 0
         return out
 
@@ -218,7 +220,7 @@ class TestFit:
     def test_nonconverged_exit_code(self, monkeypatch, tmp_path, dataset):
         fake = synthetic_posterior(bistable=True)
         object.__setattr__(fake, "converged", False)
-        monkeypatch.setattr(cli, "fit", lambda c, cfg, threads: fake)
+        monkeypatch.setattr(cli, "fit", lambda c, cfg: fake)
         out = tmp_path / "nc"
         code = run(["fit", "--data", dataset / "dataset.csv", "--out", out])
         assert code == cli.EXIT_CONVERGENCE
@@ -524,7 +526,7 @@ class TestMalformedDocuments:
                       "fit": {"n_chains": "2", "n_iterations": 100}}, "n_chains"),
         # no model spec
         ("coverage", {"total_time": 2, "replicates": 1}, "model"),
-        # threads is set by --threads only
+        # there is no thread setting: every fit runs in one process
         ("tpr-grid", {"model": CUSP_SPEC, "series_counts": [12], "replicates": 1,
                       "fit": {"n_chains": 2, "n_iterations": 100, "threads": 2}}, "threads"),
         # the experiment seed sets every replicate's fit seed
@@ -716,6 +718,14 @@ class TestReplayAndThreads:
             run(["replay", "--manifest", path])
         assert exit_info.value.code == cli.EXIT_PARSE
         assert not (tmp_path / "d").exists()
+        # Every fit runs its chains in one process, so --threads is gone as well.
+        argv = ["fit", "--data", str(tmp_path / "o" / "dataset.csv"), "--threads", "2",
+                "--out", str(tmp_path / "f")]
+        dump_json({"command": "fit", "argv": argv}, path)
+        with pytest.raises(SystemExit) as exit_info:
+            run(["replay", "--manifest", path])
+        assert exit_info.value.code == cli.EXIT_PARSE
+        assert not (tmp_path / "f").exists()
 
     def test_replay_byte_identical(self, tmp_path):
         out1 = tmp_path / "r1"
@@ -728,31 +738,25 @@ class TestReplayAndThreads:
         assert m1["outputs"] == m2["outputs"]
 
     def test_fit_outputs_independent_of_threads(self, tmp_path, dataset):
+        # The same fit in fresh processes with one and with two BLAS threads
+        # writes the same bytes; the manifest times the fit and nothing else.
         cfg = tmp_path / "cfg.json"
         dump_json({"n_chains": 2, "n_iterations": 150, "max_leapfrog": 8}, cfg)
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         outs = []
-        for threads in (1, 3):
+        for threads in ("1", "2"):
             out = tmp_path / f"t{threads}"
-            assert run(["fit", "--data", dataset / "dataset.csv", "--config", cfg,
-                        "--seed", 2, "--threads", threads, "--allow-nonconverged",
-                        "--out", out]) == 0
+            done = subprocess.run(
+                [sys.executable, "-m", "landscaper.cli", "fit", "--data",
+                 str(dataset / "dataset.csv"), "--config", str(cfg), "--seed", "2",
+                 "--allow-nonconverged", "--out", str(out)],
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path},
+                capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
             timings = load_json(out / "manifest.json")["timings"]
-            assert timings["chain_groups"] == min(threads, 2)
+            assert set(timings) == {"seconds", "fit_seconds"}
             assert 0 < timings["fit_seconds"] < timings["seconds"]
             outs.append(out)
-        assert read_bytes(outs[0] / "posterior.json") == read_bytes(outs[1] / "posterior.json")
-        assert read_bytes(outs[0] / "summary.csv") == read_bytes(outs[1] / "summary.csv")
-
-    def test_chain_groups_default_to_one_per_usable_cpu(self):
-        # The default is one chain group per usable CPU.
-        assert cli._resolve_threads(None) == len(os.sched_getaffinity(0))
-        assert cli._resolve_threads(3) == 3
-        for below in (0, -4):
-            with pytest.raises(PreconditionError, match="threads"):
-                cli._resolve_threads(below)
-
-    @pytest.mark.parametrize("threads", [0, -4])
-    def test_threads_below_one_exits_precondition(self, tmp_path, capsys, dataset, threads):
-        assert run(["fit", "--data", dataset / "dataset.csv", "--threads", threads,
-                    "--allow-nonconverged", "--out", tmp_path / "o"]) == cli.EXIT_PRECONDITION
-        assert "--threads" in capsys.readouterr().err
+        for name in ("posterior.json", "summary.csv", "diagnostics.csv"):
+            assert read_bytes(outs[0] / name) == read_bytes(outs[1] / name), name

@@ -3,7 +3,6 @@ import importlib
 import importlib.util
 import inspect
 import json
-import os
 import pkgutil
 import re
 import shlex
@@ -223,9 +222,8 @@ def test_traced_fit_writes_the_plain_fit_outputs(tmp_path):
 
 def test_fit_passes_threads_to_the_sampler_as_an_int(monkeypatch, tmp_path):
     # perfbench/run.py takes `max` over the `threads` keyword the tracer sees
-    # on each hmc.sample call, so every way into a fit must pass it as an int
-    # keyword: the library call at its default and with `threads=`, and the
-    # CLI without `--threads`.
+    # on each hmc.sample call, so every way into a fit, the library call and
+    # the CLI, must pass it as the int 1: every fit runs in one process.
     from landscaper import cli, hmc, inference, sim
     from landscaper.tsdata import write_observations_csv
 
@@ -242,11 +240,10 @@ def test_fit_passes_threads_to_the_sampler_as_an_int(monkeypatch, tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         inference.fit(data.collection, cfg)
-        inference.fit(data.collection, cfg, threads=2)
         write_observations_csv(data.collection, tmp_path / "data.csv")
         (tmp_path / "fit.json").write_text(json.dumps(cfg.to_json()))
         assert cli.main(["fit", "--data", str(tmp_path / "data.csv"), "--config",
                          str(tmp_path / "fit.json"), "--allow-nonconverged",
                          "--out", str(tmp_path / "fit")]) == 0
-    assert seen == [1, 2, len(os.sched_getaffinity(0))]
+    assert seen == [1, 1]
     assert all(type(t) is int for t in seen)

@@ -199,6 +199,24 @@ def test_fork_map_child_killed_by_a_signal():
     assert multiprocessing.active_children() == []
 
 
+def test_fork_map_unpicklable_child_error_is_a_sampler_error():
+    # A child's exception that does not survive pickling comes back as a
+    # SamplerError that names it.
+    class Unpicklable(Exception):
+        pass  # a local class: pickling it fails
+
+    here = os.getpid()
+
+    def fn(x):
+        if os.getpid() != here:
+            raise Unpicklable("bad item")
+        return x
+
+    with pytest.raises(SamplerError, match="a forked process raised Unpicklable: bad item"):
+        fork_map(fn, range(2), workers=2)
+    assert multiprocessing.active_children() == []
+
+
 def test_fork_map_reissues_child_warnings_in_item_order():
     # Every item warns; the children's warnings come back with their
     # category, message, file and line, after those of the first share.

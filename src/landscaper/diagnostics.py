@@ -60,21 +60,21 @@ def ess(chains) -> float:
     x = _split(_extract(chains))
     m, n = x.shape
     acov = _autocov(x)
-    chain_var = acov[:, 0] * n / (n - 1)
-    mean_var = float(np.mean(chain_var))
+    # Each lag's mean over the chains, as np.mean of that lag's column sums it.
+    lag_mean = np.ascontiguousarray(acov.T).mean(axis=1).tolist()
+    mean_var = float(np.mean(acov[:, 0] * n / (n - 1)))
     var_plus = mean_var * (n - 1) / n + float(np.var(x.mean(axis=1), ddof=1))
     if var_plus == 0.0:
         return float(m * n)
 
-    rho = np.zeros(n)
-    rho[0] = 1.0
+    rho = [1.0] + [0.0] * (n - 1)
     rho_even = 1.0
-    rho_odd = 1.0 - (mean_var - float(np.mean(acov[:, 1]))) / var_plus
+    rho_odd = 1.0 - (mean_var - lag_mean[1]) / var_plus
     rho[1] = rho_odd
     t = 1
     while t < n - 3 and (rho_even + rho_odd) > 0.0:
-        rho_even = 1.0 - (mean_var - float(np.mean(acov[:, t + 1]))) / var_plus
-        rho_odd = 1.0 - (mean_var - float(np.mean(acov[:, t + 2]))) / var_plus
+        rho_even = 1.0 - (mean_var - lag_mean[t + 1]) / var_plus
+        rho_odd = 1.0 - (mean_var - lag_mean[t + 2]) / var_plus
         if rho_even + rho_odd >= 0.0:
             rho[t + 1] = rho_even
             rho[t + 2] = rho_odd

@@ -20,10 +20,10 @@ driven in lockstep in the calling process: at each step, the points all live
 chains wait on go to one batch call, the target's `batch` if it has one,
 which shares its per-call overhead across the chains. A plain function, such
 as a wrapper that times each evaluation, is wrapped once into a batch
-function that calls it once per point. The sampler screens each batch once:
-a row whose log density or gradient is not finite is a rejection, sent to
-its chain as log density -inf. Chains own independent generator streams
-spawned from the seed by chain index.
+function that calls it once per point. Only the sampler's screen of each
+batch turns a non-finite evaluation into a rejection: a row whose log density
+or gradient is not finite is sent to its chain as log density -inf. Chains
+own independent generator streams spawned from the seed by chain index.
 """
 
 from __future__ import annotations

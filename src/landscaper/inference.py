@@ -24,8 +24,9 @@ constrained scale (shape/scale 2,2 on the kernel amplitudes sigma, 5,5 on
 length scales) and the log-scale Jacobian included. The gradient of the log
 posterior is computed analytically. The support is the states whose six
 log hypers all lie in [-HYPER_BOUND, HYPER_BOUND] (`_in_support`):
-`TargetContext.batch` gives any other state log density -inf, so the
-sampler never keeps one, and `Posterior` refuses draws outside it.
+`TargetContext.batch` gives any other state log density -inf (its only
+rule: a non-finite value or gradient is `hmc`'s to reject), so the sampler
+never keeps one, and `Posterior` refuses draws outside it.
 """
 
 from __future__ import annotations
@@ -244,16 +245,15 @@ class TargetContext:
         `np.vecdot`, one BLAS dot per row, where a (k, L) @ (L,) product
         would be one matrix-vector product with other bits. Every row is
         evaluated as it stands, silently even with log hypers of +-400, and
-        a row outside the support, or whose value or gradient is not finite,
-        then gets (-inf, zeros).
+        a row outside the support then gets log density -inf. Any other row
+        comes back as computed, finite or not: the sampler screens it.
         """
         thetas = np.asarray(thetas, dtype=float)
         with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
             logp, grad = self._evaluate(thetas)
-        ok = (_in_support(thetas[:, 2 * self.m:]) & np.isfinite(logp)
-              & np.isfinite(grad).all(axis=1))
-        if not ok.all():  # rare; unguarded, the masked stores would slow every call
-            logp[~ok], grad[~ok] = -np.inf, 0.0
+        inside = _in_support(thetas[:, 2 * self.m:])
+        if not inside.all():  # rare; unguarded, the masked store would slow every call
+            logp[~inside] = -np.inf
         return logp, grad
 
     def _evaluate(self, theta):
@@ -323,13 +323,13 @@ def log_posterior(state: ModelState, transitions: TransitionSet, domain):
     midpoint of their ends with that half-width. With an empty transition
     set the result is the prior alone. The gradient is exact for the
     implemented density (verified against finite differences in the test
-    suite).
+    suite); a state where either is not finite raises PreconditionError.
     """
     domain = np.asarray(domain, dtype=float)
     lo, hi = domain.min(), domain.max()
     ctx = TargetContext(*transitions.arrays(), domain.size, 0.5 * (lo + hi), 0.5 * (hi - lo))
     lp, grad = ctx.log_posterior_and_grad(state.to_vector())
-    if not math.isfinite(lp):
+    if not (math.isfinite(lp) and np.isfinite(grad).all()):
         raise PreconditionError("log posterior is not finite at the supplied state")
     return lp, grad
 
@@ -480,11 +480,9 @@ class Posterior:
     def summary_rows(self):
         """Rows of (grid, drift mean/50%/95% bands, diffusion likewise) for CSV."""
         header, cols = ["grid"], [self.grid]
-        for which in ("drift", "diffusion"):
+        for which, draws in (("drift", self.drift_draws), ("diffusion", self.diffusion_draws)):
             header += [f"{which}_{q}" for q in ("mean", "q25", "q75", "q025", "q975")]
-            cols.append(self.drift_mean() if which == "drift" else self.diffusion_mean())
-            for lo, hi in ((0.25, 0.75), (0.025, 0.975)):
-                cols += self.band(which, lo, hi)
+            cols += [draws.mean(axis=0), *np.quantile(draws, (0.25, 0.75, 0.025, 0.975), axis=0)]
         return header, np.column_stack(cols)
 
 

@@ -155,8 +155,9 @@ def custom_bimodal_unistable() -> SdeModel:
         return out if out.ndim else float(out)
 
     def diffusion(x):
-        x = np.asarray(x, dtype=float)
-        out = 0.844 * np.exp(-((2.0 * x - 0.6) ** 2))
+        # u * u: a scalar's u ** 2 calls pow, which can round otherwise.
+        u = 2.0 * np.asarray(x, dtype=float) - 0.6
+        out = 0.844 * np.exp(-(u * u))
         return out if out.ndim else float(out)
 
     grid = np.linspace(-2.0, 2.5, QUADRATURE_POINTS)

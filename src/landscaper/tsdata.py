@@ -339,12 +339,12 @@ def write_observations_csv(c: TimeSeriesCollection, path) -> None:
 def dump_json(doc, path) -> None:
     """Write a JSON document with a stable key order (byte-reproducible).
 
-    A NaN or infinite float raises ValueError rather than being written as a
-    token that is not JSON.
+    A NaN or infinite float raises ValueError before the file is opened,
+    rather than being written as a token that is not JSON.
     """
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_json(path):

@@ -104,48 +104,62 @@ class TestLogPosterior:
             assert np.abs(grad_far - grad).max() <= 1e-9 * np.abs(grad).max()
 
     def test_nonfinite_state_gives_minus_inf(self, rng):
+        # A NaN amplitude or length scale, or one just beyond HYPER_BOUND on
+        # either side, puts the state outside the support: log density -inf,
+        # which `log_posterior` refuses.
         ctx = synthetic_context(rng)
-        amplitude, length_scale = 2 * ctx.m, 2 * ctx.m + 1
-        # NaN in a latent of each function, an amplitude and a length scale;
-        # then hypers just beyond HYPER_BOUND on either side
-        cases = [(index, np.nan) for index in (0, ctx.m, amplitude, length_scale)]
+        m = ctx.m
+        amplitude, length_scale = 2 * m, 2 * m + 1
+        transitions = TransitionSet(ctx.x, ctx.dx, ctx.dt)
+        cases = [(index, np.nan) for index in (amplitude, length_scale)]
         cases += [(index, sign * (HYPER_BOUND + 1.0))
                   for index in (amplitude, length_scale) for sign in (1.0, -1.0)]
         for index, value in cases:
-            theta = random_state(rng, ctx.m)
+            theta = random_state(rng, m)
             theta[index] = value
-            lp, grad = ctx.log_posterior_and_grad(theta)
+            lp, _ = ctx.log_posterior_and_grad(theta)
             assert lp == -np.inf
-            np.testing.assert_array_equal(grad, np.zeros_like(theta))
+            if np.isfinite(value):
+                state = ModelState(theta[:m], theta[m:2 * m], theta[2 * m:2 * m + 4],
+                                   theta[2 * m + 4:])
+                with pytest.raises(PreconditionError, match="not finite"):
+                    log_posterior(state, transitions, np.linspace(-2.4, 2.4, m))
 
     def test_batch_rows_are_independent(self, rng):
         # One batch mixes finite states with NaN, +-inf and log hypers beyond
         # HYPER_BOUND. Log hypers of +-400 or +-1e308 overflow the weight
         # scales; those rows are evaluated as they stand and must warn
-        # nothing. Every good row is bit-equal to the same state evaluated
-        # alone and through `log_posterior`; every bad row is (-inf, zeros).
+        # nothing. A row outside the support gets log density -inf; a row
+        # with a NaN or +-inf latent, inside it, comes back as computed, not
+        # finite, for the sampler to reject. Every good row is bit-equal to
+        # the same state evaluated alone and through `log_posterior`.
         ctx = synthetic_context(rng)
         m = ctx.m
         amplitude, length_scale = 2 * m, 2 * m + 1
-        cases = [(0, np.nan), (m, np.inf), (amplitude, -np.inf), (length_scale, np.nan),
-                 (amplitude, HYPER_BOUND + 0.5), (length_scale, -HYPER_BOUND - 0.5)]
-        cases += [(index, value) for index in (amplitude, length_scale)
-                  for value in (400.0, -400.0, 1e308, -1e308)]
-        bad = []
-        for index, value in cases:
-            theta = random_state(rng, m)
-            theta[index] = value
-            bad.append(theta)
-        good = [random_state(rng, m) for _ in range(5)]
-        order = rng.permutation(len(good) + len(bad))
-        thetas = np.array(good + bad)[order]
-        is_good = order < len(good)
+        outside = [(amplitude, -np.inf), (length_scale, np.nan),
+                   (amplitude, HYPER_BOUND + 0.5), (length_scale, -HYPER_BOUND - 0.5)]
+        outside += [(index, value) for index in (amplitude, length_scale)
+                    for value in (400.0, -400.0, 1e308, -1e308)]
+        nonfinite = [(0, np.nan), (m, np.inf), (1, -np.inf), (m + 1, np.nan)]
+        rows, kinds = [], []
+        for kind, cases in (("outside", outside), ("nonfinite", nonfinite)):
+            for index, value in cases:
+                theta = random_state(rng, m)
+                theta[index] = value
+                rows.append(theta)
+                kinds.append(kind)
+        rows += [random_state(rng, m) for _ in range(5)]
+        kinds += ["good"] * 5
+        order = rng.permutation(len(rows))
+        thetas = np.array(rows)[order]
         logps, grads = ctx.batch(thetas)
         transitions = TransitionSet(ctx.x, ctx.dx, ctx.dt)
-        for theta, lp, grad, ok in zip(thetas, logps, grads, is_good):
-            if not ok:
+        for theta, lp, grad, kind in zip(thetas, logps, grads, np.array(kinds)[order]):
+            if kind == "outside":
                 assert lp == -np.inf
-                np.testing.assert_array_equal(grad, np.zeros_like(theta))
+                continue
+            if kind == "nonfinite":
+                assert not np.isfinite(lp)
                 continue
             alone = ctx.log_posterior_and_grad(theta)
             state = ModelState(theta[:m], theta[m:2 * m], theta[2 * m:2 * m + 4],

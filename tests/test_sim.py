@@ -163,6 +163,18 @@ class TestEulerMaruyama:
             sim._simulate_batch(blowup, [5.0], 1.0, np.zeros((1, 100)))
         assert scalar.value.step == batch.value.step
 
+    @pytest.mark.parametrize("model", ["cusp", "bimodal-unistable"])
+    def test_batch_of_100_matches_scalar_runs(self, model, bistable_cusp):
+        # Every walker of a 100-walker batch equals its own scalar run; for
+        # the state-dependent noise this needs the same rounding of its
+        # square on arrays and on scalars.
+        m = bistable_cusp if model == "cusp" else custom_bimodal_unistable()
+        x0 = np.linspace(-1.5, 2.0, 100)
+        z = np.random.default_rng(1).standard_normal((100, 500))
+        batch = sim._simulate_batch(m, x0, 0.01, z)
+        for row, start, noise in zip(batch, x0, z):
+            np.testing.assert_array_equal(row, sim._simulate_path(m, start, 0.01, noise))
+
     def test_long_run_histogram_matches_analytic_density(self, bistable_cusp):
         # Invariant: EM at dt=0.01 converges to the quadrature stationary density.
         traj = euler_maruyama(bistable_cusp, -1.0, 0.01, 1_000_000, seed=7)

@@ -316,9 +316,11 @@ class TestCsvAndJson:
             read_observations_csv(path)
 
     def test_dump_json_refuses_non_finite_floats(self, tmp_path):
+        # Refused before the file is opened: no file, not a truncated one.
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError):
-                dump_json({"x": bad}, tmp_path / "doc.json")
+                dump_json({"a": 1, "x": bad}, tmp_path / "doc.json")
+            assert not (tmp_path / "doc.json").exists()
 
 
 class TestReadDocument:

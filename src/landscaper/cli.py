@@ -7,7 +7,7 @@ version, so any run can be replayed bit-identically. The `timings` field of
 the manifest is the only part that varies between identical runs: the total
 seconds; for `fit` also `fit_seconds`, the wall time of the `inference.fit`
 call; and for `experiment` also `workers`, the number of processes its
-replicates ran in (which follows the machine's CPU count).
+replicates ran in (which follows the CPU affinity mask).
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import csv
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import fields, replace
@@ -36,7 +35,7 @@ from .errors import (
 )
 from .experiments import coverage_experiment, tpr_grid
 from .inference import FitConfig, Posterior, fit
-from .numerics import seed_sequence
+from .numerics import seed_sequence, usable_cpus
 from .sim import (
     INTERNAL_DT,
     CuspParams,
@@ -68,6 +67,11 @@ EXIT_PRECONDITION = 3
 EXIT_CONVERGENCE = 4
 EXIT_IO = 5
 EXIT_SAMPLER = 6
+# The exit code of each error a command reports, the first match winning.
+EXIT_CODES = ((IngestError, EXIT_PARSE),
+              ((PreconditionError, DegenerateDataError, MemoryError), EXIT_PRECONDITION),
+              ((SamplerError, SimulationDiverged), EXIT_SAMPLER), (OSError, EXIT_IO),
+              (LandscaperError, EXIT_INTERNAL))
 
 
 def _sha256(path: Path) -> str:
@@ -113,11 +117,8 @@ def _float_rows(columns) -> list:
 
 
 def _resolve_threads(value=None) -> int:
-    # The number of usable CPUs. `value` is unused; perfbench/run.py passes None.
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        return os.cpu_count() or 1
+    # Kept for perfbench/run.py, which records it; `value` is unused.
+    return usable_cpus()
 
 
 # The keys of a model spec document and their converters. Every model takes
@@ -321,11 +322,9 @@ def cmd_experiment(args, argv) -> int:
         kw["seed"] = args.seed
     # Both experiments default to seed 0; the manifest records the seed used.
     seed = kw.setdefault("seed", 0)
-    # One replicate process per usable CPU; each replicate fit runs in one.
-    workers = _resolve_threads()
 
     if args.name == "coverage":
-        result = coverage_experiment(model, workers=workers, **kw)
+        result = coverage_experiment(model, **kw)
         jobs = result.replicates
         table = out / "coverage.csv"
         _write_csv(table, ["budget", "agreement_short", "agreement_long"],
@@ -337,7 +336,7 @@ def cmd_experiment(args, argv) -> int:
     else:
         if "fit" in kw:
             kw["cfg"] = kw.pop("fit")
-        result = tpr_grid(model, workers=workers, **kw)
+        result = tpr_grid(model, **kw)
         jobs = len(result.series_counts) * len(result.timesteps) * result.replicates
         table = out / "tpr.csv"
         _write_csv(table, ["n_series"] + [repr(t) for t in result.timesteps],
@@ -347,7 +346,7 @@ def cmd_experiment(args, argv) -> int:
     meta_path = table.with_suffix(".json")
     dump_json(meta, meta_path)
     _write_manifest(out, "experiment", argv, seed, doc, [Path(args.config)],
-                    [table, meta_path], started, {"workers": min(workers, jobs)})
+                    [table, meta_path], started, {"workers": min(usable_cpus(), jobs)})
     return EXIT_OK
 
 
@@ -436,21 +435,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, list(argv))
-    except IngestError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (PreconditionError, DegenerateDataError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except (SamplerError, SimulationDiverged) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SAMPLER
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except LandscaperError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    except (LandscaperError, OSError, MemoryError) as exc:
+        # A MemoryError, from a size too large to allocate, may have no message.
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return next(code for kinds, code in EXIT_CODES if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

@@ -75,7 +75,6 @@ def coverage_experiment(
     total_time: float = 250.0,
     replicates: int = 50,
     seed=0,
-    workers: int = 1,
 ) -> CoverageResult:
     """Expanding-window agreement between data histograms and the true density.
 
@@ -87,11 +86,12 @@ def coverage_experiment(
     taken over both conditions and all budgets within the replicate. The
     density is the model's stationary table, the one its series start from.
     Both conditions observe every step of INTERNAL_DT. The replicates run in
-    up to `workers` processes (`numerics.fork_map`), with the same results
+    one process per usable CPU (`numerics.fork_map`), with the same results
     for any count.
     """
-    if replicates < 1 or not 1 <= total_time < np.inf:
-        raise PreconditionError("replicates must be >= 1 and total_time finite and >= 1")
+    if replicates < 1 or not 1 <= total_time < np.iinfo(np.intp).max * INTERNAL_DT:
+        raise PreconditionError("replicates must be >= 1 and total_time >= 1 and below "
+                                f"{np.iinfo(np.intp).max * INTERNAL_DT:.3g} time units")
     if model.stationary is None:
         raise PreconditionError(f"model {model.name!r} has no stationary table to score against")
     grid, cdf = model.stationary
@@ -123,7 +123,7 @@ def coverage_experiment(
         max_kl = max(kl_s.max(), kl_l.max())
         return 1.0 - kl_s / max_kl, 1.0 - kl_l / max_kl
 
-    rows = fork_map(replicate, seed_sequence(seed).spawn(replicates), workers)
+    rows = fork_map(replicate, seed_sequence(seed).spawn(replicates))
     agree_s = np.array([short for short, _ in rows])
     agree_l = np.array([long for _, long in rows])
 
@@ -153,7 +153,6 @@ def tpr_grid(
     replicates: int = 20,
     cfg: FitConfig = FitConfig(),
     seed=0,
-    workers: int = 1,
 ) -> TprGrid:
     """Fraction of replicate fits whose modal stable-state count is correct.
 
@@ -161,8 +160,8 @@ def tpr_grid(
     a fraction of the model's characteristic time scale (measured on a long
     reference run), rounded to a whole number of INTERNAL_DT steps; each
     series has TPR_POINTS_PER_SERIES points. Fit failures count as misses,
-    never as positives. The replicates of every cell run in up to `workers`
-    processes (`numerics.fork_map`), each fit in one, with the same results
+    never as positives. The replicates of every cell run in one process per
+    usable CPU (`numerics.fork_map`), each fit in one, with the same results
     for any count.
     """
     if replicates < 1:
@@ -171,10 +170,10 @@ def tpr_grid(
         raise PreconditionError("true_model must carry a ground-truth label")
     series_counts = tuple(int(n) for n in series_counts)
     timesteps = tuple(float(t) for t in timesteps)
-    if any(n < 1 for n in series_counts):
-        raise PreconditionError("series_counts entries must be >= 1")
-    if not all(0 < t < np.inf for t in timesteps):
-        raise PreconditionError("timestep fractions must be finite and positive")
+    if not series_counts or any(n < 1 for n in series_counts):
+        raise PreconditionError("series_counts must be non-empty, with entries >= 1")
+    if not timesteps or not all(0 < t < np.inf for t in timesteps):
+        raise PreconditionError("timesteps must be non-empty, each finite and positive")
 
     tc_seed, data_seed = seed_sequence(seed).spawn(2)
     t_c = estimate_timescale(true_model, seed=tc_seed).t_c
@@ -198,7 +197,7 @@ def tpr_grid(
 
     hits = np.zeros((len(series_counts), len(timesteps)), dtype=int)
     failures = np.zeros_like(hits)
-    for ((i, j), _), (hit, failed) in zip(jobs, fork_map(replicate, jobs, workers)):
+    for ((i, j), _), (hit, failed) in zip(jobs, fork_map(replicate, jobs)):
         hits[i, j] += hit
         failures[i, j] += failed
     tpr = hits / replicates

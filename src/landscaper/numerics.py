@@ -3,12 +3,13 @@ work in parallel processes.
 
 `cumulative_trapezoid` and `solve_tridiagonal` transcribe scipy's
 cumulative_trapezoid and LAPACK's dgtsv (over a stack of systems), with the
-bits they give. `fork_map` maps a function over items in forked child
-processes; the simulation studies run their replicates through it.
+bits they give. `fork_map` maps a function over items, one forked process per
+usable CPU; the simulation studies run their replicates through it.
 """
 
 from __future__ import annotations
 
+import os
 import pickle
 import warnings
 
@@ -17,7 +18,7 @@ import numpy as np
 from .errors import DegenerateDataError, PreconditionError, SamplerError
 
 __all__ = ["cumulative_trapezoid", "density_from_drift_diffusion", "fork_map", "nearest_rank",
-           "seed_sequence", "solve_tridiagonal"]
+           "seed_sequence", "solve_tridiagonal", "usable_cpus"]
 
 # Largest rounding error density_from_drift_diffusion accepts in its exponent:
 # the unit roundoff times the largest magnitude of the running integral.
@@ -117,24 +118,30 @@ def solve_tridiagonal(sub, main, sup, rhs):
     return np.ascontiguousarray(b.T), info
 
 
-def fork_map(fn, items, workers: int = 1) -> list:
-    """`[fn(item) for item in items]`, run in up to `workers` processes.
+def usable_cpus() -> int:
+    """The size of this process's CPU affinity mask, or the CPU count where
+    the platform has no affinity: the most processes `fork_map` uses."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    The items are split into `min(workers, len(items))` contiguous shares.
-    The first share runs here, and each other one in a child process forked
-    here, which sends back its results or exception and the warnings it
-    issued. The children's warnings are re-issued here in item order, with
-    their category, message, file and line, and the exception of the first
-    failing item in item order is raised. One that does not survive
-    pickling comes back as a SamplerError that names it, as does a child
-    that dies without sending anything, with its exit code. Every child is
-    killed and reaped before this returns or raises. With one share, or
-    without the `fork` start method, every item runs here.
+
+def fork_map(fn, items) -> list:
+    """`[fn(item) for item in items]`, run in one process per usable CPU.
+
+    The items are split into `min(usable_cpus(), len(items))` contiguous
+    shares (a smaller affinity mask means fewer). The first share runs here,
+    and each other one in a child process forked here, which sends back its
+    results or exception and the warnings it issued. The children's warnings
+    are re-issued here in item order, with their category, message, file
+    and line, and the exception of the first failing item in item order is
+    raised. One that does not survive pickling comes back as a SamplerError
+    that names it, as does a child that dies without sending anything, with
+    its exit code. Every child is killed and reaped before this returns or
+    raises. With one share, or without `fork`, every item runs here.
     """
-    if workers < 1:
-        raise PreconditionError(f"need workers >= 1; got {workers}")
     items = list(items)
-    shares = np.array_split(np.arange(len(items)), max(1, min(workers, len(items))))
+    shares = np.array_split(np.arange(len(items)), max(1, min(usable_cpus(), len(items))))
     # Forked, not spawned: a child shares `fn` and the items as they are,
     # with nothing to pickle.
     if len(shares) > 1:

@@ -257,6 +257,8 @@ def generate_short_series(
         )
 
     n_obs_steps = (pts_per_series - 1) * stride
+    if n_obs_steps > np.iinfo(np.intp).max:
+        raise PreconditionError(f"{n_obs_steps} internal steps per series exceed any array's size")
     children = seed_sequence(seed).spawn(n_series)
     rngs = [np.random.default_rng(c) for c in children]
 

@@ -264,11 +264,15 @@ def read_wide_csv(path, column: str, clr: bool) -> TimeSeriesCollection:
     per variable). With `clr`, each row is first given a pseudocount and a
     centred log-ratio transform. Units with fewer than two points are dropped.
     A cell it uses, the column's or with `clr` any variable's, that is NaN or
-    infinite, or with `clr` negative, is an IngestError."""
+    infinite, or with `clr` negative, is an IngestError, as is a header that
+    names a variable twice."""
     header, lines = _csv_lines(path)
     if len(header) < 3 or header[0].strip() != "unit_id" or header[1].strip() != "time":
         raise IngestError(f"{path}: line 1: expected header unit_id,time,<variables...>")
     names = [h.strip() for h in header[2:]]
+    twice = next((name for i, name in enumerate(names) if name in names[:i]), None)
+    if twice is not None:
+        raise IngestError(f"{path}: line 1: variable {twice!r} is named more than once")
     if column not in names:
         raise IngestError(f"{path}: column {column!r} not present")
     used = range(len(names)) if clr else [names.index(column)]

@@ -1,4 +1,5 @@
 import multiprocessing
+import os
 import sys
 from pathlib import Path
 
@@ -19,6 +20,15 @@ def bistable_cusp():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture()
+def set_cpus(monkeypatch):
+    """`set_cpus(n)` gives this process an affinity mask of n CPUs, so
+    `numerics.usable_cpus` reports n and `fork_map` uses up to n processes."""
+    def set_cpus(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    return set_cpus
 
 
 @pytest.fixture(autouse=True)

@@ -299,6 +299,18 @@ class TestWideCsvAndClr:
         assert f"{wide}: line 6: taxa_a is -1.0, negative" in capsys.readouterr().err
         assert -1.0 in read_wide_csv(wide, "taxa_a", clr=False).all_values()
 
+    def test_variable_named_twice_is_parse_error(self, tmp_path, capsys):
+        # Two columns named a: the fit must not pick one of them.
+        wide = tmp_path / "wide.csv"
+        wide.write_text("unit_id,time,a,a\n" + "".join(
+            f"u{u},{t},{1 + t + u / 10},{5 + t}\n" for u in range(8) for t in range(2)))
+        cfg = tmp_path / "cfg.json"
+        dump_json({"n_chains": 2, "n_iterations": 100, "max_leapfrog": 4}, cfg)
+        code = run(["fit", "--data", wide, "--column", "a", "--config", cfg,
+                    "--allow-nonconverged", "--out", tmp_path / "o"])
+        assert code == cli.EXIT_PARSE
+        assert "variable 'a' is named more than once" in capsys.readouterr().err
+
     def test_missing_column_is_parse_error(self, tmp_path, capsys):
         wide = tmp_path / "wide.csv"
         self.make_wide(wide)
@@ -449,14 +461,14 @@ class TestExperimentCommand:
                       "fit": {"n_chains": 2, "n_iterations": 150, "max_leapfrog": 8,
                               "n_anchors": 12}}, 6),
     ])
-    def test_outputs_independent_of_cpu_count(self, tmp_path, monkeypatch, name, doc, jobs):
+    def test_outputs_independent_of_cpu_count(self, tmp_path, set_cpus, name, doc, jobs):
         # One replicate process per usable CPU; the manifest records the
         # count under `timings`, and the outputs are the same for any count.
         cfg = tmp_path / "exp.json"
         dump_json(doc, cfg)
         manifests = []
         for cpus in (1, 4):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+            set_cpus(cpus)
             out = tmp_path / f"cpus{cpus}"
             assert run(["experiment", "--name", name, "--config", cfg, "--out", out]) == 0
             manifest = load_json(out / "manifest.json")
@@ -624,7 +636,7 @@ class TestMalformedDocuments:
         assert run(argv) == cli.EXIT_PRECONDITION
         assert "seed" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key, value", [("total_time", 0.5)])
+    @pytest.mark.parametrize("key, value", [("total_time", 0.5), ("total_time", 1e19)])
     def test_coverage_range_exits_precondition(self, tmp_path, capsys, key, value):
         path = tmp_path / "exp.json"
         dump_json({"model": CUSP_SPEC, "total_time": 2, "replicates": 1, key: value}, path)
@@ -641,6 +653,36 @@ class TestMalformedDocuments:
                     "--out", tmp_path / "o"]) == cli.EXIT_PRECONDITION
         assert "series_counts" in capsys.readouterr().err
         assert not (tmp_path / "o" / "tpr.json").exists()
+
+    @pytest.mark.parametrize("key", ["series_counts", "timesteps"])
+    def test_tpr_empty_grid_exits_precondition(self, tmp_path, capsys, key):
+        path = tmp_path / "exp.json"
+        dump_json({"model": CUSP_SPEC, key: [], "replicates": 2}, path)
+        assert run(["experiment", "--name", "tpr-grid", "--config", path,
+                    "--out", tmp_path / "o"]) == cli.EXIT_PRECONDITION
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "o" / "tpr.csv").exists()
+
+    @pytest.mark.parametrize("dt, message", [("1e20", "exceed any array"),
+                                             ("1e15", "Unable to allocate")])
+    def test_step_count_beyond_memory_exits_precondition(self, tmp_path, capsys, dt, message):
+        # 1e20 gives more internal steps than an array can index and is
+        # refused before anything is allocated; 1e15 gives 1e17 steps per
+        # series, whose allocation fails at once. Either is one error line.
+        args = simulate_args(tmp_path / "o", n=1, points=2)
+        args[args.index("--dt") + 1] = dt
+        assert run(args) == cli.EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+    def test_memory_error_without_a_message_exits_precondition(self, tmp_path, capsys,
+                                                               monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "generate_short_series", no_memory)
+        assert run(simulate_args(tmp_path / "o")) == cli.EXIT_PRECONDITION
+        assert capsys.readouterr().err == "error: out of memory\n"
 
     @pytest.mark.parametrize("max_dt", ["nan", "inf"])
     def test_max_dt_not_finite_exits_precondition_before_fitting(self, tmp_path, capsys,

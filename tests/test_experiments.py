@@ -96,15 +96,17 @@ class TestCoverageExperiment:
         with pytest.raises(PreconditionError):
             coverage_experiment(bistable_cusp, replicates=0)
 
-    def test_worker_count_does_not_change_the_bits(self, bistable_cusp):
-        runs = [coverage_experiment(bistable_cusp, total_time=20.0, replicates=3, seed=6,
-                                    workers=workers) for workers in (1, 2, 4)]
+    def test_worker_count_does_not_change_the_bits(self, bistable_cusp, set_cpus):
+        runs = []
+        for cpus in (1, 2, 4):
+            set_cpus(cpus)
+            runs.append(coverage_experiment(bistable_cusp, total_time=20.0, replicates=3, seed=6))
         for other in runs[1:]:
             np.testing.assert_array_equal(runs[0].per_replicate_short, other.per_replicate_short)
             np.testing.assert_array_equal(runs[0].per_replicate_long, other.per_replicate_long)
 
     @pytest.mark.parametrize("kw", [{"total_time": 0.5}, {"total_time": math.nan},
-                                    {"total_time": math.inf}])
+                                    {"total_time": math.inf}, {"total_time": 1e19}])
     def test_ranges_validated(self, bistable_cusp, kw):
         with pytest.raises(PreconditionError, match=next(iter(kw))):
             coverage_experiment(bistable_cusp, replicates=1, **kw)
@@ -131,6 +133,13 @@ class TestTprGrid:
         with pytest.raises(PreconditionError, match="series_counts"):
             tpr_grid(bistable_cusp, counts, [0.1], replicates=1)
 
+    @pytest.mark.parametrize("counts, fracs, name", [([], [0.1], "series_counts"),
+                                                     ([10], [], "timesteps")])
+    def test_empty_grid_rejected(self, bistable_cusp, counts, fracs, name):
+        # A grid without cells is a config error, not an empty table.
+        with pytest.raises(PreconditionError, match=name):
+            tpr_grid(bistable_cusp, counts, fracs, replicates=1)
+
     def test_too_small_timestep_rejected(self, bistable_cusp):
         with pytest.raises(PreconditionError, match="internal step"):
             tpr_grid(bistable_cusp, [10], [1e-6], replicates=1)
@@ -155,18 +164,20 @@ class TestTprGrid:
         b = tpr_grid(bistable_cusp, [12], [0.1], replicates=1, cfg=cfg, seed=19)
         np.testing.assert_array_equal(a.tpr, b.tpr)
 
-    def test_worker_count_does_not_change_the_bits(self, bistable_cusp):
+    def test_worker_count_does_not_change_the_bits(self, bistable_cusp, set_cpus):
         # Seed 3 gives a grid whose TPR is neither all 0 nor all 1.
         cfg = FitConfig(n_chains=2, n_iterations=150, max_leapfrog=8, n_anchors=12)
-        runs = [tpr_grid(bistable_cusp, [12, 30], [0.1], replicates=3, cfg=cfg, seed=3,
-                         workers=workers) for workers in (1, 2, 4)]
+        runs = []
+        for cpus in (1, 2, 4):
+            set_cpus(cpus)
+            runs.append(tpr_grid(bistable_cusp, [12, 30], [0.1], replicates=3, cfg=cfg, seed=3))
         assert np.any(runs[0].tpr > 0) and np.any(runs[0].tpr < 1)
         for other in runs[1:]:
             np.testing.assert_array_equal(runs[0].tpr, other.tpr)
             np.testing.assert_array_equal(runs[0].failures, other.failures)
 
     def test_replicate_warning_from_a_child_reaches_the_caller(self, bistable_cusp,
-                                                               monkeypatch):
+                                                               monkeypatch, set_cpus):
         here = os.getpid()
         fit = experiments.fit
 
@@ -177,5 +188,6 @@ class TestTprGrid:
 
         monkeypatch.setattr(experiments, "fit", warns_in_child)
         cfg = FitConfig(n_chains=2, n_iterations=100, max_leapfrog=8, n_anchors=12)
+        set_cpus(2)
         with pytest.warns(UserWarning, match="replicate fit in a forked process"):
-            tpr_grid(bistable_cusp, [12], [0.1], replicates=2, cfg=cfg, seed=1, workers=2)
+            tpr_grid(bistable_cusp, [12], [0.1], replicates=2, cfg=cfg, seed=1)

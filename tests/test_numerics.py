@@ -14,9 +14,9 @@ from scipy import integrate
 from scipy.linalg.lapack import dgtsv
 
 import landscaper
-from landscaper.errors import DegenerateDataError, PreconditionError, SamplerError
+from landscaper.errors import DegenerateDataError, SamplerError
 from landscaper.numerics import (cumulative_trapezoid, density_from_drift_diffusion, fork_map,
-                                 solve_tridiagonal)
+                                 solve_tridiagonal, usable_cpus)
 from landscaper.tsdata import dump_json
 
 from test_cli import synthetic_posterior
@@ -148,9 +148,10 @@ class ItemWarning(UserWarning):
     pass
 
 
-def test_fork_map_returns_results_in_item_order():
+def test_fork_map_returns_results_in_item_order(set_cpus):
     # 7 items in 3 shares: items 0-2 run here, 3-4 and 5-6 in two children.
-    results = fork_map(lambda x: (x * x, os.getpid()), range(7), workers=3)
+    set_cpus(3)
+    results = fork_map(lambda x: (x * x, os.getpid()), range(7))
     assert [r[0] for r in results] == [x * x for x in range(7)]
     pids = [r[1] for r in results]
     assert pids[:3] == [os.getpid()] * 3
@@ -159,19 +160,20 @@ def test_fork_map_returns_results_in_item_order():
     assert multiprocessing.active_children() == []
 
 
-def test_fork_map_raises_the_first_failing_item():
+def test_fork_map_raises_the_first_failing_item(set_cpus):
     # Items 3 and 4 fail, in different children; item 3's error is raised.
     def fn(x):
         if x in (3, 4):
             raise ValueError(f"item {x} failed")
         return x
 
+    set_cpus(3)
     with pytest.raises(ValueError, match="item 3 failed"):
-        fork_map(fn, range(6), workers=3)
+        fork_map(fn, range(6))
     assert multiprocessing.active_children() == []
 
 
-def test_fork_map_error_here_kills_the_children():
+def test_fork_map_error_here_kills_the_children(set_cpus):
     # The first share fails at once while the children would sleep for a
     # minute: they are killed and reaped, not waited for.
     def fn(x):
@@ -180,13 +182,14 @@ def test_fork_map_error_here_kills_the_children():
         time.sleep(60)
 
     started = time.perf_counter()
+    set_cpus(3)
     with pytest.raises(ValueError, match="first share failed"):
-        fork_map(fn, range(3), workers=3)
+        fork_map(fn, range(3))
     assert time.perf_counter() - started < 30
     assert multiprocessing.active_children() == []
 
 
-def test_fork_map_child_killed_by_a_signal():
+def test_fork_map_child_killed_by_a_signal(set_cpus):
     here = os.getpid()
 
     def fn(x):
@@ -194,12 +197,13 @@ def test_fork_map_child_killed_by_a_signal():
             os.kill(os.getpid(), signal.SIGKILL)
         return x
 
+    set_cpus(2)
     with pytest.raises(SamplerError, match="exited with code -9 before sending"):
-        fork_map(fn, range(2), workers=2)
+        fork_map(fn, range(2))
     assert multiprocessing.active_children() == []
 
 
-def test_fork_map_unpicklable_child_error_is_a_sampler_error():
+def test_fork_map_unpicklable_child_error_is_a_sampler_error(set_cpus):
     # A child's exception that does not survive pickling comes back as a
     # SamplerError that names it.
     class Unpicklable(Exception):
@@ -212,12 +216,13 @@ def test_fork_map_unpicklable_child_error_is_a_sampler_error():
             raise Unpicklable("bad item")
         return x
 
+    set_cpus(2)
     with pytest.raises(SamplerError, match="a forked process raised Unpicklable: bad item"):
-        fork_map(fn, range(2), workers=2)
+        fork_map(fn, range(2))
     assert multiprocessing.active_children() == []
 
 
-def test_fork_map_reissues_child_warnings_in_item_order():
+def test_fork_map_reissues_child_warnings_in_item_order(set_cpus):
     # Every item warns; the children's warnings come back with their
     # category, message, file and line, after those of the first share.
     def fn(x):
@@ -225,19 +230,29 @@ def test_fork_map_reissues_child_warnings_in_item_order():
         return x
 
     line = fn.__code__.co_firstlineno + 1
+    set_cpus(3)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert fork_map(fn, range(5), workers=3) == list(range(5))
+        assert fork_map(fn, range(5)) == list(range(5))
     assert [str(w.message) for w in caught] == [f"item {x}" for x in range(5)]
     assert {(w.category, w.filename, w.lineno) for w in caught} == {(ItemWarning, __file__, line)}
 
 
-def test_fork_map_runs_here_without_fork(monkeypatch):
+def test_fork_map_runs_here_without_fork(monkeypatch, set_cpus):
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    assert fork_map(lambda x: os.getpid(), range(3), workers=3) == [os.getpid()] * 3
+    set_cpus(3)
+    assert fork_map(lambda x: os.getpid(), range(3)) == [os.getpid()] * 3
 
 
-@pytest.mark.parametrize("workers", [0, -2])
-def test_fork_map_needs_a_worker(workers):
-    with pytest.raises(PreconditionError, match="workers"):
-        fork_map(abs, [1], workers=workers)
+def test_fork_map_with_one_cpu_runs_every_item_here(set_cpus):
+    set_cpus(1)
+    assert fork_map(lambda x: os.getpid(), range(3)) == [os.getpid()] * 3
+
+
+@pytest.mark.parametrize("count, expected", [(5, 5), (None, 1)])
+def test_usable_cpus_without_affinity_is_the_cpu_count(monkeypatch, count, expected):
+    # A platform without sched_getaffinity; os.cpu_count() is None where the
+    # count cannot be told.
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    assert usable_cpus() == expected

@@ -274,6 +274,12 @@ class TestGenerateShortSeries:
         with pytest.raises(PreconditionError, match="dt_target"):
             generate_short_series(bistable_cusp, 5, 2, dt_target, seed=0)
 
+    @pytest.mark.parametrize("points, dt_target", [(2, 1e20), (10**19, 0.01)])
+    def test_step_count_no_array_holds_rejected(self, bistable_cusp, points, dt_target):
+        # Refused before anything is allocated.
+        with pytest.raises(PreconditionError, match="exceed any array"):
+            generate_short_series(bistable_cusp, 1, points, dt_target, seed=0)
+
     def test_non_multiple_dt_rejected(self, bistable_cusp):
         with pytest.raises(PreconditionError):
             generate_short_series(bistable_cusp, 5, 2, 0.015, seed=0)

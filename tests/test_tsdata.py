@@ -309,6 +309,15 @@ class TestCsvAndJson:
             marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
             assert read(marked) == read(plain)
 
+    @pytest.mark.parametrize("clr", [False, True])
+    def test_variable_named_twice_is_refused(self, tmp_path, clr):
+        # Either column could be the one meant, so neither is read, even
+        # when another variable is fitted.
+        path = tmp_path / "wide.csv"
+        path.write_text("unit_id,time,b,a,a\nu,0.0,1.0,1.0,5.0\nu,1.0,1.0,2.0,6.0\n")
+        with pytest.raises(IngestError, match="line 1: variable 'a' is named more than once"):
+            read_wide_csv(path, "b", clr)
+
     def test_missing_header(self, tmp_path):
         path = tmp_path / "obs.csv"
         path.write_text("a,1.0,2.0\n")

@@ -6,13 +6,11 @@ posterior, and prints where the stable states, tipping region and
 multistability posterior ended up relative to the ground truth.
 
 Runs in a few seconds. At 1000 iterations the chains are not shown to
-converge (it prints converged=False; the fit's warnings are silenced here),
-and they are not at 2000 either, so read its numbers as a picture of one
-unconverged fit: the posterior still puts most of its mass on two stable
-states and centres the tipping region near the true tipping point.
+converge (it prints converged=False, and the fit's ConvergenceWarning
+reaches stderr), and they are not at 2000 either, so read its numbers as a
+picture of one unconverged fit: the posterior still puts most of its mass on
+two stable states and centres the tipping region near the true tipping point.
 """
-
-import warnings
 
 import numpy as np
 
@@ -35,9 +33,7 @@ values = dataset.collection.all_values()
 print(f"dataset: {len(dataset.collection.series)} series, "
       f"values spanning [{values.min():.2f}, {values.max():.2f}]")
 
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore")
-    posterior = fit(dataset.collection, FitConfig(n_iterations=N_ITERATIONS, seed=7))
+posterior = fit(dataset.collection, FitConfig(n_iterations=N_ITERATIONS, seed=7))
 print(f"sampler: {posterior.n_draws} draws, {posterior.divergences} divergences, "
       f"converged={posterior.converged}")
 

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # End-to-end batch pipeline through the CLI: simulate -> fit -> derive,
-# plus a manifest replay to show byte-identical reproduction.
+# plus manifest replays of the dataset and of a coverage study to show
+# byte-identical reproduction.
 set -euo pipefail
 
 WORK="$(mktemp -d)"
@@ -31,3 +32,8 @@ cat > "$WORK/coverage.json" <<'JSON'
 JSON
 landscaper experiment --name coverage --config "$WORK/coverage.json" --out "$WORK/coverage"
 head -3 "$WORK/coverage/coverage.csv"
+
+landscaper replay --manifest "$WORK/coverage/manifest.json" --out "$WORK/coverage2"
+cmp "$WORK/coverage/coverage.csv" "$WORK/coverage2/coverage.csv" \
+    && cmp "$WORK/coverage/coverage.json" "$WORK/coverage2/coverage.json" \
+    && echo "replayed coverage study is byte-identical"

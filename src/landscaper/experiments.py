@@ -15,6 +15,7 @@ from .sim import (
     INTERNAL_DT,
     SdeModel,
     _reference_path,
+    _short_paths,
     estimate_timescale,
     generate_short_series,
     step_from_fraction,
@@ -59,15 +60,15 @@ class TprGrid:
     t_c: float
 
 
-def kl_divergence(p, q, dx: float = 1.0) -> float:
-    """KL(p || q) = sum p log(p/q) dx over grid cells, with a 1e-12 floor."""
+def kl_divergence(p, q, dx: float = 1.0):
+    """KL(p || q) = sum p log(p/q) dx over the grid cells of p's last axis, 1e-12 floor."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
+    if p.shape[-1:] != q.shape:
         raise PreconditionError("histogram and reference must share one grid")
     pf = np.maximum(p, DENSITY_FLOOR)
     qf = np.maximum(q, DENSITY_FLOOR)
-    return float(np.sum(pf * np.log(pf / qf)) * dx)
+    return np.sum(pf * np.log(pf / qf), axis=-1) * dx
 
 
 def coverage_experiment(
@@ -78,16 +79,18 @@ def coverage_experiment(
 ) -> CoverageResult:
     """Expanding-window agreement between data histograms and the true density.
 
-    Per replicate, one long trajectory and one collection of independently
+    Per replicate, one long trajectory and a collection of independently
     initialized short series of COVERAGE_POINTS_PER_SERIES points share the
-    same total simulation time. At each whole-unit budget the observed values
-    so far are histogrammed in COVERAGE_BINS bins and compared to the
-    stationary density by KL divergence; agreement is 1 - KL/maxKL with maxKL
-    taken over both conditions and all budgets within the replicate. The
-    density is the model's stationary table, the one its series start from.
-    Both conditions observe every step of INTERNAL_DT. The replicates run in
-    one process per usable CPU (`numerics.fork_map`), with the same results
-    for any count.
+    same total simulation time, and both observe every step of INTERNAL_DT.
+    At each whole-unit budget the values seen so far are histogrammed in
+    COVERAGE_BINS equal bins from the 5e-4 to the 1 - 5e-4 quantile of the
+    model's stationary table, the one its series start from, by np.histogram's
+    rule (the last bin closed, values outside dropped but counted in the
+    density's normalization), and compared to the table's density by KL
+    divergence; agreement is 1 - KL/maxKL with maxKL taken over both designs
+    and all budgets within the replicate. One 2-D histogram per design scores
+    every budget. The replicates run in one process per usable CPU
+    (`numerics.fork_map`), with the same results for any count.
     """
     if replicates < 1 or not 1 <= total_time < np.iinfo(np.intp).max * INTERNAL_DT:
         raise PreconditionError("replicates must be >= 1 and total_time >= 1 and below "
@@ -104,22 +107,16 @@ def coverage_experiment(
     budgets = np.arange(1, int(total_time) + 1)
     span = (COVERAGE_POINTS_PER_SERIES - 1) * INTERNAL_DT
     n_short = int(np.floor(total_time / span))
+    # How many values each design has seen by each budget.
+    seen_short = COVERAGE_POINTS_PER_SERIES * np.minimum(np.floor(budgets / span), n_short)
+    seen_long = np.rint(budgets / INTERNAL_DT) + 1
 
     def replicate(child):
         short_seed, long_seed = child.spawn(2)
-        ds = generate_short_series(model, n_short, COVERAGE_POINTS_PER_SERIES, INTERNAL_DT,
-                                   short_seed)
-        short_values = np.concatenate([s.values for s in ds.collection.series])
-        long_values = _reference_path(model, long_seed, total_time)
-
-        kl_s = np.empty(len(budgets))
-        kl_l = np.empty(len(budgets))
-        for i, tau in enumerate(budgets):
-            k_series = min(int(np.floor(tau / span)), n_short)
-            vals_s = short_values[: k_series * COVERAGE_POINTS_PER_SERIES]
-            vals_l = long_values[: int(round(tau / INTERNAL_DT)) + 1]
-            kl_s[i] = _histogram_kl(vals_s, edges, width, ref)
-            kl_l[i] = _histogram_kl(vals_l, edges, width, ref)
+        short_values = _short_paths(model, n_short, COVERAGE_POINTS_PER_SERIES - 1,
+                                    short_seed).ravel()
+        kl_s = _prefix_kl(short_values, seen_short, edges, ref)
+        kl_l = _prefix_kl(_reference_path(model, long_seed, total_time), seen_long, edges, ref)
         max_kl = max(kl_s.max(), kl_l.max())
         return 1.0 - kl_s / max_kl, 1.0 - kl_l / max_kl
 
@@ -137,13 +134,12 @@ def coverage_experiment(
     )
 
 
-def _histogram_kl(values, edges, width, ref) -> float:
-    if values.size == 0:
-        hist = np.zeros(len(ref))
-    else:
-        counts, _ = np.histogram(values, bins=edges)
-        hist = counts / (values.size * width)
-    return kl_divergence(hist, ref, width)
+def _prefix_kl(values, seen, edges, ref) -> np.ndarray:
+    """KL from `ref` of each prefix values[:seen[j]]'s histogram on `edges` (np.histogram's
+    bins); row j of the 2-D histogram counts the values prefix j adds to prefix j - 1."""
+    counts = np.histogram2d(np.arange(values.size), values, bins=(np.r_[0, seen] - 0.5, edges))[0]
+    width = edges[1] - edges[0]
+    return kl_divergence(np.cumsum(counts, axis=0) / (seen[:, None] * width), ref, width)
 
 
 def tpr_grid(

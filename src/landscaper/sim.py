@@ -179,9 +179,12 @@ def euler_maruyama(m: SdeModel, x0: float, dt: float, n_steps: int, seed) -> Tra
     Deterministic given the seed. Raises SimulationDiverged with the step
     index if the state leaves [-1e6, 1e6] or becomes non-finite.
     """
-    if dt <= 0:
-        raise PreconditionError("dt must be positive")
-    rng = np.random.default_rng(seed)
+    if not 0 < dt < math.inf:
+        raise PreconditionError(f"dt must be finite and positive, got {dt}")
+    if not 1 <= n_steps <= np.iinfo(np.intp).max:
+        raise PreconditionError(f"n_steps must be from 1 to {np.iinfo(np.intp).max}, "
+                                f"got {n_steps}")
+    rng = np.random.default_rng(seed_sequence(seed))
     values = _simulate_path(m, x0, dt, rng.standard_normal(n_steps))
     return Trajectory(times=np.arange(n_steps + 1) * dt, values=values)
 
@@ -259,13 +262,7 @@ def generate_short_series(
     n_obs_steps = (pts_per_series - 1) * stride
     if n_obs_steps > np.iinfo(np.intp).max:
         raise PreconditionError(f"{n_obs_steps} internal steps per series exceed any array's size")
-    children = seed_sequence(seed).spawn(n_series)
-    rngs = [np.random.default_rng(c) for c in children]
-
-    x0 = np.array([_stationary_start(m, r) for r in rngs])
-    z = np.stack([r.standard_normal(n_obs_steps) for r in rngs])
-    paths = _simulate_batch(m, x0, INTERNAL_DT, z)
-    obs = paths[:, ::stride][:, :pts_per_series]
+    obs = _short_paths(m, n_series, n_obs_steps, seed)[:, ::stride]
     times = np.arange(pts_per_series) * (stride * INTERNAL_DT)
 
     width = len(str(max(n_series - 1, 1)))
@@ -289,6 +286,15 @@ def generate_short_series(
     return SimulatedDataset(collection=collection, ground_truth=ground_truth)
 
 
+def _short_paths(m: SdeModel, n_series: int, n_steps: int, seed) -> np.ndarray:
+    """(n_series, n_steps + 1) paths at INTERNAL_DT from stationary starts, one
+    stream spawned from `seed` each: generate_short_series' and the coverage study's."""
+    rngs = [np.random.default_rng(c) for c in seed_sequence(seed).spawn(n_series)]
+    x0 = np.array([_stationary_start(m, r) for r in rngs])
+    z = np.stack([r.standard_normal(n_steps) for r in rngs])
+    return _simulate_batch(m, x0, INTERNAL_DT, z)
+
+
 def estimate_timescale(m: SdeModel, seed=0, total_time: float = 1000.0):
     """Characteristic time scale of a model, measured on one long reference run
     at the internal step INTERNAL_DT."""
@@ -301,7 +307,7 @@ def _reference_path(m: SdeModel, seed, total_time: float) -> np.ndarray:
     """One long single-walker run of `total_time` at INTERNAL_DT from a
     stationary start, the values at every step; the reference run of
     estimate_timescale and the long series of the coverage study."""
-    n_steps = int(round(total_time / INTERNAL_DT))
+    n_steps = _internal_steps(total_time, "total_time")
     rng = np.random.default_rng(seed_sequence(seed).spawn(1)[0])
     x0 = _stationary_start(m, rng)
     return _simulate_path(m, x0, INTERNAL_DT, rng.standard_normal(n_steps))
@@ -309,12 +315,19 @@ def _reference_path(m: SdeModel, seed, total_time: float) -> np.ndarray:
 
 def step_from_fraction(frac: float, t_c: float) -> float:
     """`frac` times the time scale `t_c`, rounded to a whole number of
-    INTERNAL_DT steps; PreconditionError when that is less than one step."""
-    stride = round(frac * t_c / INTERNAL_DT)
-    if stride < 1:
-        raise PreconditionError(f"step fraction {frac} of t_c gives a step below the "
-                                f"internal step {INTERNAL_DT}")
-    return stride * INTERNAL_DT
+    INTERNAL_DT steps (see _internal_steps)."""
+    return _internal_steps(frac * t_c, f"step fraction {frac} of t_c={t_c}") * INTERNAL_DT
+
+
+def _internal_steps(duration: float, what: str) -> int:
+    """`duration` rounded to a whole number of INTERNAL_DT steps;
+    PreconditionError unless that is finite and from 1 to the largest array size."""
+    steps = duration / INTERNAL_DT
+    count = round(steps) if math.isfinite(steps) else 0
+    if not 1 <= count <= np.iinfo(np.intp).max:
+        raise PreconditionError(f"{what} is {steps:.3g} times the internal step {INTERNAL_DT}, "
+                                f"not a step count from 1 to {np.iinfo(np.intp).max}")
+    return count
 
 
 def _stationary_start(m: SdeModel, rng) -> float:

@@ -265,7 +265,7 @@ def read_wide_csv(path, column: str, clr: bool) -> TimeSeriesCollection:
     centred log-ratio transform. Units with fewer than two points are dropped.
     A cell it uses, the column's or with `clr` any variable's, that is NaN or
     infinite, or with `clr` negative, is an IngestError, as is a header that
-    names a variable twice."""
+    names a variable twice or a file without data rows."""
     header, lines = _csv_lines(path)
     if len(header) < 3 or header[0].strip() != "unit_id" or header[1].strip() != "time":
         raise IngestError(f"{path}: line 1: expected header unit_id,time,<variables...>")
@@ -275,6 +275,8 @@ def read_wide_csv(path, column: str, clr: bool) -> TimeSeriesCollection:
         raise IngestError(f"{path}: line 1: variable {twice!r} is named more than once")
     if column not in names:
         raise IngestError(f"{path}: column {column!r} not present")
+    if not lines:
+        raise IngestError(f"{path}: no data rows after the header")
     used = range(len(names)) if clr else [names.index(column)]
     units, times, rows = [], [], []
     for lineno, row in lines:

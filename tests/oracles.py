@@ -4,8 +4,9 @@ These deliberately avoid the library's code paths: brute-force scans, the
 kernels and the reduced-rank basis written out from their formulas,
 plain-python density sums, a per-draw loop over drift sign changes, a
 per-draw loop of scipy's banded solver for exit-time bands, a batch Monte
-Carlo first-passage simulator, and stationary states reached by a long
-Euler-Maruyama burn-in.
+Carlo first-passage simulator, stationary states reached by a long
+Euler-Maruyama burn-in, and a per-budget loop of np.histogram for the
+coverage study.
 They exist so that library results are checked against something that cannot
 share their bugs.
 """
@@ -16,6 +17,8 @@ import math
 
 import numpy as np
 from scipy.stats import norm
+
+from landscaper.experiments import kl_divergence
 
 
 def sign_scan_roots(func, lo, hi, n=20001):
@@ -176,3 +179,27 @@ def burned_in_states(drift, diffusion, n_walkers, seed, x0=0.3, dt=0.01, n_steps
         g = np.asarray(diffusion(x), dtype=float)
         x = x + np.asarray(drift(x), dtype=float) * dt + np.sqrt(g) * sqrt_dt * z
     return x
+
+
+def per_budget_coverage(table, short_values, long_values, total_time, points, dt, n_bins):
+    """One coverage replicate's agreement curves (short, long), one whole-unit
+    budget and design at a time. Each prefix of the values seen by the budget
+    goes through np.histogram on n_bins equal bins between the 5e-4 and
+    1 - 5e-4 quantiles of the (grid, cdf) table, becomes a density over the
+    prefix's length, and is scored by a 1-D kl_divergence against the table's
+    density on the same bins."""
+    grid, cdf = table
+    edges = np.linspace(np.interp(5e-4, cdf, grid), np.interp(1.0 - 5e-4, cdf, grid), n_bins + 1)
+    width = edges[1] - edges[0]
+    ref = np.diff(np.interp(edges, grid, cdf)) / width
+    span = (points - 1) * dt
+    n_short = int(np.floor(total_time / span))
+    kl_s, kl_l = [], []
+    for tau in range(1, int(total_time) + 1):
+        prefixes = (short_values[: min(int(np.floor(tau / span)), n_short) * points],
+                    long_values[: int(round(tau / dt)) + 1])
+        for values, out in zip(prefixes, (kl_s, kl_l)):
+            counts, _ = np.histogram(values, bins=edges)
+            out.append(kl_divergence(counts / (values.size * width), ref, width))
+    max_kl = max(max(kl_s), max(kl_l))
+    return 1.0 - np.array(kl_s) / max_kl, 1.0 - np.array(kl_l) / max_kl

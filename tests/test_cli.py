@@ -311,6 +311,14 @@ class TestWideCsvAndClr:
         assert code == cli.EXIT_PARSE
         assert "variable 'a' is named more than once" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("clr", [[], ["--clr"]])
+    def test_wide_file_without_data_rows_is_parse_error(self, tmp_path, capsys, clr):
+        wide = tmp_path / "wide.csv"
+        wide.write_text("unit_id,time,a\n")
+        code = run(["fit", "--data", wide, *clr, "--column", "a", "--out", tmp_path / "o"])
+        assert code == cli.EXIT_PARSE
+        assert f"{wide}: no data rows" in capsys.readouterr().err
+
     def test_missing_column_is_parse_error(self, tmp_path, capsys):
         wide = tmp_path / "wide.csv"
         self.make_wide(wide)

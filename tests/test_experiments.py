@@ -13,6 +13,8 @@ from landscaper.experiments import coverage_experiment, kl_divergence, tpr_grid
 from landscaper.inference import FitConfig
 from landscaper.sim import CuspParams, cusp_model, custom_bimodal_unistable
 
+from oracles import per_budget_coverage
+
 
 class TestKlDivergence:
     def test_identical_densities(self):
@@ -36,6 +38,16 @@ class TestKlDivergence:
     def test_grid_mismatch(self):
         with pytest.raises(PreconditionError):
             kl_divergence([0.5, 0.5], [1.0])
+        with pytest.raises(PreconditionError):
+            kl_divergence(np.full((3, 2), 0.5), [1.0])
+
+    def test_stack_equals_row_by_row_calls(self, rng):
+        p = rng.uniform(0, 1, (40, 50))
+        p[rng.uniform(size=p.shape) < 0.2] = 0.0
+        q = rng.uniform(0, 1, 50)
+        rows = [kl_divergence(row, q, 0.07) for row in p]
+        assert all(type(val) is np.float64 for val in rows)
+        np.testing.assert_array_equal(kl_divergence(p, q, 0.07), rows)
 
 
 @pytest.fixture(scope="module")
@@ -81,16 +93,43 @@ class TestCoverageExperiment:
         grid, cdf = cusp_model(CuspParams(lam=0.25, epsilon=0.5)).stationary
         model = replace(bistable_cusp, stationary=(grid, cdf))
         scored = []
-        histogram_kl = experiments._histogram_kl
-        monkeypatch.setattr(experiments, "_histogram_kl",
-                            lambda *a: scored.append(a) or histogram_kl(*a))
+        prefix_kl = experiments._prefix_kl
+        monkeypatch.setattr(experiments, "_prefix_kl",
+                            lambda *a: scored.append(a) or prefix_kl(*a))
         coverage_experiment(model, total_time=2.0, replicates=1, seed=4)
-        values, edges, width, ref = scored[-1]
+        values, _, edges, ref = scored[-1]
         assert edges[0] == np.interp(5e-4, cdf, grid)
         assert edges[-1] == np.interp(1.0 - 5e-4, cdf, grid)
+        width = edges[1] - edges[0]
         np.testing.assert_array_equal(ref, np.diff(np.interp(edges, grid, cdf)) / width)
         long_seed = np.random.SeedSequence(4).spawn(1)[0].spawn(2)[1]
         np.testing.assert_array_equal(values, sim._reference_path(model, long_seed, 2.0))
+
+    @pytest.mark.parametrize("name, total_time", [("cusp", 20), ("cusp", 7.5),
+                                                  ("bimodal-unistable", 12.3)])
+    def test_equals_the_per_budget_oracle(self, bistable_cusp, name, total_time):
+        model = bistable_cusp if name == "cusp" else custom_bimodal_unistable()
+        res = coverage_experiment(model, total_time=total_time, replicates=2, seed=8)
+        points = experiments.COVERAGE_POINTS_PER_SERIES
+        n_short = int(np.floor(total_time / ((points - 1) * sim.INTERNAL_DT)))
+        grid, cdf = model.stationary
+        lo, hi = np.interp([5e-4, 1.0 - 5e-4], cdf, grid)
+        outside = 0
+        for i, child in enumerate(np.random.SeedSequence(8).spawn(2)):
+            short_seed, long_seed = child.spawn(2)
+            ds = sim.generate_short_series(model, n_short, points, sim.INTERNAL_DT, short_seed)
+            short_values = np.concatenate([s.values for s in ds.collection.series])
+            long_values = sim._reference_path(model, long_seed, total_time)
+            short, long = per_budget_coverage(
+                model.stationary, short_values, long_values, total_time, points,
+                sim.INTERNAL_DT, experiments.COVERAGE_BINS)
+            np.testing.assert_array_equal(res.per_replicate_short[i], short)
+            np.testing.assert_array_equal(res.per_replicate_long[i], long)
+            values = np.concatenate([short_values, long_values])
+            outside += np.count_nonzero((values < lo) | (values > hi))
+        if total_time == 20:
+            # The histograms drop values outside the edges, and here some are.
+            assert outside > 0
 
     def test_replicates_validated(self, bistable_cusp):
         with pytest.raises(PreconditionError):

@@ -17,6 +17,7 @@ from landscaper.sim import (
     estimate_timescale,
     euler_maruyama,
     generate_short_series,
+    step_from_fraction,
 )
 from landscaper.tsdata import (
     TimeSeries,
@@ -141,6 +142,16 @@ class TestEulerMaruyama:
         a = euler_maruyama(bistable_cusp, 0.5, 0.01, 500, seed=9)
         b = euler_maruyama(bistable_cusp, 0.5, 0.01, 500, seed=9)
         np.testing.assert_array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("kw, message", [
+        ({"seed": -1}, "seed"), ({"n_steps": -1}, "n_steps"), ({"n_steps": 0}, "n_steps"),
+        ({"n_steps": 2**63}, "n_steps"), ({"n_steps": math.nan}, "n_steps"),
+        ({"dt": math.nan}, "dt"), ({"dt": math.inf}, "dt"), ({"dt": 0.0}, "dt"),
+    ])
+    def test_bad_arguments_are_precondition_errors(self, bistable_cusp, kw, message):
+        args = {"x0": 0.0, "dt": 0.01, "n_steps": 10, "seed": 0, **kw}
+        with pytest.raises(PreconditionError, match=message):
+            euler_maruyama(bistable_cusp, **args)
 
     def test_divergence_reports_step(self):
         m = SdeModel(drift=lambda x: x * x, diffusion=lambda x: 0.0, name="blowup")
@@ -326,3 +337,18 @@ class TestEstimateTimescale:
         m = custom_bimodal_unistable()
         expected = batch_of_one_timescale(m, 3, total_time=50.0)
         assert estimate_timescale(m, seed=3, total_time=50.0) == expected
+
+    @pytest.mark.parametrize("total_time", [math.nan, math.inf, -1.0, 0.001, 1e20])
+    def test_run_length_outside_the_step_counts_is_refused(self, bistable_cusp, total_time):
+        with pytest.raises(PreconditionError, match="total_time"):
+            estimate_timescale(bistable_cusp, seed=0, total_time=total_time)
+
+
+class TestStepFromFraction:
+    def test_rounds_to_whole_internal_steps(self):
+        assert step_from_fraction(0.1, 2.345) == 23 * sim.INTERNAL_DT
+
+    @pytest.mark.parametrize("frac", [math.nan, math.inf, -0.1, 1e-9, 1e20])
+    def test_step_outside_the_step_counts_is_refused(self, frac):
+        with pytest.raises(PreconditionError, match="internal step 0.01"):
+            step_from_fraction(frac, 10.0)

@@ -318,6 +318,13 @@ class TestCsvAndJson:
         with pytest.raises(IngestError, match="line 1: variable 'a' is named more than once"):
             read_wide_csv(path, "b", clr)
 
+    @pytest.mark.parametrize("clr", [False, True])
+    def test_wide_file_without_data_rows_is_refused(self, tmp_path, clr):
+        path = tmp_path / "wide.csv"
+        path.write_text("unit_id,time,a\n\n")
+        with pytest.raises(IngestError, match=f"{path}: no data rows"):
+            read_wide_csv(path, "a", clr)
+
     def test_missing_header(self, tmp_path):
         path = tmp_path / "obs.csv"
         path.write_text("a,1.0,2.0\n")

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # End-to-end batch pipeline through the CLI: simulate -> fit -> derive,
-# plus manifest replays of the dataset and of a coverage study to show
-# byte-identical reproduction.
+# plus manifest replays of the dataset, the fit, the derived bundle and a
+# coverage study to show byte-identical reproduction.
 set -euo pipefail
 
 WORK="$(mktemp -d)"
@@ -25,6 +25,18 @@ echo "derived bundle:" && ls "$WORK/derived"
 landscaper replay --manifest "$WORK/data/manifest.json" --out "$WORK/data2"
 cmp "$WORK/data/dataset.csv" "$WORK/data2/dataset.csv" \
     && echo "replayed dataset is byte-identical"
+
+landscaper replay --manifest "$WORK/fit/manifest.json" --out "$WORK/fit2"
+for f in posterior.json summary.csv diagnostics.csv; do
+    cmp "$WORK/fit/$f" "$WORK/fit2/$f"
+done
+echo "replayed fit is byte-identical"
+
+landscaper replay --manifest "$WORK/derived/manifest.json" --out "$WORK/derived2"
+for f in "$WORK"/derived/*.csv "$WORK"/derived/*.json; do
+    [ "$(basename "$f")" = manifest.json ] || cmp "$f" "$WORK/derived2/$(basename "$f")"
+done
+echo "replayed derived bundle is byte-identical"
 
 cat > "$WORK/coverage.json" <<'JSON'
 {"model": {"name": "cusp", "alpha": 0, "beta": 1, "lam": 0, "r": 1, "epsilon": 0.5},

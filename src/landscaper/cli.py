@@ -1,13 +1,15 @@
 """Command-line entry point: simulate | fit | derive | experiment | replay.
 
-Every command funnels randomness through --seed, writes its outputs with
-stable formatting (sorted JSON keys, repr floats) and drops a manifest.json
-recording argv, input digests, output digests, config hash, seed and tool
-version, so any run can be replayed bit-identically. The `timings` field of
-the manifest is the only part that varies between identical runs: the total
-seconds; for `fit` also `fit_seconds`, the wall time of the `inference.fit`
-call; and for `experiment` also `workers`, the number of processes its
-replicates ran in (which follows the CPU affinity mask).
+`main` is the one run frame. It makes `--out`, starts the timer and calls
+the command, which returns its exit code, seed, details, input files, output
+files and extra timings. Then it writes manifest.json (argv, input and output
+digests, config hash, seed, tool version), also for a `fit` that exits 4, so
+any run replays bit-identically; `replay` rewrites argv and calls `main`.
+Randomness comes from --seed; outputs have stable formatting (sorted JSON
+keys, repr floats). Only the manifest's `timings` varies between identical
+runs: the total seconds; for `fit` also `fit_seconds`, the wall time of the
+`inference.fit` call; for `experiment` also `workers`, the number of
+processes its replicates ran in (which follows the CPU affinity mask).
 """
 
 from __future__ import annotations
@@ -86,21 +88,14 @@ def _config_hash(doc) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
-def _write_manifest(out_dir: Path, command: str, argv: list[str], seed, config_doc,
-                    inputs: list[Path], outputs: list[Path], started: float,
-                    timings: dict | None = None) -> None:
-    manifest = {
-        "command": command,
-        "argv": argv,
-        "tool_version": __version__,
-        "seed": seed,
-        "config_hash": _config_hash(config_doc),
-        "details": config_doc,
-        "inputs": {str(p): _sha256(p) for p in inputs},
-        "outputs": {p.name: _sha256(p) for p in outputs},
-        "timings": {"seconds": time.perf_counter() - started, **(timings or {})},
-    }
-    dump_json(manifest, out_dir / "manifest.json")
+def _load_doc(path, parse, what: str):
+    """`parse` of the JSON document in the file `path`, its IngestError prefixed
+    with `what` and the path; `load_json`'s own error already names the file."""
+    doc = load_json(path)
+    try:
+        return parse(doc)
+    except IngestError as exc:
+        raise IngestError(f"{what} {path}: {exc}") from None
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -165,10 +160,7 @@ EXPERIMENT_CONFIGS = {
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_simulate(args, argv) -> int:
-    started = time.perf_counter()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_simulate(args, out: Path) -> tuple:
     spec = {"name": args.model, **{k: getattr(args, k) for k in CUSP_PARAMS
                                    if getattr(args, k) is not None}}
     model = _make_model(**spec)
@@ -188,9 +180,7 @@ def cmd_simulate(args, argv) -> int:
     dump_json(truth, truth_path)
     config = {"spec": spec, "n_series": args.n_series, "points": args.points,
               "dt": dt, "internal_dt": INTERNAL_DT}
-    _write_manifest(out, "simulate", argv, args.seed, config, [],
-                    [csv_path, truth_path], started)
-    return EXIT_OK
+    return EXIT_OK, args.seed, config, [], [csv_path, truth_path], {}
 
 
 def _load_fit_collection(args) -> TimeSeriesCollection:
@@ -205,17 +195,10 @@ def _load_fit_collection(args) -> TimeSeriesCollection:
     return collection
 
 
-def cmd_fit(args, argv) -> int:
-    started = time.perf_counter()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_fit(args, out: Path) -> tuple:
     cfg = FitConfig()
     if args.config:
-        doc = load_json(args.config)
-        try:
-            cfg = FitConfig.from_json(doc)
-        except IngestError as exc:
-            raise IngestError(f"fit config {args.config}: {exc}") from None
+        cfg = _load_doc(args.config, FitConfig.from_json, "fit config")
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
 
@@ -236,26 +219,19 @@ def cmd_fit(args, argv) -> int:
     config = {"fit": posterior.config.to_json(), "max_dt": args.max_dt,
               "clr": args.clr, "column": args.column,
               "n_transitions": collection.n_points - len(collection.series)}
-    _write_manifest(out, "fit", argv, posterior.config.seed, config,
-                    [Path(args.data)] + ([Path(args.config)] if args.config else []),
-                    [post_path, summary_path, diag_path], started, timings)
+    code = EXIT_OK
     problem = posterior.convergence_problem()
     if problem and not args.allow_nonconverged:
         print(f"error: chains not shown to converge ({problem}); "
               f"divergences={posterior.divergences}", file=sys.stderr)
-        return EXIT_CONVERGENCE
-    return EXIT_OK
+        code = EXIT_CONVERGENCE
+    return (code, posterior.config.seed, config,
+            [Path(args.data)] + ([Path(args.config)] if args.config else []),
+            [post_path, summary_path, diag_path], timings)
 
 
-def cmd_derive(args, argv) -> int:
-    started = time.perf_counter()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    doc = load_json(args.posterior)
-    try:
-        posterior = Posterior.from_json(doc)
-    except IngestError as exc:
-        raise IngestError(f"posterior {args.posterior}: {exc}") from None
+def cmd_derive(args, out: Path) -> tuple:
+    posterior = _load_doc(args.posterior, Posterior.from_json, "posterior")
     grid = posterior.grid
     mean_cp = derived.CurvePair(grid, posterior.drift_mean(), posterior.diffusion_mean())
     outputs: list[Path] = []
@@ -303,20 +279,15 @@ def cmd_derive(args, argv) -> int:
     except (PreconditionError, DegenerateDataError) as exc:
         notice("exit_time_band", str(exc))
 
-    _write_manifest(out, "derive", argv, None, {}, [Path(args.posterior)],
-                    outputs, started)
-    return EXIT_OK
+    return EXIT_OK, None, {}, [Path(args.posterior)], outputs, {}
 
 
-def cmd_experiment(args, argv) -> int:
-    started = time.perf_counter()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_experiment(args, out: Path) -> tuple:
     if args.name not in EXPERIMENT_CONFIGS:
         raise IngestError(f"unknown experiment name {args.name!r}")
-    doc = load_json(args.config)
-    what = f"{args.name} config {args.config}"
-    kw = read_document(doc, EXPERIMENT_CONFIGS[args.name], what, required=("model",))
+    doc, kw = _load_doc(args.config, lambda doc: (doc, read_document(
+        doc, EXPERIMENT_CONFIGS[args.name], "experiment config", required=("model",))),
+        f"{args.name} config")
     model = kw.pop("model")
     if args.seed is not None:
         kw["seed"] = args.seed
@@ -345,12 +316,11 @@ def cmd_experiment(args, argv) -> int:
                 "failures": result.failures.tolist()}
     meta_path = table.with_suffix(".json")
     dump_json(meta, meta_path)
-    _write_manifest(out, "experiment", argv, seed, doc, [Path(args.config)],
-                    [table, meta_path], started, {"workers": min(usable_cpus(), jobs)})
-    return EXIT_OK
+    return (EXIT_OK, seed, doc, [Path(args.config)], [table, meta_path],
+            {"workers": min(usable_cpus(), jobs)})
 
 
-def cmd_replay(args, argv) -> int:
+def cmd_replay(args) -> int:
     manifest = load_json(args.manifest)
     replay_argv = manifest.get("argv") if isinstance(manifest, dict) else None
     if not (isinstance(replay_argv, list) and all(isinstance(a, str) for a in replay_argv)):
@@ -429,12 +399,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args, list(argv))
+        if args.command == "replay":
+            return args.func(args)
+        started = time.perf_counter()
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        code, seed, details, inputs, outputs, timings = args.func(args, out)
+        dump_json({"command": args.command, "argv": argv, "tool_version": __version__,
+                   "seed": seed, "config_hash": _config_hash(details), "details": details,
+                   "inputs": {str(p): _sha256(p) for p in inputs},
+                   "outputs": {p.name: _sha256(p) for p in outputs},
+                   "timings": {"seconds": time.perf_counter() - started, **timings}},
+                  out / "manifest.json")
+        return code
     except (LandscaperError, OSError, MemoryError) as exc:
         # A MemoryError, from a size too large to allocate, may have no message.
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)

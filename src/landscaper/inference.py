@@ -339,12 +339,20 @@ POSTERIOR_KEYS = ("basis_draws", "divergences", "data_range", "config")
 
 
 def _basis_draws(value) -> np.ndarray:
-    """`basis_draws` as a float array: nested JSON arrays of finite numbers,
-    every chain of one length and every draw of one length."""
-    chains = list_of(list_of(list_of(number)))(value)
-    if len({len(c) for c in chains}) > 1 or len({len(d) for c in chains for d in c}) > 1:
-        raise TypeError("expected chains of one length holding draws of one length")
-    return np.array(chains)
+    """`basis_draws` as a float array: JSON arrays nested three deep, every
+    chain of one length holding draws of one length, each entry a JSON number
+    (not `true`/`false`) within the float range. `Posterior` checks the
+    shape, finiteness and support."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {value!r}")
+    draws = np.array(value, dtype=object)
+    if draws.ndim != 3 or not set(map(type, draws.ravel().tolist())) <= {int, float}:
+        raise TypeError("expected chains of one length holding draws of one length, "
+                        "each entry a number")
+    try:
+        return draws.astype(float)
+    except OverflowError:
+        raise TypeError("expected numbers within the float range") from None
 
 
 @dataclass(frozen=True)

@@ -306,10 +306,14 @@ def read_wide_csv(path, column: str, clr: bool) -> TimeSeriesCollection:
 
 def _csv_lines(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
     """The header row of a CSV file, and its other non-blank rows, each with its
-    line number; IngestError for an empty file. A leading UTF-8 byte-order
-    mark, as spreadsheet exports write, is skipped."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        lines = list(csv.reader(fh))
+    line number; IngestError for an empty file, text that is not UTF-8 (such
+    as a Latin-1 export) or a field past the csv module's size limit. A
+    leading UTF-8 byte-order mark, as spreadsheet exports write, is skipped."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            lines = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise IngestError(f"{path}: {exc}") from None
     if not lines:
         raise IngestError(f"{path}: empty file")
     return lines[0], [(n, row) for n, row in enumerate(lines[1:], start=2)

@@ -224,6 +224,10 @@ class TestFit:
         out = tmp_path / "nc"
         code = run(["fit", "--data", dataset / "dataset.csv", "--out", out])
         assert code == cli.EXIT_CONVERGENCE
+        # The outputs and the manifest listing them are written all the same.
+        outputs = load_json(out / "manifest.json")["outputs"]
+        assert set(outputs) == {"posterior.json", "summary.csv", "diagnostics.csv"}
+        assert all((out / name).exists() for name in outputs)
         code = run(["fit", "--data", dataset / "dataset.csv",
                     "--allow-nonconverged", "--out", out])
         assert code == 0
@@ -319,6 +323,18 @@ class TestWideCsvAndClr:
         assert code == cli.EXIT_PARSE
         assert f"{wide}: no data rows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("column", [[], ["--column", "value"]])
+    @pytest.mark.parametrize("body", [
+        "café,0,1\ncafé,1,2\n".encode("latin-1"),
+        b"a,0," + b"1" * 200_000 + b"\na,1,2\n",
+    ], ids=["latin-1", "oversized-field"])
+    def test_unreadable_csv_is_parse_error(self, tmp_path, capsys, body, column):
+        data = tmp_path / "data.csv"
+        data.write_bytes(b"unit_id,time,value\n" + body)
+        assert run(["fit", "--data", data, *column, "--out", tmp_path / "o"]) == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {data}: ") and err.count("\n") == 1
+
     def test_missing_column_is_parse_error(self, tmp_path, capsys):
         wide = tmp_path / "wide.csv"
         self.make_wide(wide)
@@ -403,7 +419,7 @@ class TestMalformedJson:
         post_path = tmp_path / "posterior.json"
         post_path.write_text("grid,drift\n0,1\n")
         assert run(["derive", "--posterior", post_path, "--out", tmp_path / "o"]) == cli.EXIT_PARSE
-        assert str(post_path) in capsys.readouterr().err
+        assert capsys.readouterr().err.count(str(post_path)) == 1
 
     def test_derive_on_posterior_without_chain_draws(self, tmp_path, capsys):
         # The anchor model stored its draws as chain_draws, in the same shape
@@ -439,7 +455,7 @@ class TestMalformedJson:
         bad.write_text('{"n_chains": 2,')
         argv = [str(bad) if a == "{bad}" else a for a in argv]
         assert run(argv + ["--out", tmp_path / "o"]) == cli.EXIT_PARSE
-        assert str(bad) in capsys.readouterr().err
+        assert capsys.readouterr().err.count(str(bad)) == 1
 
 
 class TestExperimentCommand:
@@ -575,7 +591,7 @@ class TestMalformedDocuments:
         assert run(["experiment", "--name", name, "--config", path,
                     "--out", tmp_path / "o"]) == cli.EXIT_PARSE
         err = capsys.readouterr().err
-        assert str(path) in err and names in err
+        assert err.count(str(path)) == 1 and names in err
 
     @pytest.mark.parametrize("doc, names", [
         ({"n_iterations": "many"}, "n_iterations"),
@@ -745,6 +761,38 @@ class TestMalformedDocuments:
                    "total_time": 2, "replicates": 1}, path)
         assert run(["experiment", "--name", "coverage", "--config", path,
                     "--out", tmp_path / "o"]) == 0
+
+
+class TestManifest:
+    @pytest.mark.parametrize("command, timings", [
+        ("simulate", set()), ("fit", {"fit_seconds"}), ("derive", set()),
+        ("experiment", {"workers"}),
+    ])
+    def test_every_writing_command_gets_the_same_manifest(self, tmp_path, dataset, command,
+                                                           timings):
+        # `main` writes every manifest: the nine keys, and the outputs are the
+        # files the command wrote.
+        fit_cfg, exp_cfg = tmp_path / "fit.json", tmp_path / "exp.json"
+        dump_json({"n_chains": 2, "n_iterations": 100, "max_leapfrog": 4}, fit_cfg)
+        dump_json({"model": CUSP_SPEC, "total_time": 2, "replicates": 1}, exp_cfg)
+        post_path = tmp_path / "posterior.json"
+        dump_json(synthetic_posterior(bistable=True).to_json(), post_path)
+        out = tmp_path / "o"
+        argv = {
+            "simulate": simulate_args(out),
+            "fit": ["fit", "--data", dataset / "dataset.csv", "--config", fit_cfg,
+                    "--allow-nonconverged", "--out", out],
+            "derive": ["derive", "--posterior", post_path, "--out", out],
+            "experiment": ["experiment", "--name", "coverage", "--config", exp_cfg,
+                           "--out", out],
+        }[command]
+        assert run(argv) == 0
+        manifest = load_json(out / "manifest.json")
+        assert sorted(manifest) == ["argv", "command", "config_hash", "details", "inputs",
+                                    "outputs", "seed", "timings", "tool_version"]
+        assert manifest["command"] == command and manifest["argv"] == [str(a) for a in argv]
+        assert set(manifest["timings"]) == {"seconds"} | timings
+        assert set(manifest["outputs"]) == {p.name for p in out.iterdir()} - {"manifest.json"}
 
 
 class TestReplayAndThreads:

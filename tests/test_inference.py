@@ -480,6 +480,17 @@ class TestFit:
             Posterior.from_json({**post.to_json(), **change})
         assert "re-fitted" not in str(refused.value)
 
+    @pytest.mark.parametrize("entry", [True, "1.0", 10**400])
+    def test_draw_entry_that_is_not_a_float_is_refused(self, small_posterior, entry):
+        # numpy would turn a JSON true or a numeric string into a float, and an
+        # integer past the float range overflows in the conversion.
+        post, _ = small_posterior
+        doc = post.to_json()
+        doc["basis_draws"][1][3][0] = entry
+        with pytest.raises(IngestError, match="basis_draws") as refused:
+            Posterior.from_json(doc)
+        assert "re-fitted" not in str(refused.value)
+
     def test_malformed_posterior_document_rejected(self, small_posterior):
         post, _ = small_posterior
         doc = post.to_json()

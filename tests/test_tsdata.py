@@ -309,6 +309,20 @@ class TestCsvAndJson:
             marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
             assert read(marked) == read(plain)
 
+    @pytest.mark.parametrize("read", [read_observations_csv,
+                                      lambda path: read_wide_csv(path, "value", False)],
+                             ids=["long", "wide"])
+    @pytest.mark.parametrize("body, problem", [
+        # A Latin-1 spreadsheet export with an accented site name.
+        ("café,0.0,1.0\ncafé,1.0,2.0\n".encode("latin-1"), "codec can't decode"),
+        (b"a,0.0," + b"1" * 200_000 + b"\na,1.0,2.0\n", "field larger than field limit"),
+    ], ids=["latin-1", "oversized-field"])
+    def test_unreadable_text_is_refused_naming_the_file(self, tmp_path, read, body, problem):
+        path = tmp_path / "obs.csv"
+        path.write_bytes(b"unit_id,time,value\n" + body)
+        with pytest.raises(IngestError, match=f"{path}: .*{problem}"):
+            read(path)
+
     @pytest.mark.parametrize("clr", [False, True])
     def test_variable_named_twice_is_refused(self, tmp_path, clr):
         # Either column could be the one meant, so neither is read, even

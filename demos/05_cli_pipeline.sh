@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# End-to-end batch pipeline through the CLI: simulate -> fit -> derive,
-# plus manifest replays of the dataset, the fit, the derived bundle and a
-# coverage study to show byte-identical reproduction.
+# End-to-end batch pipeline through the CLI: simulate -> fit -> derive, a
+# second fit that names the long file's `value` column, plus manifest replays
+# of the dataset, the fit, the derived bundle and a coverage study to show
+# byte-identical reproduction.
 set -euo pipefail
 
 WORK="$(mktemp -d)"
@@ -18,6 +19,13 @@ JSON
 # call per step.
 landscaper fit --data "$WORK/data/dataset.csv" --config "$WORK/fit.json" \
     --allow-nonconverged --out "$WORK/fit"
+
+# The long layout (unit_id,time,value) is the wide layout whose one variable
+# is `value`, the default --column: naming it gives the same posterior.
+landscaper fit --data "$WORK/data/dataset.csv" --column value --config "$WORK/fit.json" \
+    --allow-nonconverged --out "$WORK/fit-column"
+cmp "$WORK/fit/posterior.json" "$WORK/fit-column/posterior.json" \
+    && echo "long file read as the value column gives the same posterior"
 
 landscaper derive --posterior "$WORK/fit/posterior.json" --out "$WORK/derived"
 echo "derived bundle:" && ls "$WORK/derived"

@@ -57,7 +57,6 @@ from .tsdata import (
     number,
     read_document,
     read_observations_csv,
-    read_wide_csv,
     text,
     write_observations_csv,
 )
@@ -186,10 +185,7 @@ def cmd_simulate(args, out: Path) -> tuple:
 def _load_fit_collection(args) -> TimeSeriesCollection:
     if args.clr and not args.column:
         raise PreconditionError("--clr requires --column to select the variable to analyze")
-    if args.column:
-        collection = read_wide_csv(args.data, args.column, args.clr)
-    else:
-        collection = read_observations_csv(args.data)
+    collection = read_observations_csv(args.data, args.column or "value", args.clr)
     if args.max_dt is not None:
         collection = filter_by_timestep(collection, args.max_dt)
     return collection
@@ -372,8 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-dt", type=float, default=None,
                    help="split series at gaps exceeding this step")
     p.add_argument("--clr", action="store_true",
-                   help="apply a centred log-ratio transform (wide CSV input)")
-    p.add_argument("--column", default=None, help="variable column in a wide CSV")
+                   help="apply a centred log-ratio transform to every variable first")
+    p.add_argument("--column", default=None, help="variable column to fit (default: value)")
     p.add_argument("--allow-nonconverged", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit)

@@ -9,6 +9,7 @@ cross series boundaries.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import sys
@@ -239,101 +240,100 @@ def clr_transform(m) -> np.ndarray:
 CSV_HEADER = ("unit_id", "time", "value")
 
 
-def read_observations_csv(path) -> TimeSeriesCollection:
-    """Read the one-row-per-observation CSV format (unit_id, time, value).
+def read_observations_csv(path, column: str = "value", clr: bool = False) -> TimeSeriesCollection:
+    """Read one variable, `column`, of an observation CSV: header
+    unit_id,time,<variables...>, one row per observation. The long layout
+    unit_id,time,value is the file whose one variable is the default `column`.
+    With `clr`, each row first gets a pseudocount and a centred log-ratio
+    transform.
 
-    Rows are grouped by unit_id and sorted by time. Duplicate (unit_id, time)
-    pairs and malformed rows raise IngestError with the offending line number.
+    Rows are grouped by unit_id in order of first appearance and sorted by
+    time. A unit with fewer than two points has no transition and is dropped.
+    Every refusal names the file, and the line where there is one. It is a
+    DegenerateDataError if no unit is left or, with `clr`, no abundance is
+    positive; otherwise an IngestError: a header that is not as above or names
+    a variable twice, a missing `column`, no data rows, a row without one cell
+    per header column, a time or used cell (the column's, or with `clr` any
+    variable's) that is not finite or, with `clr`, negative, and a repeated
+    (unit_id, time) pair.
     """
     header, lines = _csv_lines(path)
-    if [h.strip() for h in header[:3]] != list(CSV_HEADER):
-        raise IngestError(f"{path}: line 1: expected header {','.join(CSV_HEADER)}")
-    rows = []
-    for lineno, row in lines:
-        if len(row) < 3:
-            raise IngestError(f"{path}: line {lineno}: expected 3 columns, got {len(row)}")
-        try:
-            rows.append((row[0].strip(), float(row[1]), float(row[2])))
-        except ValueError as exc:
-            raise IngestError(f"{path}: line {lineno}: {exc}") from None
-    return TimeSeriesCollection(tuple(TimeSeries(*unit) for unit in _group_by_unit(path, rows)))
-
-
-def read_wide_csv(path, column: str, clr: bool) -> TimeSeriesCollection:
-    """Read one variable of the wide CSV format (unit_id, time, then one column
-    per variable). With `clr`, each row is first given a pseudocount and a
-    centred log-ratio transform. Units with fewer than two points are dropped.
-    A cell it uses, the column's or with `clr` any variable's, that is NaN or
-    infinite, or with `clr` negative, is an IngestError, as is a header that
-    names a variable twice or a file without data rows."""
-    header, lines = _csv_lines(path)
-    if len(header) < 3 or header[0].strip() != "unit_id" or header[1].strip() != "time":
-        raise IngestError(f"{path}: line 1: expected header unit_id,time,<variables...>")
     names = [h.strip() for h in header[2:]]
+    if [h.strip() for h in header[:2]] != ["unit_id", "time"] or not names:
+        raise IngestError(f"{path}: line 1: expected header unit_id,time,<variables...>")
     twice = next((name for i, name in enumerate(names) if name in names[:i]), None)
     if twice is not None:
         raise IngestError(f"{path}: line 1: variable {twice!r} is named more than once")
     if column not in names:
-        raise IngestError(f"{path}: column {column!r} not present")
+        raise IngestError(f"{path}: line 1: column {column!r} not present")
     if not lines:
         raise IngestError(f"{path}: no data rows after the header")
     used = range(len(names)) if clr else [names.index(column)]
-    units, times, rows = [], [], []
+    units: dict[str, dict[float, int]] = {}  # unit_id -> {time: its row's index}
+    rows = []
     for lineno, row in lines:
         if len(row) != len(header):
-            raise IngestError(f"{path}: line {lineno}: expected {len(header)} columns")
+            raise IngestError(f"{path}: line {lineno}: expected {len(header)} columns, "
+                              f"got {len(row)}")
         try:
-            times.append(float(row[1]))
+            t = float(row[1])
             rows.append([float(v) for v in row[2:]])
         except ValueError as exc:
             raise IngestError(f"{path}: line {lineno}: {exc}") from None
+        if not math.isfinite(t):
+            raise IngestError(f"{path}: line {lineno}: time is {t}, not finite")
         for j in used:
             v = rows[-1][j]
             problem = "not finite" if not math.isfinite(v) else "negative" if clr and v < 0 else ""
             if problem:
                 raise IngestError(f"{path}: line {lineno}: {names[j]} is {v}, {problem}")
-        units.append(row[0].strip())
+        uid = row[0].strip()
+        unit = units.setdefault(uid, {})
+        if t in unit:
+            raise IngestError(f"{path}: line {lineno}: duplicate (unit_id, time) pair "
+                              f"for unit {uid!r}")
+        unit[t] = len(rows) - 1
     matrix = np.asarray(rows, dtype=float)
     if clr:
-        matrix = clr_transform(apply_pseudocount(matrix))
-    values = matrix[:, names.index(column)].tolist()
-    series = [TimeSeries(*unit) for unit in _group_by_unit(path, zip(units, times, values))
-              if len(unit[1]) >= 2]
+        try:
+            matrix = clr_transform(apply_pseudocount(matrix))
+        except DegenerateDataError as exc:  # every abundance is zero
+            raise DegenerateDataError(f"{path}: {exc}") from None
+    values = matrix[:, names.index(column)]
+    series = []
+    for uid, unit in units.items():
+        times = sorted(unit)
+        if len(times) >= 2:
+            series.append(TimeSeries(uid, times, values[[unit[t] for t in times]]))
     if not series:
-        raise DegenerateDataError(f"{path}: no unit has two or more usable points")
+        raise DegenerateDataError(f"{path}: no unit has two or more points")
     return TimeSeriesCollection(tuple(series))
 
 
 def _csv_lines(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
     """The header row of a CSV file, and its other non-blank rows, each with its
-    line number; IngestError for an empty file, text that is not UTF-8 (such
-    as a Latin-1 export) or a field past the csv module's size limit. A
-    leading UTF-8 byte-order mark, as spreadsheet exports write, is skipped."""
+    line number; IngestError for an empty file, and naming the line, for text
+    that is not UTF-8 (such as a Latin-1 export) or a field past the csv
+    module's size limit. A leading UTF-8 byte-order mark, as spreadsheet
+    exports write, is skipped."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            lines = list(csv.reader(fh))
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise IngestError(f"{path}: {exc}") from None
+        reader = csv.reader(io.StringIO(data.decode("utf-8-sig"), newline=""))
+        lines = [(reader.line_num, row) for row in reader]
+    except UnicodeDecodeError as exc:
+        # The codec decodes the bytes after a byte-order mark: exc.object.
+        start = exc.start + len(data) - len(exc.object)
+        lineno = data.count(b"\n", 0, start) + 1
+        exc = UnicodeDecodeError(exc.encoding, data, start, start + exc.end - exc.start,
+                                 exc.reason)
+        raise IngestError(f"{path}: line {lineno}: {exc}") from None
+    except csv.Error as exc:
+        raise IngestError(f"{path}: line {reader.line_num}: {exc}") from None
     if not lines:
         raise IngestError(f"{path}: empty file")
-    return lines[0], [(n, row) for n, row in enumerate(lines[1:], start=2)
-                      if len(row) > 1 or (row and row[0].strip())]
-
-
-def _group_by_unit(path, rows) -> list[tuple[str, tuple, tuple]]:
-    """(unit_id, times, values) per unit, in order of first appearance and
-    sorted by time, from (unit_id, time, value) rows; IngestError for a
-    repeated (unit_id, time) pair."""
-    groups: dict[str, list[tuple[float, float]]] = {}
-    for uid, t, v in rows:
-        groups.setdefault(uid, []).append((t, v))
-    out = []
-    for uid, pairs in groups.items():
-        times, values = zip(*sorted(pairs))
-        if len(set(times)) != len(times):
-            raise IngestError(f"{path}: duplicate (unit_id, time) pair for unit {uid!r}")
-        out.append((uid, times, values))
-    return out
+    return lines[0][1], [(n, row) for n, row in lines[1:]
+                         if len(row) > 1 or (row and row[0].strip())]
 
 
 def write_observations_csv(c: TimeSeriesCollection, path) -> None:

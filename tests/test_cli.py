@@ -14,7 +14,7 @@ from landscaper import cli, inference
 from landscaper.derived import CurvePair
 from landscaper.errors import ConvergenceWarning
 from landscaper.inference import FitConfig, HYPER_NAMES, Posterior, TargetContext
-from landscaper.tsdata import dump_json, load_json, read_wide_csv
+from landscaper.tsdata import dump_json, load_json, read_observations_csv
 
 
 def run(args):
@@ -253,19 +253,20 @@ class TestFit:
 
 
 class TestWideCsvAndClr:
-    def make_wide(self, path, cell=None):
-        """A wide CSV of three positive variables; `cell`, if given, is
-        taxa_a on line 6."""
-        rows = ["unit_id,time,taxa_a,taxa_b,taxa_c"]
+    def make_wide(self, path, cell=None, column="taxa_a", long=False):
+        """A wide CSV of three positive variables, or with `long` the long
+        file of taxa_a as `value`; `cell`, if given, is `column` on line 6."""
+        header = ["unit_id", "time", "value"] if long else ["unit_id", "time", "taxa_a",
+                                                             "taxa_b", "taxa_c"]
+        rows = [header]
         rng = np.random.default_rng(5)
         for u in range(8):
             for t in range(4):
                 a, b, c = rng.uniform(1, 10, 3)
-                rows.append(f"u{u},{t},{a:.4f},{b:.4f},{c:.4f}")
+                rows.append(f"u{u},{t},{a:.4f},{b:.4f},{c:.4f}".split(",")[:len(header)])
         if cell is not None:
-            unit, time, _, *rest = rows[5].split(",")
-            rows[5] = ",".join([unit, time, cell, *rest])
-        Path(path).write_text("\n".join(rows) + "\n")
+            rows[5][header.index(column)] = cell
+        Path(path).write_text("".join(",".join(row) + "\n" for row in rows))
 
     def test_clr_requires_column(self, tmp_path, capsys):
         wide = tmp_path / "wide.csv"
@@ -283,15 +284,25 @@ class TestWideCsvAndClr:
         assert code == 0
 
     @pytest.mark.parametrize("clr", [False, True])
-    @pytest.mark.parametrize("cell", ["nan", "inf"])
-    def test_non_finite_cell_is_parse_error(self, tmp_path, capsys, cell, clr):
-        # taxa_a is fitted without --clr; with it, taxa_b is, and every
-        # variable goes into the transform.
-        wide = tmp_path / "wide.csv"
-        self.make_wide(wide, cell)
-        args = ["--clr", "--column", "taxa_b"] if clr else ["--column", "taxa_a"]
-        assert run(["fit", "--data", wide, *args, "--out", tmp_path / "o"]) == cli.EXIT_PARSE
-        assert "line 6: taxa_a" in capsys.readouterr().err
+    @pytest.mark.parametrize("long, column, cell", [
+        pytest.param(False, "taxa_a", "nan", id="nan"),
+        pytest.param(False, "taxa_a", "inf", id="inf"),
+        pytest.param(True, "value", "nan", id="long-nan"),
+        pytest.param(False, "time", "inf", id="time-inf"),
+        pytest.param(True, "time", "-inf", id="long-time-inf"),
+    ])
+    def test_non_finite_cell_is_parse_error(self, tmp_path, capsys, long, column, cell, clr):
+        # In a wide file taxa_a is fitted without --clr; with it, taxa_b is,
+        # and every variable goes into the transform. A long file is fitted
+        # by its default column, value.
+        data = tmp_path / "data.csv"
+        self.make_wide(data, cell, column, long)
+        if long:
+            args = ["--clr", "--column", "value"] if clr else []
+        else:
+            args = ["--clr", "--column", "taxa_b"] if clr else ["--column", "taxa_a"]
+        assert run(["fit", "--data", data, *args, "--out", tmp_path / "o"]) == cli.EXIT_PARSE
+        assert f"{data}: line 6: {column} is {float(cell)}, not finite" in capsys.readouterr().err
 
     def test_negative_cell_is_parse_error_under_clr(self, tmp_path, capsys):
         # With --clr every variable is an abundance; without it, a negative
@@ -301,7 +312,7 @@ class TestWideCsvAndClr:
         code = run(["fit", "--data", wide, "--clr", "--column", "taxa_b", "--out", tmp_path / "o"])
         assert code == cli.EXIT_PARSE
         assert f"{wide}: line 6: taxa_a is -1.0, negative" in capsys.readouterr().err
-        assert -1.0 in read_wide_csv(wide, "taxa_a", clr=False).all_values()
+        assert -1.0 in read_observations_csv(wide, "taxa_a", clr=False).all_values()
 
     def test_variable_named_twice_is_parse_error(self, tmp_path, capsys):
         # Two columns named a: the fit must not pick one of them.
@@ -333,7 +344,16 @@ class TestWideCsvAndClr:
         data.write_bytes(b"unit_id,time,value\n" + body)
         assert run(["fit", "--data", data, *column, "--out", tmp_path / "o"]) == cli.EXIT_PARSE
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {data}: ") and err.count("\n") == 1
+        assert err.startswith(f"error: {data}: line 2: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("column", [[], ["--column", "value"]])
+    def test_file_without_a_two_point_unit_is_precondition_error(self, tmp_path, capsys,
+                                                                  column):
+        data = tmp_path / "data.csv"
+        data.write_text("unit_id,time,value\na,0.0,1.0\nb,0.0,2.0\n")
+        code = run(["fit", "--data", data, *column, "--out", tmp_path / "o"])
+        assert code == cli.EXIT_PRECONDITION
+        assert f"{data}: no unit has two or more points" in capsys.readouterr().err
 
     def test_missing_column_is_parse_error(self, tmp_path, capsys):
         wide = tmp_path / "wide.csv"

@@ -20,7 +20,6 @@ from landscaper.tsdata import (
     number,
     read_document,
     read_observations_csv,
-    read_wide_csv,
     text,
     to_transitions,
     write_observations_csv,
@@ -278,7 +277,8 @@ class TestCsvAndJson:
     def test_duplicate_time_is_error(self, tmp_path):
         path = tmp_path / "obs.csv"
         path.write_text("unit_id,time,value\na,1.0,2.0\na,1.0,3.0\n")
-        with pytest.raises(IngestError, match="duplicate"):
+        with pytest.raises(IngestError,
+                           match=f"{path}: line 3: duplicate .* pair for unit 'a'"):
             read_observations_csv(path)
 
     def test_malformed_row_names_line(self, tmp_path):
@@ -303,24 +303,28 @@ class TestCsvAndJson:
         for text, read in (
             ("unit_id,time,value\na,0.0,1.0\na,1.0,2.0\n", read_observations_csv),
             ("unit_id,time,x,y\na,0.0,1.0,3.0\na,1.0,2.0,4.0\n",
-             lambda path: read_wide_csv(path, "y", False)),
+             lambda path: read_observations_csv(path, "y")),
         ):
             plain.write_bytes(text.encode())
             marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
             assert read(marked) == read(plain)
 
     @pytest.mark.parametrize("read", [read_observations_csv,
-                                      lambda path: read_wide_csv(path, "value", False)],
+                                      lambda path: read_observations_csv(path, "value", False)],
                              ids=["long", "wide"])
     @pytest.mark.parametrize("body, problem", [
         # A Latin-1 spreadsheet export with an accented site name.
-        ("café,0.0,1.0\ncafé,1.0,2.0\n".encode("latin-1"), "codec can't decode"),
-        (b"a,0.0," + b"1" * 200_000 + b"\na,1.0,2.0\n", "field larger than field limit"),
-    ], ids=["latin-1", "oversized-field"])
+        ("café,0.0,1.0\ncafé,1.0,2.0\n".encode("latin-1"),
+         "line 2: 'utf-8' codec can't decode byte 0xe9 in position 22"),
+        (b"a,0.0," + b"1" * 200_000 + b"\na,1.0,2.0\n", "line 2: field larger than field limit"),
+        # Past the decoder's first chunk, the position is still the file offset.
+        (b"a,0.0,1.0\n" * 3000 + "café,0.0,1.0\n".encode("latin-1"),
+         "line 3002: 'utf-8' codec can't decode byte 0xe9 in position 30022"),
+    ], ids=["latin-1", "oversized-field", "latin-1-past-8KiB"])
     def test_unreadable_text_is_refused_naming_the_file(self, tmp_path, read, body, problem):
         path = tmp_path / "obs.csv"
         path.write_bytes(b"unit_id,time,value\n" + body)
-        with pytest.raises(IngestError, match=f"{path}: .*{problem}"):
+        with pytest.raises(IngestError, match=f"{path}: {problem}"):
             read(path)
 
     @pytest.mark.parametrize("clr", [False, True])
@@ -330,14 +334,45 @@ class TestCsvAndJson:
         path = tmp_path / "wide.csv"
         path.write_text("unit_id,time,b,a,a\nu,0.0,1.0,1.0,5.0\nu,1.0,1.0,2.0,6.0\n")
         with pytest.raises(IngestError, match="line 1: variable 'a' is named more than once"):
-            read_wide_csv(path, "b", clr)
+            read_observations_csv(path, "b", clr)
 
     @pytest.mark.parametrize("clr", [False, True])
     def test_wide_file_without_data_rows_is_refused(self, tmp_path, clr):
         path = tmp_path / "wide.csv"
         path.write_text("unit_id,time,a\n\n")
         with pytest.raises(IngestError, match=f"{path}: no data rows"):
-            read_wide_csv(path, "a", clr)
+            read_observations_csv(path, "a", clr)
+
+    def test_long_layout_is_the_wide_layouts_value_column(self, tmp_path):
+        # Unit c has one point and so no transition: both layouts drop it.
+        obs = [("b", 1.0, 2.5), ("a", 0.5, -1.0), ("c", 0.0, 4.0), ("b", 0.0, 3.0),
+               ("a", 0.0, 7.25)]
+        long, wide = tmp_path / "long.csv", tmp_path / "wide.csv"
+        long.write_text("unit_id,time,value\n" + "".join(f"{u},{t},{v}\n" for u, t, v in obs))
+        wide.write_text("unit_id,time,other,value\n"
+                        + "".join(f"{u},{t},{-t},{v}\n" for u, t, v in obs))
+        expected = TimeSeriesCollection((TimeSeries("b", [0.0, 1.0], [3.0, 2.5]),
+                                         TimeSeries("a", [0.0, 0.5], [7.25, -1.0])))
+        assert read_observations_csv(long) == read_observations_csv(wide) == expected
+        for path, columns in ((long, 3), (wide, 4)):
+            with open(path, "a") as fh:
+                fh.write("a,2.0" + ",1.0" * (columns - 2) + ",\n")
+            problem = f"line 7: expected {columns} columns, got {columns + 1}"
+            with pytest.raises(IngestError, match=f"{path}: {problem}"):
+                read_observations_csv(path)
+
+    @pytest.mark.parametrize("text, clr, problem", [
+        ("unit_id,time,value\na,0.0,1.0\nb,0.0,1.0\n", False, "no unit has two or more points"),
+        ("unit_id,time,other,value\na,0.0,1.0,1.0\nb,0.0,1.0,1.0\n", False,
+         "no unit has two or more points"),
+        ("unit_id,time,other,value\na,0.0,0.0,0.0\na,1.0,0.0,0.0\n", True,
+         "abundance matrix has no positive entries"),
+    ], ids=["long", "wide", "clr-all-zero"])
+    def test_degenerate_file_is_refused_naming_it(self, tmp_path, text, clr, problem):
+        path = tmp_path / "obs.csv"
+        path.write_text(text)
+        with pytest.raises(DegenerateDataError, match=f"{path}: {problem}"):
+            read_observations_csv(path, clr=clr)
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "obs.csv"

@@ -22,3 +22,4 @@ result = tpr_grid(
 print(f"t_c = {result.t_c:.1f}; sampling step = 0.1 t_c")
 print(f"true positive rate over {result.replicates} replicates: {result.tpr[0, 0]:.2f}")
 print(f"fit failures: {int(result.failures[0, 0])}")
+print(f"fits that ran but did not converge: {int(result.nonconverged[0, 0])}")

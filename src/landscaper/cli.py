@@ -252,10 +252,13 @@ def cmd_derive(args, out: Path) -> tuple:
     emit("effective_potential", ["grid", "u_eff"],
          _float_rows([grid, derived.effective_potential(sd)]), {})
 
-    ms = derived.multistability_posterior(posterior)
-    # The count is written as an integer, the probability as a float's repr.
-    emit("multistability", ["n_stable", "probability"], ms.probabilities.items(),
-         {"discarded_fraction": ms.discarded_fraction, "n_draws": ms.n_draws})
+    try:
+        ms = derived.multistability_posterior(posterior)
+        # The count is written as an integer, the probability as a float's repr.
+        emit("multistability", ["n_stable", "probability"], ms.probabilities.items(),
+             {"discarded_fraction": ms.discarded_fraction, "n_draws": ms.n_draws})
+    except (PreconditionError, DegenerateDataError) as exc:
+        notice("multistability", str(exc))
 
     try:
         tr = derived.tipping_region(posterior)
@@ -309,7 +312,8 @@ def cmd_experiment(args, out: Path) -> tuple:
         _write_csv(table, ["n_series"] + [repr(t) for t in result.timesteps],
                    [[n] + row for n, row in zip(result.series_counts, result.tpr.tolist())])
         meta = {"replicates": result.replicates, "t_c": result.t_c,
-                "failures": result.failures.tolist()}
+                "failures": result.failures.tolist(),
+                "nonconverged": result.nonconverged.tolist()}
     meta_path = table.with_suffix(".json")
     dump_json(meta, meta_path)
     return (EXIT_OK, seed, doc, [Path(args.config)], [table, meta_path],

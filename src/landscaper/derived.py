@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDataError, PreconditionError
-from .numerics import (cumulative_trapezoid, density_from_drift_diffusion, nearest_rank,
-                       solve_tridiagonal)
+from .numerics import cumulative_trapezoid, density_from_drift_diffusion, nearest_rank
 
 __all__ = [
     "CurvePair",
@@ -234,50 +233,52 @@ def _uniform_spacing(grid: np.ndarray) -> float:
 
 
 def _exit_times(grid, f, g, tipping):
-    """`exit_time` of each row of a (draws, grid) stack of curves, in one solve:
-    the curves, each row's failure message or None, and the tipping node."""
+    """`exit_time` of each row of a (draws, grid) stack of curves: the
+    curves, each row's failure message or None, and the tipping node."""
     if not (grid[0] < tipping < grid[-1]):
         raise PreconditionError("tipping point must lie strictly inside the grid")
     h = _uniform_spacing(grid)
+    n = len(grid)
     k = int(np.argmin(np.abs(grid - tipping)))
-    if k in (0, len(grid) - 1):
+    if k in (0, n - 1):
         raise PreconditionError("tipping point snaps to a boundary node")
-    if k in (1, len(grid) - 2):
+    if k in (1, n - 2):
         raise PreconditionError("basin side has too few grid nodes")
 
-    # Row j is sub[j - 1] T(j-1) + main[j] T(j) + sup[j] T(j+1). The end rows
-    # are zero-slope, T(1) - T(0) = 0 and T(n-1) - T(n-2) = 0.
-    adv, dif = f[:, 1:-1] / (2.0 * h), g[:, 1:-1] / (2.0 * h * h)
-    one = np.ones((len(f), 1))
-    sub, sup = np.hstack([dif - adv, -one]), np.hstack([one, dif + adv])
-    main = np.hstack([-one, -2.0 * dif, one])
-    # Row k is T(k) = 0, and column k is empty but for it.
-    main[:, k] = 1.0
-    sub[:, k - 1] = sub[:, k] = sup[:, k - 1] = sup[:, k] = 0.0
-    rhs = np.full(main.shape, -1.0)
-    rhs[:, [0, k, -1]] = 0.0
-    times, info = solve_tridiagonal(sub, main, sup, rhs)
+    # Interior row j, a_j T(j-1) - 2 dif_j T(j) + c_j T(j+1) = -1, has
+    # coefficients that sum to zero, so in the steps d[j] = T(j+1) - T(j) it
+    # reads c_j d[j] - a_j d[j-1] = -1. From the zero-slope ends, d[0] =
+    # d[n-2] = 0, each basin side runs toward the tipping node k, T(k) = 0.
+    adv, dif = f.T / (2.0 * h), g.T / (2.0 * h * h)
+    a, c = dif - adv, dif + adv
+    d = np.zeros((n - 1, len(f)))
+    with np.errstate(all="ignore"):
+        for j in range(1, k):
+            d[j] = (a[j] * d[j - 1] - 1.0) / c[j]
+        for j in range(n - 2, k, -1):
+            d[j - 1] = (c[j] * d[j] + 1.0) / a[j]
+        times = np.vstack([-np.cumsum(d[k - 1::-1], axis=0)[::-1], np.zeros(len(f)),
+                           np.cumsum(d[k:], axis=0)]).T
 
     lowest = times.min(axis=1)
     dips = lowest < -1e-9 * np.maximum(1.0, np.abs(times).max(axis=1))
     failures = [
-        f"singular exit-time system: zero pivot in row {row}" if row else
         "exit-time solve produced non-finite values" if not finite else
         f"exit-time solution dips to {low:.3e}; grid too coarse for this drift" if dip else None
-        for row, finite, dip, low in zip(info.tolist(), np.isfinite(times).all(axis=1), dips,
-                                         lowest)]
+        for finite, dip, low in zip(np.isfinite(times).all(axis=1), dips, lowest)]
     return np.maximum(times, 0.0), failures, k
 
 
 def exit_time(cp: CurvePair, tipping: float) -> ExitTimeSolution:
     """Solve f T' + (g/2) T'' = -1 on each side of the tipping point.
 
-    Central differences on the uniform grid, one tridiagonal system over the
-    whole grid, solved as LAPACK's dgtsv solves it: the grid node nearest the
-    tipping location is a Dirichlet row T = 0 that no other row refers to, so
-    the two basin sides never mix, and the two outer ends are one-sided
-    zero-slope rows. A system that is singular, or whose solution is not
-    finite or dips below zero, is a DegenerateDataError.
+    Central differences on the uniform grid, with T = 0 at the grid node
+    nearest the tipping location and zero-slope outer ends. Each row's
+    coefficients sum to zero, so each basin side is a first-order
+    recurrence in T(j+1) - T(j), run from its outer end toward the tipping
+    node; the two sides never mix. A solution that is not finite (a zero
+    divisor in the recurrence leaves its side so) or dips below zero is a
+    DegenerateDataError.
     """
     (times,), (failure,), k = _exit_times(cp.grid, cp.drift[None], cp.diffusion[None], tipping)
     if failure:

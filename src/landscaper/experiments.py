@@ -58,6 +58,7 @@ class TprGrid:
     replicates: int
     failures: np.ndarray              # fit failures per cell
     t_c: float
+    nonconverged: np.ndarray          # fits per cell that ran but did not converge
 
 
 def kl_divergence(p, q, dx: float = 1.0):
@@ -156,9 +157,10 @@ def tpr_grid(
     a fraction of the model's characteristic time scale (measured on a long
     reference run), rounded to a whole number of INTERNAL_DT steps; each
     series has TPR_POINTS_PER_SERIES points. Fit failures count as misses,
-    never as positives. The replicates of every cell run in one process per
-    usable CPU (`numerics.fork_map`), each fit in one, with the same results
-    for any count.
+    never as positives; fits that ran but did not converge are scored, and
+    counted in `nonconverged`. The replicates of every cell run in one
+    process per usable CPU (`numerics.fork_map`), each fit in one, with the
+    same results for any count.
     """
     if replicates < 1:
         raise PreconditionError("replicates must be >= 1")
@@ -180,22 +182,24 @@ def tpr_grid(
             for rep_seed in cell_seed.spawn(replicates)]
 
     def replicate(job):
-        # (hit, failed) of one replicate fit.
+        # (hit, failed, nonconverged) of one replicate fit.
         (i, j), rep_seed = job
         data_child, fit_child = rep_seed.spawn(2)
         try:
             ds = generate_short_series(true_model, series_counts[i], TPR_POINTS_PER_SERIES,
                                        steps[timesteps[j]], data_child)
             post = fit(ds.collection, replace(cfg, seed=int(fit_child.generate_state(1)[0])))
-            return multistability_posterior(post).mode == true_model.label, False
+            hit = multistability_posterior(post).mode == true_model.label
+            return hit, False, not post.converged
         except LandscaperError:
-            return False, True
+            return False, True, False
 
     hits = np.zeros((len(series_counts), len(timesteps)), dtype=int)
-    failures = np.zeros_like(hits)
-    for ((i, j), _), (hit, failed) in zip(jobs, fork_map(replicate, jobs)):
+    failures, nonconverged = np.zeros_like(hits), np.zeros_like(hits)
+    for ((i, j), _), (hit, failed, unconverged) in zip(jobs, fork_map(replicate, jobs)):
         hits[i, j] += hit
         failures[i, j] += failed
+        nonconverged[i, j] += unconverged
     tpr = hits / replicates
 
     return TprGrid(
@@ -205,4 +209,5 @@ def tpr_grid(
         replicates=replicates,
         failures=failures,
         t_c=float(t_c),
+        nonconverged=nonconverged,
     )

@@ -65,8 +65,9 @@ GRID_SIZE = 200
 # 1.5; at 3 the error stays below 0.01 sigma^2.
 BOUNDARY_FACTOR = 3.0
 
-# Inverse-Gamma prior shapes/scales: variances and length scales.
-VAR_PRIOR = (2.0, 2.0)
+# Inverse-Gamma prior (shape, scale) on the amplitudes sigma and on the
+# length scales.
+AMP_PRIOR = (2.0, 2.0)
 LEN_PRIOR = (5.0, 5.0)
 
 HYPER_NAMES = (
@@ -79,7 +80,7 @@ HYPER_NAMES = (
 )
 # Prior (shape, scale) per hyper, in vector order; amplitudes sigma carry the
 # Inverse-Gamma(2,2), length scales the Inverse-Gamma(5,5).
-HYPER_PRIORS = (VAR_PRIOR, LEN_PRIOR, VAR_PRIOR, VAR_PRIOR, VAR_PRIOR, LEN_PRIOR)
+HYPER_PRIORS = (AMP_PRIOR, LEN_PRIOR, AMP_PRIOR, AMP_PRIOR, AMP_PRIOR, LEN_PRIOR)
 N_HYPERS = len(HYPER_NAMES)
 PRIOR_SHAPE = np.array([shape for shape, _ in HYPER_PRIORS])
 PRIOR_SCALE = np.array([scale for _, scale in HYPER_PRIORS])

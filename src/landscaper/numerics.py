@@ -1,9 +1,8 @@
 """Shared numerical routines in numpy alone, and the package's one way to run
 work in parallel processes.
 
-`cumulative_trapezoid` and `solve_tridiagonal` transcribe scipy's
-cumulative_trapezoid and LAPACK's dgtsv (over a stack of systems), with the
-bits they give. `fork_map` maps a function over items, one forked process per
+`cumulative_trapezoid` transcribes scipy's cumulative_trapezoid, with the
+bits it gives. `fork_map` maps a function over items, one forked process per
 usable CPU; the simulation studies run their replicates through it.
 """
 
@@ -18,7 +17,7 @@ import numpy as np
 from .errors import DegenerateDataError, PreconditionError, SamplerError
 
 __all__ = ["cumulative_trapezoid", "density_from_drift_diffusion", "fork_map", "nearest_rank",
-           "seed_sequence", "solve_tridiagonal", "usable_cpus"]
+           "seed_sequence", "usable_cpus"]
 
 # Largest rounding error density_from_drift_diffusion accepts in its exponent:
 # the unit roundoff times the largest magnitude of the running integral.
@@ -81,41 +80,6 @@ def nearest_rank(n: int, q: float) -> int:
     """0-based position, in n sorted values, of the nearest-rank lower
     q-quantile: the ceil(q*n)-th smallest, and at least the first."""
     return max(1, int(np.ceil(q * n))) - 1
-
-
-def solve_tridiagonal(sub, main, sup, rhs):
-    """LAPACK's dgtsv in numpy, on each row of a (systems, n) stack of
-    tridiagonal systems, n >= 2; `sub` and `sup` have n - 1 columns.
-    Partial pivoting in dgtsv's order of operations gives each system the
-    bits dgtsv gives it, overflow included. Returns the solutions and each
-    system's `info`: 0, or the 1-based row of its first zero pivot, where
-    dgtsv stops and the solution is meaningless."""
-    # Row i of each array is row i of every system.
-    dl, d, du, b = (np.array(a, dtype=float).T.copy() for a in (sub, main, sup, rhs))
-    n = len(d)
-    du2 = np.zeros_like(d)  # the second superdiagonal that pivoting fills in
-    info = np.zeros(d.shape[1:], dtype=int)
-    with np.errstate(all="ignore"):
-        for i in range(n - 1):
-            # Rows i and i + 1 change places where |sub| > |main|.
-            swap = ~(np.abs(d[i]) >= np.abs(dl[i]))
-            info[(info == 0) & ~swap & (d[i] == 0.0)] = i + 1
-            fact = np.where(swap, d[i] / dl[i], dl[i] / d[i])
-            d[i], d[i + 1], du[i] = (
-                np.where(swap, dl[i], d[i]),
-                np.where(swap, du[i] - fact * d[i + 1], d[i + 1] - fact * du[i]),
-                np.where(swap, d[i + 1], du[i]))
-            b[i], b[i + 1] = (np.where(swap, b[i + 1], b[i]),
-                              np.where(swap, b[i] - fact * b[i + 1], b[i + 1] - fact * b[i]))
-            if i < n - 2:
-                du2[i] = np.where(swap, du[i + 1], 0.0)
-                du[i + 1] = np.where(swap, -fact * du[i + 1], du[i + 1])
-        info[(info == 0) & (d[-1] == 0.0)] = n
-        b[-1] /= d[-1]
-        b[-2] = (b[-2] - du[-1] * b[-1]) / d[-2]
-        for i in range(n - 3, -1, -1):
-            b[i] = (b[i] - du[i] * b[i + 1] - du2[i] * b[i + 2]) / d[i]
-    return np.ascontiguousarray(b.T), info
 
 
 def usable_cpus() -> int:

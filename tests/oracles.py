@@ -3,8 +3,9 @@
 These deliberately avoid the library's code paths: brute-force scans, the
 kernels and the reduced-rank basis written out from their formulas,
 plain-python density sums, a per-draw loop over drift sign changes, a
-per-draw loop of scipy's banded solver for exit-time bands, a batch Monte
-Carlo first-passage simulator, stationary states reached by a long
+per-draw loop of scipy's banded solver for exit-time bands, the closed-form
+mean first-passage time by quadrature, a batch Monte Carlo first-passage
+simulator, stationary states reached by a long
 Euler-Maruyama burn-in, and a per-budget loop of np.histogram for the
 coverage study.
 They exist so that library results are checked against something that cannot
@@ -16,6 +17,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.stats import norm
 
 from landscaper.experiments import kl_divergence
@@ -97,6 +99,20 @@ def per_draw_exit_time_band(grid, drift_draws, diffusion_draws):
         if np.all(np.isfinite(times)) and times.min() >= -1e-9 * max(1.0, np.abs(times).max()):
             curves.append(np.maximum(times, 0.0))
     return np.array(curves).reshape(-1, grid.size), k
+
+
+def mean_exit_time(drift, diffusion, tipping, end, x):
+    """Mean first-passage time from x to an absorbing `tipping` point, with a
+    reflecting boundary at `end` beyond x (Gardiner, Handbook of Stochastic
+    Methods, 5.2): T(x) = int_tipping^x dy / psi(y) int_y^end 2 psi(z) / g(z) dz,
+    psi(y) = exp int_tipping^y 2f/g, each integral by scipy.integrate.quad."""
+    def psi(y):
+        return math.exp(quad(lambda s: 2.0 * drift(s) / diffusion(s), tipping, y)[0])
+
+    def slope(y):
+        return quad(lambda z: 2.0 * psi(z) / diffusion(z), y, end)[0] / psi(y)
+
+    return quad(slope, tipping, x)[0]
 
 
 def drift_kernel(x, x2, sigma_q, l, sigma_b, sigma_l, c):

@@ -41,18 +41,19 @@ def dataset(tmp_path_factory):
 CUSP_SPEC = {"name": "cusp", "alpha": 0, "beta": 1, "lam": 0, "r": 1, "epsilon": 0.5}
 
 
-def synthetic_posterior(bistable: bool, n_draws=40) -> Posterior:
-    """Latent draws whose curves follow a cusp-like (or linear) drift and a
-    near-constant diffusion on data over [-2, 2]: the latents are the least
-    squares fit of the target curves on the grid at fixed hyperparameters,
-    where each latent's curve is `curves_on` of its unit vector. The
-    default layout puts the grid on [-2.4, 2.4] with centre 0."""
+def synthetic_posterior(bistable: bool, n_draws=40, base=None) -> Posterior:
+    """Latent draws whose curves follow a cusp-like (or linear, or `base(grid)`)
+    drift and a near-constant diffusion on data over [-2, 2]: the latents are
+    the least squares fit of the target curves on the grid at fixed
+    hyperparameters, where each latent's curve is `curves_on` of its unit
+    vector. The default layout puts the grid on [-2.4, 2.4] with centre 0."""
     config = FitConfig()
     m = config.n_anchors
     grid, center, half_width = config.layout(-2.0, 2.0)
     rng = np.random.default_rng(8)
-    base = grid - grid**3 if bistable else -grid
-    drift = base + 0.02 * rng.standard_normal((n_draws, grid.size))
+    if base is None:
+        base = (lambda x: x - x**3) if bistable else (lambda x: -x)
+    drift = base(grid) + 0.02 * rng.standard_normal((n_draws, grid.size))
     ghat = np.log(0.5 + 0.05 * rng.random((n_draws, grid.size)))
     eta = np.log([2.0, 1.0, 2.0, 2.0, 2.0, 1.0])
     units = np.column_stack([np.eye(2 * m), np.tile(eta, (2 * m, 1))])
@@ -387,6 +388,23 @@ class TestDerive:
         assert not (out / "exit_time_band.csv").exists()
         assert (out / "stationary_density.csv").exists()
 
+    def test_posterior_without_a_valid_root_structure_gets_notices(self, tmp_path):
+        # A drift positive everywhere has no stable point in any draw.
+        post = synthetic_posterior(bistable=False, base=lambda x: 1.0 + 0.0 * x)
+        assert post.drift_draws.min() > 0
+        post_path = tmp_path / "posterior.json"
+        dump_json(post.to_json(), post_path)
+        out = tmp_path / "bundle"
+        assert run(["derive", "--posterior", post_path, "--out", out]) == 0
+        notice = load_json(out / "multistability_notice.json")
+        assert notice == {"quantity": "multistability", "skipped": True,
+                          "reason": "every posterior draw has an ambiguous root structure"}
+        assert not (out / "multistability.csv").exists()
+        outputs = load_json(out / "manifest.json")["outputs"]
+        for name in ("multistability", "tipping_region", "exit_time_band"):
+            assert f"{name}_notice.json" in outputs
+        assert "stationary_density.csv" in outputs
+
     def test_reloaded_posterior_derives_the_same_bytes(self, tmp_path, monkeypatch):
         post = synthetic_posterior(bistable=True)
         post_path = tmp_path / "posterior.json"
@@ -497,6 +515,10 @@ class TestExperimentCommand:
         lines = (out / "tpr.csv").read_text().strip().splitlines()
         assert len(lines) == 3  # header + 2 series-count rows
         assert len(lines[1].split(",")) == 3  # n_series + 2 timestep columns
+        meta = load_json(out / "tpr.json")
+        failed, unconverged = np.array(meta["failures"]), np.array(meta["nonconverged"])
+        assert failed.shape == unconverged.shape == (2, 2)
+        assert np.all((unconverged >= 0) & (failed + unconverged <= 2))
 
     @pytest.mark.parametrize("name, doc, jobs", [
         ("coverage", {"model": CUSP_SPEC, "total_time": 20, "replicates": 3, "seed": 6}, 3),

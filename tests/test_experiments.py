@@ -215,6 +215,25 @@ class TestTprGrid:
             np.testing.assert_array_equal(runs[0].tpr, other.tpr)
             np.testing.assert_array_equal(runs[0].failures, other.failures)
 
+    def test_nonconverged_counts_the_fits_that_ran_but_did_not_converge(
+            self, bistable_cusp, monkeypatch, set_cpus):
+        # On one CPU the replicates run here in job order, cell by cell; every
+        # second fit is marked converged.
+        set_cpus(1)
+        fit, marked = experiments.fit, []
+
+        def marks_converged(*args, **kwargs):
+            post = fit(*args, **kwargs)
+            object.__setattr__(post, "converged", len(marked) % 2 == 0)
+            marked.append(post.converged)
+            return post
+
+        monkeypatch.setattr(experiments, "fit", marks_converged)
+        cfg = FitConfig(n_chains=2, n_iterations=100, max_leapfrog=8, n_anchors=12)
+        grid = tpr_grid(bistable_cusp, [12, 30], [0.1], replicates=3, cfg=cfg, seed=3)
+        assert marked == [True, False] * 3 and grid.failures.sum() == 0
+        np.testing.assert_array_equal(grid.nonconverged, [[1], [2]])
+
     def test_replicate_warning_from_a_child_reaches_the_caller(self, bistable_cusp,
                                                                monkeypatch, set_cpus):
         here = os.getpid()

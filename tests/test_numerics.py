@@ -11,12 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.linalg.lapack import dgtsv
 
 import landscaper
 from landscaper.errors import DegenerateDataError, SamplerError
 from landscaper.numerics import (cumulative_trapezoid, density_from_drift_diffusion, fork_map,
-                                 solve_tridiagonal, usable_cpus)
+                                 usable_cpus)
 from landscaper.tsdata import dump_json
 
 from test_cli import synthetic_posterior
@@ -112,25 +111,6 @@ def test_cumulative_trapezoid_equals_scipy(rng, n):
         y = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
         expected = integrate.cumulative_trapezoid(y, x, initial=0.0)
         np.testing.assert_array_equal(cumulative_trapezoid(y, x), expected)
-
-
-@pytest.mark.parametrize("n", [2, 3, 50])
-def test_solve_tridiagonal_equals_dgtsv(rng, n):
-    # Random systems pivot often; a twentieth of the entries are zero, so
-    # some systems hit a zero pivot, where only `info` has to agree.
-    m = 300
-    sub = rng.standard_normal((m, n - 1)) * 10.0 ** rng.uniform(-3, 3, (m, 1))
-    main, sup, rhs = rng.standard_normal((3, m, n))
-    sup = sup[:, 1:]
-    sub[rng.random(sub.shape) < 0.05] = 0.0
-    main[rng.random(main.shape) < 0.05] = 0.0
-    x, info = solve_tridiagonal(sub, main, sup, rhs)
-    assert 0 < np.count_nonzero(info) < m
-    for row in range(m):
-        *_, expected, expected_info = dgtsv(sub[row], main[row], sup[row], rhs[row])
-        assert info[row] == expected_info
-        if not expected_info:
-            np.testing.assert_array_equal(x[row], expected)
 
 
 @pytest.mark.parametrize("drift_sign", [-1.0, 1.0])

@@ -24,9 +24,9 @@ params = CuspParams(alpha=0.0, beta=1.0, lam=0.0, r=1.0, epsilon=0.5)
 model = cusp_model(params)
 print(f"true stable states: {model.stable_points}, tipping point: {model.tipping_points}")
 
-timescale = estimate_timescale(model, seed=1)
-dt = round(0.01 * timescale.t_c, 2)
-print(f"characteristic time scale t_c = {timescale.t_c:.1f}; sampling every {dt} time units")
+t_c = estimate_timescale(model, seed=1)
+dt = round(0.01 * t_c, 2)
+print(f"characteristic time scale t_c = {t_c:.1f}; sampling every {dt} time units")
 
 dataset = generate_short_series(model, n_series=100, pts_per_series=5, dt_target=dt, seed=42)
 values = dataset.collection.all_values()
@@ -37,9 +37,9 @@ posterior = fit(dataset.collection, FitConfig(n_iterations=N_ITERATIONS, seed=7)
 print(f"sampler: {posterior.n_draws} draws, {posterior.divergences} divergences, "
       f"converged={posterior.converged}")
 
-drift_mean = posterior.drift_mean()
+drift_mean = posterior.drift_draws.mean(axis=0)
 inside = (posterior.grid >= values.min()) & (posterior.grid <= values.max())
-lo, hi = posterior.band("drift", 0.025, 0.975)
+lo, hi = np.quantile(posterior.drift_draws, [0.025, 0.975], axis=0)
 truth = model.drift(posterior.grid)
 coverage = ((truth >= lo) & (truth <= hi))[inside].mean()
 print(f"true drift inside the 95% band at {100 * coverage:.0f}% of grid points in range")
@@ -54,7 +54,7 @@ print(f"tipping region: mean {region.mean:+.3f}, "
 
 np.savetxt(
     "landscape_curves.csv",
-    np.column_stack([posterior.grid, drift_mean, lo, hi, posterior.diffusion_mean()]),
+    np.column_stack([posterior.grid, drift_mean, lo, hi, posterior.diffusion_draws.mean(axis=0)]),
     delimiter=",",
     header="grid,drift_mean,drift_lo95,drift_hi95,diffusion_mean",
     comments="",

@@ -167,7 +167,7 @@ def cmd_simulate(args, out: Path) -> tuple:
     if args.dt_frac is not None:
         if not 0 < args.dt_frac < math.inf:
             raise PreconditionError(f"--dt-frac must be finite and positive, got {args.dt_frac}")
-        dt = step_from_fraction(args.dt_frac, estimate_timescale(model, seed=tc_seed).t_c)
+        dt = step_from_fraction(args.dt_frac, estimate_timescale(model, seed=tc_seed))
     else:
         dt = args.dt
     ds = generate_short_series(model, args.n_series, args.points, dt, data_seed)
@@ -229,7 +229,8 @@ def cmd_fit(args, out: Path) -> tuple:
 def cmd_derive(args, out: Path) -> tuple:
     posterior = _load_doc(args.posterior, Posterior.from_json, "posterior")
     grid = posterior.grid
-    mean_cp = derived.CurvePair(grid, posterior.drift_mean(), posterior.diffusion_mean())
+    mean_cp = derived.CurvePair(grid, posterior.drift_draws.mean(axis=0),
+                                posterior.diffusion_draws.mean(axis=0))
     outputs: list[Path] = []
 
     def emit(name: str, header, rows, meta: dict):
@@ -244,13 +245,19 @@ def cmd_derive(args, out: Path) -> tuple:
         dump_json({"quantity": name, "skipped": True, "reason": reason}, path)
         outputs.append(path)
 
-    sd = derived.stationary_density(mean_cp)
-    emit("stationary_density", ["grid", "density"], _float_rows([grid, sd.density]),
-         {"source": "posterior mean drift/diffusion curves"})
     emit("potential", ["grid", "potential"], _float_rows([grid, derived.potential(mean_cp)]),
          {"anchored": "U(grid start) = 0"})
-    emit("effective_potential", ["grid", "u_eff"],
-         _float_rows([grid, derived.effective_potential(sd)]), {})
+
+    try:
+        sd = derived.stationary_density(mean_cp)
+    except (PreconditionError, DegenerateDataError) as exc:
+        notice("stationary_density", str(exc))
+        notice("effective_potential", str(exc))
+    else:
+        emit("stationary_density", ["grid", "density"], _float_rows([grid, sd.density]),
+             {"source": "posterior mean drift/diffusion curves"})
+        emit("effective_potential", ["grid", "u_eff"],
+             _float_rows([grid, derived.effective_potential(sd)]), {})
 
     try:
         ms = derived.multistability_posterior(posterior)

@@ -174,7 +174,7 @@ def tpr_grid(
         raise PreconditionError("timesteps must be non-empty, each finite and positive")
 
     tc_seed, data_seed = seed_sequence(seed).spawn(2)
-    t_c = estimate_timescale(true_model, seed=tc_seed).t_c
+    t_c = estimate_timescale(true_model, seed=tc_seed)
     steps = {frac: step_from_fraction(frac, t_c) for frac in timesteps}
 
     cells = [(i, j) for i in range(len(series_counts)) for j in range(len(timesteps))]

@@ -443,18 +443,6 @@ class Posterior:
     def n_draws(self) -> int:
         return self.drift_draws.shape[0]
 
-    def drift_mean(self) -> np.ndarray:
-        return self.drift_draws.mean(axis=0)
-
-    def diffusion_mean(self) -> np.ndarray:
-        return self.diffusion_draws.mean(axis=0)
-
-    def band(self, which: str, lo: float, hi: float):
-        if which not in ("drift", "diffusion"):
-            raise PreconditionError(f"band is 'drift' or 'diffusion', not {which!r}")
-        draws = self.drift_draws if which == "drift" else self.diffusion_draws
-        return np.quantile(draws, lo, axis=0), np.quantile(draws, hi, axis=0)
-
     def to_json(self) -> dict:
         return {
             "basis_draws": self.basis_draws.tolist(),

@@ -29,7 +29,6 @@ from .tsdata import TimeSeries, TimeSeriesCollection, characteristic_timescale
 __all__ = [
     "CuspParams",
     "SdeModel",
-    "Trajectory",
     "SimulatedDataset",
     "cusp_model",
     "custom_bimodal_unistable",
@@ -79,14 +78,6 @@ class SdeModel:
     stable_points: tuple[float, ...] = ()
     tipping_points: tuple[float, ...] = ()
     stationary: tuple[np.ndarray, np.ndarray] | None = None
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Uniformly spaced simulated path."""
-
-    times: np.ndarray
-    values: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -173,11 +164,12 @@ def custom_bimodal_unistable() -> SdeModel:
     )
 
 
-def euler_maruyama(m: SdeModel, x0: float, dt: float, n_steps: int, seed) -> Trajectory:
+def euler_maruyama(m: SdeModel, x0: float, dt: float, n_steps: int, seed) -> np.ndarray:
     """Integrate x_{n+1} = x_n + f(x_n) dt + sqrt(g(x_n) dt) z_n from a seeded stream.
 
-    Deterministic given the seed. Raises SimulationDiverged with the step
-    index if the state leaves [-1e6, 1e6] or becomes non-finite.
+    Returns the (n_steps + 1,) states x_0 = x0, ..., x_n_steps; state k lies
+    at time k * dt. Deterministic given the seed. Raises SimulationDiverged
+    with the step index if the state leaves [-1e6, 1e6] or becomes non-finite.
     """
     if not 0 < dt < math.inf:
         raise PreconditionError(f"dt must be finite and positive, got {dt}")
@@ -185,8 +177,7 @@ def euler_maruyama(m: SdeModel, x0: float, dt: float, n_steps: int, seed) -> Tra
         raise PreconditionError(f"n_steps must be from 1 to {np.iinfo(np.intp).max}, "
                                 f"got {n_steps}")
     rng = np.random.default_rng(seed_sequence(seed))
-    values = _simulate_path(m, x0, dt, rng.standard_normal(n_steps))
-    return Trajectory(times=np.arange(n_steps + 1) * dt, values=values)
+    return _simulate_path(m, x0, dt, rng.standard_normal(n_steps))
 
 
 def _simulate_path(m: SdeModel, x0: float, dt: float, z: np.ndarray) -> np.ndarray:
@@ -295,9 +286,10 @@ def _short_paths(m: SdeModel, n_series: int, n_steps: int, seed) -> np.ndarray:
     return _simulate_batch(m, x0, INTERNAL_DT, z)
 
 
-def estimate_timescale(m: SdeModel, seed=0, total_time: float = 1000.0):
-    """Characteristic time scale of a model, measured on one long reference run
-    at the internal step INTERNAL_DT."""
+def estimate_timescale(m: SdeModel, seed=0, total_time: float = 1000.0) -> float:
+    """A model's characteristic time scale t_c, measured by
+    characteristic_timescale on one long reference run at the internal step
+    INTERNAL_DT."""
     path = _reference_path(m, seed, total_time)
     ts = TimeSeries("reference", np.arange(len(path)) * INTERNAL_DT, path)
     return characteristic_timescale(TimeSeriesCollection((ts,)))

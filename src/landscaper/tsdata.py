@@ -23,7 +23,6 @@ __all__ = [
     "TimeSeries",
     "TimeSeriesCollection",
     "TransitionSet",
-    "TimescaleSummary",
     "to_transitions",
     "characteristic_timescale",
     "filter_by_timestep",
@@ -142,15 +141,6 @@ class TransitionSet:
         return self.x, self.dx, self.dt
 
 
-@dataclass(frozen=True)
-class TimescaleSummary:
-    """Characteristic time scale t_c = d^2 / <dx^2/dt> plus its ingredients."""
-
-    t_c: float
-    d: float
-    mean_sq_rate: float
-
-
 def to_transitions(c: TimeSeriesCollection) -> TransitionSet:
     """Difference each series into (x, dx, dt) triples.
 
@@ -164,8 +154,8 @@ def to_transitions(c: TimeSeriesCollection) -> TransitionSet:
     )
 
 
-def characteristic_timescale(c: TimeSeriesCollection) -> TimescaleSummary:
-    """Apparent time to traverse the observed range by fluctuations.
+def characteristic_timescale(c: TimeSeriesCollection) -> float:
+    """t_c, the apparent time to traverse the observed range by fluctuations.
 
     t_c = d^2 / <dx^2/dt>, with d the full observed value range and the mean
     taken over all transitions. Undefined (degenerate) when every dx is zero.
@@ -177,7 +167,7 @@ def characteristic_timescale(c: TimeSeriesCollection) -> TimescaleSummary:
     if mean_sq_rate == 0.0:
         raise DegenerateDataError("all increments are zero; t_c is undefined")
     d = float(c.value_range[1] - c.value_range[0])
-    return TimescaleSummary(t_c=d * d / mean_sq_rate, d=d, mean_sq_rate=mean_sq_rate)
+    return d * d / mean_sq_rate
 
 
 def filter_by_timestep(c: TimeSeriesCollection, max_dt: float) -> TimeSeriesCollection:

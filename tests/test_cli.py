@@ -405,6 +405,25 @@ class TestDerive:
             assert f"{name}_notice.json" in outputs
         assert "stationary_density.csv" in outputs
 
+    def test_unresolvable_stationary_density_gets_notices(self, tmp_path):
+        # The running integral of 2f/g reaches about 2e10 on this drift, beyond
+        # what double precision resolves; the other quantities still compute.
+        post = synthetic_posterior(bistable=True, base=lambda x: 1e9 * (x - x**3))
+        post_path = tmp_path / "posterior.json"
+        dump_json(post.to_json(), post_path)
+        out = tmp_path / "bundle"
+        assert run(["derive", "--posterior", post_path, "--out", out]) == 0
+        for name in ("stationary_density", "effective_potential"):
+            notice = load_json(out / f"{name}_notice.json")
+            assert notice["quantity"] == name and notice["skipped"] is True
+            assert "2f/g" in notice["reason"]
+            assert not (out / f"{name}.csv").exists()
+        outputs = load_json(out / "manifest.json")["outputs"]
+        for name in ("potential", "multistability", "tipping_region"):
+            assert f"{name}.csv" in outputs and f"{name}.json" in outputs, name
+        assert {"stationary_density_notice.json", "effective_potential_notice.json",
+                "exit_time_band_notice.json"} <= set(outputs)
+
     def test_reloaded_posterior_derives_the_same_bytes(self, tmp_path, monkeypatch):
         post = synthetic_posterior(bistable=True)
         post_path = tmp_path / "posterior.json"
@@ -555,11 +574,12 @@ class TestExperimentCommand:
                    for m in (first, (out / "manifest.json").read_text())]
         assert untimed[0] == untimed[1]
 
-    def test_unknown_name_usage_error(self, tmp_path):
+    def test_unknown_name_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "exp.json"
         dump_json({"model": {"name": "cusp"}}, cfg)
         assert run(["experiment", "--name", "nope", "--config", cfg,
                     "--out", tmp_path / "x"]) == cli.EXIT_PARSE
+        assert "unknown experiment name 'nope'" in capsys.readouterr().err
 
 
 class TestMalformedDocuments:
@@ -702,7 +722,8 @@ class TestMalformedDocuments:
         assert run(argv) == cli.EXIT_PRECONDITION
         assert "seed" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key, value", [("total_time", 0.5), ("total_time", 1e19)])
+    @pytest.mark.parametrize("key, value", [("total_time", 0.5), ("total_time", 1e19),
+                                            ("replicates", 0)])
     def test_coverage_range_exits_precondition(self, tmp_path, capsys, key, value):
         path = tmp_path / "exp.json"
         dump_json({"model": CUSP_SPEC, "total_time": 2, "replicates": 1, key: value}, path)
@@ -720,10 +741,15 @@ class TestMalformedDocuments:
         assert "series_counts" in capsys.readouterr().err
         assert not (tmp_path / "o" / "tpr.json").exists()
 
-    @pytest.mark.parametrize("key", ["series_counts", "timesteps"])
-    def test_tpr_empty_grid_exits_precondition(self, tmp_path, capsys, key):
+    @pytest.mark.parametrize("key, value", [
+        pytest.param("series_counts", [], id="series_counts"),
+        pytest.param("timesteps", [], id="timesteps"),
+        pytest.param("timesteps", [0], id="timesteps-0"),
+        pytest.param("replicates", 0, id="replicates-0"),
+    ])
+    def test_tpr_empty_grid_exits_precondition(self, tmp_path, capsys, key, value):
         path = tmp_path / "exp.json"
-        dump_json({"model": CUSP_SPEC, key: [], "replicates": 2}, path)
+        dump_json({"model": CUSP_SPEC, "replicates": 2, key: value}, path)
         assert run(["experiment", "--name", "tpr-grid", "--config", path,
                     "--out", tmp_path / "o"]) == cli.EXIT_PRECONDITION
         assert key in capsys.readouterr().err
@@ -771,6 +797,14 @@ class TestMalformedDocuments:
         args[args.index(param) + 1] = value
         assert run(args) == cli.EXIT_PRECONDITION
         assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "dataset.csv").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--n-series", 0), ("--points", 1)])
+    def test_too_few_series_or_points_exits_precondition(self, tmp_path, capsys, flag, value):
+        args = simulate_args(tmp_path / "o")
+        args[args.index(flag) + 1] = value
+        assert run(args) == cli.EXIT_PRECONDITION
+        assert "need n_series >= 1 and pts_per_series >= 2" in capsys.readouterr().err
         assert not (tmp_path / "o" / "dataset.csv").exists()
 
     def test_dt_frac_below_one_internal_step_exits_precondition(self, tmp_path, capsys):

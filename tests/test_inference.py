@@ -8,7 +8,8 @@ import pytest
 from scipy.stats import invgamma
 
 from landscaper import derived, inference
-from landscaper.errors import DegenerateDataError, IngestError, PreconditionError
+from landscaper.errors import (ConvergenceWarning, DegenerateDataError, IngestError,
+                               PreconditionError)
 from landscaper.inference import (
     BOUNDARY_FACTOR,
     HYPER_BOUND,
@@ -525,12 +526,25 @@ class TestFit:
         with pytest.raises(IngestError, match="anchors_at_observations.*re-fitted"):
             Posterior.from_json(refit)
 
-    def test_band_rejects_unknown_curve(self, small_posterior):
-        post, _ = small_posterior
-        lo, hi = post.band("diffusion", 0.025, 0.975)
-        assert np.all(lo <= hi)
-        with pytest.raises(PreconditionError, match="drfit"):
-            post.band("drfit", 0.025, 0.975)
+    @pytest.mark.parametrize("divergences", [1, 2])
+    def test_divergences_above_one_percent_of_draws_warn(self, monkeypatch, small_posterior,
+                                                         divergences):
+        # 2 chains x 100 iterations keep 100 draws: 2 divergences are 2.0 %,
+        # and 1 is not more than 1 %.
+        sample = inference.hmc.sample
+
+        def sample_with_divergences(*args, **kwargs):
+            return dataclasses.replace(sample(*args, **kwargs), divergences=divergences)
+
+        monkeypatch.setattr(inference.hmc, "sample", sample_with_divergences)
+        _, ds = small_posterior
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            post = fit(ds.collection, FitConfig(n_chains=2, n_iterations=100, seed=3))
+        assert post.n_draws == 100 and post.divergences == divergences
+        warned = [(w.category, str(w.message)) for w in caught if "divergent" in str(w.message)]
+        expected = (ConvergenceWarning, "2 divergent transitions (2.0%)")
+        assert warned == ([expected] if divergences == 2 else [])
 
     def test_one_chain_posterior_is_strict_json(self, readme_dataset, tmp_path):
         # One chain has no Rhat or ESS. Neither is stored, so the file holds
@@ -570,7 +584,8 @@ class TestPaperBistableClaim:
         assert derived.multistability_posterior(post).probabilities.get(2, 0.0) >= 0.9
         lo, hi = derived.tipping_region(post).interval95
         assert lo < 0.0 < hi
-        mean = derived.CurvePair(post.grid, post.drift_mean(), post.diffusion_mean())
+        mean = derived.CurvePair(post.grid, post.drift_draws.mean(axis=0),
+                                 post.diffusion_draws.mean(axis=0))
         stable = derived.classify_roots(mean).stable_points
         assert len(stable) == 2
         assert abs(stable[0] + 1.0) <= 0.15 and abs(stable[1] - 1.0) <= 0.15

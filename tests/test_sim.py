@@ -128,20 +128,20 @@ class TestCustomBimodalUnistable:
 class TestEulerMaruyama:
     def test_deterministic_euler(self):
         m = SdeModel(drift=lambda x: 0.5, diffusion=lambda x: 0.0, name="const")
-        traj = euler_maruyama(m, 1.0, 0.1, 10, seed=0)
-        np.testing.assert_allclose(traj.values, 1.0 + 0.5 * 0.1 * np.arange(11), rtol=1e-12)
+        path = euler_maruyama(m, 1.0, 0.1, 10, seed=0)
+        np.testing.assert_allclose(path, 1.0 + 0.5 * 0.1 * np.arange(11), rtol=1e-12)
 
     def test_pure_wiener_variance(self):
         m = SdeModel(drift=lambda x: 0.0, diffusion=lambda x: 1.0, name="wiener")
         dt = 0.05
-        traj = euler_maruyama(m, 0.0, dt, 100_000, seed=42)
-        incr = np.diff(traj.values)
+        path = euler_maruyama(m, 0.0, dt, 100_000, seed=42)
+        incr = np.diff(path)
         assert abs(incr.var() - dt) < 0.05 * dt
 
     def test_seed_determinism(self, bistable_cusp):
         a = euler_maruyama(bistable_cusp, 0.5, 0.01, 500, seed=9)
         b = euler_maruyama(bistable_cusp, 0.5, 0.01, 500, seed=9)
-        np.testing.assert_array_equal(a.values, b.values)
+        np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("kw, message", [
         ({"seed": -1}, "seed"), ({"n_steps": -1}, "n_steps"), ({"n_steps": 0}, "n_steps"),
@@ -163,9 +163,9 @@ class TestEulerMaruyama:
         # State-dependent noise: the scalar loop must reproduce the vectorized
         # one bit for bit, divergence step included.
         m = custom_bimodal_unistable()
-        traj = euler_maruyama(m, 0.3, 0.01, 5000, seed=4)
+        path = euler_maruyama(m, 0.3, 0.01, 5000, seed=4)
         z = np.random.default_rng(4).standard_normal((1, 5000))
-        np.testing.assert_array_equal(traj.values, sim._simulate_batch(m, [0.3], 0.01, z)[0])
+        np.testing.assert_array_equal(path, sim._simulate_batch(m, [0.3], 0.01, z)[0])
 
         blowup = SdeModel(drift=lambda x: x * x, diffusion=lambda x: 0.0 * x, name="blowup")
         with pytest.raises(SimulationDiverged) as scalar:
@@ -188,12 +188,12 @@ class TestEulerMaruyama:
 
     def test_long_run_histogram_matches_analytic_density(self, bistable_cusp):
         # Invariant: EM at dt=0.01 converges to the quadrature stationary density.
-        traj = euler_maruyama(bistable_cusp, -1.0, 0.01, 1_000_000, seed=7)
+        path = euler_maruyama(bistable_cusp, -1.0, 0.01, 1_000_000, seed=7)
         grid, cdf = bistable_cusp.stationary
         edges = np.linspace(-2.5, 2.5, 61)
         width = edges[1] - edges[0]
-        counts, _ = np.histogram(traj.values, bins=edges)
-        hist = counts / (traj.values.size * width)
+        counts, _ = np.histogram(path, bins=edges)
+        hist = counts / (path.size * width)
         ref = np.diff(np.interp(edges, grid, cdf)) / width
         mask = np.maximum(hist, ref) > 1e-12
         kl = float(np.sum(np.maximum(hist[mask], 1e-12)

@@ -148,13 +148,11 @@ class TestToTransitions:
 class TestCharacteristicTimescale:
     def test_unit_step(self):
         c = make_collection(([0, 1], [0.0, 1.0]))
-        ts = characteristic_timescale(c)
-        assert ts.d == 1.0 and ts.mean_sq_rate == 1.0 and ts.t_c == 1.0
+        assert characteristic_timescale(c) == 1.0
 
     def test_double_step(self):
         c = make_collection(([0, 1], [0.0, 2.0]))
-        ts = characteristic_timescale(c)
-        assert ts.d == 2.0 and ts.mean_sq_rate == 4.0 and ts.t_c == 1.0
+        assert characteristic_timescale(c) == 1.0
 
     def test_all_constant_is_degenerate(self):
         c = make_collection(([0, 1, 2], [1.0, 1.0, 1.0]))
@@ -168,7 +166,7 @@ class TestCharacteristicTimescale:
         values = np.array([0.0, 1.2, -0.5, 0.8])
         base = characteristic_timescale(make_collection((times, values)))
         moved = characteristic_timescale(make_collection((times, scale * values + shift)))
-        assert math.isclose(base.t_c, moved.t_c, rel_tol=1e-9)
+        assert math.isclose(base, moved, rel_tol=1e-9)
 
     def test_time_rescaling_matches_45_day_labeling(self, bistable_cusp):
         # A 45-unit step plays the role of 0.02*t_c once the time axis is
@@ -177,13 +175,13 @@ class TestCharacteristicTimescale:
 
         ds = generate_short_series(bistable_cusp, 30, 4, 0.3, seed=5)
         base = characteristic_timescale(ds.collection)
-        k = (45.0 / 0.02) / base.t_c
+        k = (45.0 / 0.02) / base
         rescaled = TimeSeriesCollection(tuple(
             TimeSeries(s.unit_id, s.times * k, s.values) for s in ds.collection.series
         ))
-        ts = characteristic_timescale(rescaled)
-        assert math.isclose(ts.t_c, 45.0 / 0.02, rel_tol=1e-9)
-        assert math.isclose(45.0 / ts.t_c, 0.02, rel_tol=1e-9)
+        t_c = characteristic_timescale(rescaled)
+        assert math.isclose(t_c, 45.0 / 0.02, rel_tol=1e-9)
+        assert math.isclose(45.0 / t_c, 0.02, rel_tol=1e-9)
 
 
 class TestFilterByTimestep:
